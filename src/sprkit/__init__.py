@@ -42,6 +42,7 @@ from .engine import (
     RoundsGuardError,
     RunTrace,
     SprParams,
+    TraceFormatError,
     default_round_guard,
     min_terminal_pair_distance,
     partition_from_trace,

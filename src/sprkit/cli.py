@@ -2,7 +2,9 @@
 
 Subcommands: gen, run, distort, verify, oracle, analyze, experiment.
 Exit codes: 0 success, 1 invariant violation found by verify, 2 usage or
-input error, 3 I/O error.  SPR_SEED provides the default seed.
+input error (including a malformed trace), 3 I/O error, 4 round guard
+exceeded by run (the partial trace is still written to --out).  SPR_SEED
+provides the default seed.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .charging import (
 )
 from .covering import check_covering, summarize_covering
 from .engine import (
+    RoundsGuardError,
     RunTrace,
     SprParams,
     preprocess_subdivide,
@@ -106,7 +109,12 @@ def cmd_run(args) -> int:
         graph = preprocess_subdivide(graph, params).graph
         # later analysis must replay against the graph the run actually used
         _write(f"{stem}.subdivided.txt", format_graph_text(graph))
-    minor, report, trace = run_and_contract(graph, params)
+    try:
+        minor, report, trace = run_and_contract(graph, params)
+    except RoundsGuardError as exc:
+        _write(str(out), exc.partial_trace.to_json())
+        print(f"error: {exc}; partial trace written to {out}", file=sys.stderr)
+        return 4
     _write(str(out), trace.to_json())
     _write(f"{stem}.minor.txt", _minor_to_text(minor))
     _write(f"{stem}.report.json", json.dumps(report.to_json_dict(), indent=2))

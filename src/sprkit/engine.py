@@ -7,10 +7,25 @@ unclaimed territory.  Claims are permanent.  The run ends at the first round
 boundary where no vertex is unclaimed, and the full history (every radius
 increment, every coverage event) is recorded in a trace.
 
+Each cluster keeps one frontier heap of (distance, vertex) entries for the
+whole run.  A step pops entries while the smallest distance is within the
+radius, skips vertices already claimed (lazy deletion), claims the rest at
+the popped distance and pushes (d + w, neighbour) for every unclaimed
+neighbour.  This equals a fresh region-restricted search from t_j at every
+step: once v joins cluster j its shortest path through the allowed region
+lies inside cluster j, and every later region (cluster j plus the unclaimed
+vertices) still contains that path, so v's distance never changes.  Its
+float value does not change either, because fl(a + w) is monotone in a.
+Ties pop in vertex-id order, as they would in the fresh search.
+
 Determinism: a run is a pure function of (graph, params).  The stream of
 uniform draws comes from a counter-based Philox generator keyed by
 (params.seed, 0); sampling happens for every (round, step) pair whether or
-not the step claims anything, so traces are reproducible bit for bit.
+not the step claims anything, so traces are reproducible bit for bit.  A
+round's k uniforms are drawn in one ``rng.random(k)`` call, which yields the
+same doubles as k scalar calls.  The exponential transform must stay
+``math.log1p``: ``np.log1p`` differs in the last ulp on some draws and would
+change the trace.
 """
 
 from __future__ import annotations
@@ -18,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +53,10 @@ from .minor import (
 EARLY_FACTOR = 1.0 / 3.0          # early-coverage round threshold coefficient
 INTERVAL_FACTOR = EARLY_FACTOR / 10.0  # path-interval sizing coefficient
 DEADLINE_FACTOR = 4.0             # late-coverage deadline coefficient
+
+
+class TraceFormatError(GraphError):
+    """Trace text that is not valid JSON or does not follow the trace schema."""
 
 
 class RoundsGuardError(RuntimeError):
@@ -194,32 +213,41 @@ class RunTrace:
 
     @staticmethod
     def from_json(text: str) -> "RunTrace":
-        doc = json.loads(text)
+        """Parse trace JSON; any syntax or schema fault raises TraceFormatError."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise TraceFormatError(f"trace is not valid JSON: {exc}") from None
         if not isinstance(doc, dict) or "events" not in doc or "params" not in doc:
-            raise GraphError("not a run trace: missing 'params'/'events'")
+            raise TraceFormatError("not a run trace: missing 'params'/'events'")
         radius_events = []
         cover_events = []
-        for ev in doc["events"]:
-            if ev["type"] == "radius":
-                radius_events.append(
-                    RadiusEvent(ev["round"], ev["step"], ev["q"], ev["R"])
-                )
-            elif ev["type"] == "cover":
-                cover_events.append(
-                    CoverEvent(ev["vertex"], ev["terminal"], ev["round"], ev["step"], ev["dist"])
-                )
-            else:
-                raise ValueError(f"unknown trace event type {ev['type']!r}")
-        p = doc["params"]
-        return RunTrace(
-            delta=p["delta"],
-            seed=p["seed"],
-            k=p["k"],
-            terminal_ids=tuple(p["terminals"]),
-            radius_events=radius_events,
-            cover_events=cover_events,
-            rounds=doc["rounds"],
-        )
+        try:
+            for ev in doc["events"]:
+                if ev["type"] == "radius":
+                    radius_events.append(
+                        RadiusEvent(ev["round"], ev["step"], ev["q"], ev["R"])
+                    )
+                elif ev["type"] == "cover":
+                    cover_events.append(
+                        CoverEvent(ev["vertex"], ev["terminal"], ev["round"], ev["step"], ev["dist"])
+                    )
+                else:
+                    raise TraceFormatError(f"unknown trace event type {ev['type']!r}")
+            p = doc["params"]
+            return RunTrace(
+                delta=p["delta"],
+                seed=p["seed"],
+                k=p["k"],
+                terminal_ids=tuple(p["terminals"]),
+                radius_events=radius_events,
+                cover_events=cover_events,
+                rounds=doc["rounds"],
+            )
+        except KeyError as exc:
+            raise TraceFormatError(f"malformed run trace: missing field {exc}") from None
+        except TypeError as exc:
+            raise TraceFormatError(f"malformed run trace: {exc}") from None
 
 
 def run_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -228,10 +256,14 @@ def run_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_exponential(mean: float, rng) -> float:
-    """Inverse-CDF exponential draw: -mean * ln(1 - u), u uniform in [0, 1)."""
+def _check_mean(mean: float) -> None:
     if not (mean > 0 and math.isfinite(mean)):
         raise GraphError(f"mean must be positive and finite, got {mean}")
+
+
+def sample_exponential(mean: float, rng) -> float:
+    """Inverse-CDF exponential draw: -mean * ln(1 - u), u uniform in [0, 1)."""
+    _check_mean(mean)
     u = rng.random()
     return -mean * math.log1p(-u)
 
@@ -339,42 +371,27 @@ def run_spr(
     if not graph.is_connected():
         raise GraphError("clustering requires a connected graph")
 
-    n = graph.n
     k = graph.k
-    index_of = {v: i for i, v in enumerate(graph.vertices)}
-    vertex_of = graph.vertices
-    adj_idx: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, w in graph.edges:
-        ui, vi = index_of[u], index_of[v]
-        adj_idx[ui].append((vi, w))
-        adj_idx[vi].append((ui, w))
-    for lst in adj_idx:
-        lst.sort()
-
-    owner = [-1] * n  # cluster index 0..k-1, -1 = unclaimed
-    term_idx = []
-    for j, t in enumerate(graph.terminals):
-        ti = index_of[t]
-        owner[ti] = j
-        term_idx.append(ti)
-
-    radii = [0.0] * k
-    # lower bound on the radius needed before the cluster can claim anything
-    # new; distances in the shrinking allowed region never decrease, so a
-    # value observed once stays valid and lets later steps skip in O(1).
-    next_needed = [0.0] * k
-    uncovered = n - k
-
-    # scratch arrays for the bounded searches, reset lazily via stamps
-    dist = [0.0] * n
-    stamp = [0] * n
-    epoch = 0
+    terminals = graph.terminals
+    adj = graph.adjacency
+    owner = dict.fromkeys(graph.vertices, 0)  # 1-based cluster index, 0 = unclaimed
+    for j, t in enumerate(terminals, start=1):
+        owner[t] = j
+    uncovered = graph.n - k
+    # one frontier per cluster: (distance from t_j, vertex) for every unclaimed
+    # neighbour of the cluster, with lazy deletion of vertices claimed since
+    frontiers = []
+    for t in terminals:
+        frontier = [(w, nbr) for nbr, w in adj[t] if not owner[nbr]]
+        heapify(frontier)
+        frontiers.append(frontier)
 
     rng = run_rng(params.seed)
     base_mean = params.base_mean
     ratio = params.ratio
     guard = params.max_rounds if params.max_rounds is not None else default_round_guard(graph, params)
 
+    radii = [0.0] * k
     radius_events: list[RadiusEvent] = []
     cover_events: list[CoverEvent] = []
     rnd = 0
@@ -382,55 +399,34 @@ def run_spr(
         if rnd >= guard:
             trace = RunTrace(
                 delta=params.delta, seed=params.seed, k=k,
-                terminal_ids=graph.terminals,
+                terminal_ids=terminals,
                 radius_events=radius_events, cover_events=cover_events, rounds=rnd,
             )
             raise RoundsGuardError(guard, trace)
         mean = base_mean * ratio**rnd
-        for j in range(k):
-            q = sample_exponential(mean, rng)
-            radii[j] += q
-            radius = radii[j]
-            radius_events.append(RadiusEvent(rnd, j + 1, q, radius))
-            if uncovered == 0 or radius < next_needed[j]:
-                continue
-            # bounded search from t_j over own-or-unclaimed territory
-            epoch += 1
-            src = term_idx[j]
-            dist[src] = 0.0
-            stamp[src] = epoch
-            heap: list[tuple[float, int]] = [(0.0, src)]
-            settled_epoch = -epoch  # mark settled by negating the stamp
-            overshoot = math.inf
-            while heap:
-                d, v = heappop(heap)
-                if stamp[v] == settled_epoch or d != dist[v]:
+        _check_mean(mean)
+        # one batched draw per round is bit-identical to k scalar draws
+        for j, u in enumerate(rng.random(k).tolist(), start=1):
+            q = -mean * math.log1p(-u)
+            radii[j - 1] += q
+            radius = radii[j - 1]
+            radius_events.append(RadiusEvent(rnd, j, q, radius))
+            frontier = frontiers[j - 1]
+            while frontier and frontier[0][0] <= radius:
+                d, v = heappop(frontier)
+                if owner[v]:
                     continue
-                if d > radius:
-                    overshoot = d
-                    break
-                stamp[v] = settled_epoch
-                if owner[v] == -1:
-                    owner[v] = j
-                    uncovered -= 1
-                    cover_events.append(
-                        CoverEvent(vertex_of[v], graph.terminals[j], rnd, j + 1, d)
-                    )
-                for nbr, w in adj_idx[v]:
-                    ow = owner[nbr]
-                    if (ow == -1 or ow == j) and stamp[nbr] != settled_epoch:
-                        nd = d + w
-                        if stamp[nbr] != epoch or nd < dist[nbr]:
-                            dist[nbr] = nd
-                            stamp[nbr] = epoch
-                            heappush(heap, (nd, nbr))
-            next_needed[j] = overshoot
+                owner[v] = j
+                uncovered -= 1
+                cover_events.append(CoverEvent(v, terminals[j - 1], rnd, j, d))
+                for nbr, w in adj[v]:
+                    if not owner[nbr]:
+                        heappush(frontier, (d + w, nbr))
         rnd += 1
 
-    assignment = {vertex_of[i]: owner[i] + 1 for i in range(n)}
-    partition = TerminalPartition(assignment=assignment)
+    partition = TerminalPartition(assignment=owner)
     trace = RunTrace(
-        delta=params.delta, seed=params.seed, k=k, terminal_ids=graph.terminals,
+        delta=params.delta, seed=params.seed, k=k, terminal_ids=terminals,
         radius_events=radius_events, cover_events=cover_events, rounds=rnd,
     )
     return partition, trace

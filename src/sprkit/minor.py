@@ -42,16 +42,6 @@ class TerminalPartition:
 
     assignment: dict[int, int]
 
-    def cluster(self, index: int) -> set[int]:
-        return {v for v, j in self.assignment.items() if j == index}
-
-    def clusters(self, k: int) -> list[set[int]]:
-        out: list[set[int]] = [set() for _ in range(k)]
-        for v, j in self.assignment.items():
-            if 1 <= j <= k:
-                out[j - 1].add(v)
-        return out
-
 
 def validate_partition(
     graph: WeightedGraph, partition: TerminalPartition

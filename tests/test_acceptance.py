@@ -75,6 +75,7 @@ def distortion_sweep(seeds_per_k: int = 50) -> dict[int, float]:
     return out
 
 
+@pytest.mark.slow
 def test_criterion_01_minor_validity_sweep():
     configs = [
         ("path", {"n": 200}),
@@ -237,6 +238,7 @@ def test_criterion_08_chernoff_instantiation():
     _passline(8, "binomial tail", f"freq {emp:.5f} <= {bound:.5f} + slack")
 
 
+@pytest.mark.slow
 def test_criterion_09_charging_failure_rate():
     ledgers = []
     per_graph = []
@@ -312,6 +314,7 @@ def test_criterion_10_ledger_structure():
     _passline(10, "ledger structure", "100 runs tile; interval identities exact")
 
 
+@pytest.mark.slow
 def test_criterion_11_covering_events():
     details = []
     for k in (32, 64):

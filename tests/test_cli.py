@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sprkit import RunTrace, SprParams, verify_trace
 from sprkit.cli import main
 from sprkit.graph import parse_graph_text
 
@@ -61,6 +62,52 @@ def test_verify_accepts_real_trace_and_rejects_tampered(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["verify", "--graph", str(gpath), "--trace", str(bad)]) == 1
+
+
+def _malformed_trace(tmp_path: Path, case: str) -> Path:
+    gpath = _gen(tmp_path)
+    out = tmp_path / "trace.json"
+    main(["run", "--graph", str(gpath), "--seed", "2", "--out", str(out)])
+    text = out.read_text()
+    doc = json.loads(text)
+    if case == "unknown-event":
+        doc["events"][0]["type"] = "shrink"
+        text = json.dumps(doc)
+    elif case == "missing-terminals":
+        del doc["params"]["terminals"]
+        text = json.dumps(doc)
+    else:
+        text = text[: len(text) // 2]
+    bad = tmp_path / f"{case}.json"
+    bad.write_text(text)
+    return bad
+
+
+@pytest.mark.parametrize("case", ["unknown-event", "missing-terminals", "invalid-json"])
+def test_verify_malformed_trace_is_usage_error(tmp_path, capsys, case):
+    bad = _malformed_trace(tmp_path, case)
+    gpath = tmp_path / "g.txt"
+    assert main(["verify", "--graph", str(gpath), "--trace", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_run_guard_trip_writes_partial_trace(tmp_path, capsys):
+    gpath = _gen(tmp_path, family="random-weighted", n=30)
+    out = tmp_path / "trace.json"
+    rc = main(["run", "--graph", str(gpath), "--max-rounds", "1", "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "round guard 1 exceeded" in err[0]
+    assert not (tmp_path / "trace.minor.txt").exists()
+    graph = parse_graph_text(gpath.read_text())
+    trace = RunTrace.from_json(out.read_text())
+    assert trace.rounds == 1 and len(trace.radius_events) == graph.k
+    # radius accumulation, the seeded stream and every step's ball replay
+    # hold; only completeness fails on a partial trace
+    result = verify_trace(graph, trace, SprParams(k=trace.k, delta=trace.delta, seed=trace.seed))
+    assert result.violations
+    assert all(v.endswith("never covered") for v in result.violations)
 
 
 def test_distort_roundtrip(tmp_path, capsys):

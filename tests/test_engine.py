@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import path_t_s_t, random_connected_graph, star_3
 from sprkit import (
@@ -62,6 +64,17 @@ def test_sampler_memorylessness():
     conditional = np.mean(above_a >= a + b)
     unconditional = np.mean(samples >= b)
     assert abs(conditional - unconditional) <= 0.01
+
+
+def test_batched_draws_match_scalar_sampler_bit_for_bit():
+    # the engine draws a round's k uniforms at once and transforms each with
+    # math.log1p; that must equal k successive sample_exponential calls
+    for seed, k, mean in ((0, 2, 0.07), (5, 16, 1.3), (11, 257, 123.456)):
+        batched_rng, scalar_rng = run_rng(seed), run_rng(seed)
+        for _ in range(3):
+            batched = [-mean * math.log1p(-u) for u in batched_rng.random(k).tolist()]
+            scalar = [sample_exponential(mean, scalar_rng) for _ in range(k)]
+            assert batched == scalar
 
 
 def test_rng_streams_are_independent_and_reproducible():
@@ -345,3 +358,29 @@ def test_trace_json_roundtrip_and_stability():
     assert back.radius_events == trace.radius_events
     assert back.cover_events == trace.cover_events
     assert text.index('"type":"radius"') < text.index('"type":"cover"')
+
+
+@st.composite
+def small_integer_weighted_graphs(draw):
+    """Connected graphs on 3-14 vertices with weights in {1, 2, 3}, so equal
+    region distances are common, and 2-6 terminals."""
+    n = draw(st.integers(min_value=3, max_value=14))
+    weight = st.integers(min_value=1, max_value=3).map(float)
+    edges = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), draw(weight))
+    k = draw(st.integers(min_value=2, max_value=min(6, n)))
+    terminals = draw(st.permutations(range(n)))[:k]
+    return WeightedGraph.build(range(n), [(u, v, w) for (u, v), w in edges.items()], terminals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_integer_weighted_graphs(), st.integers(min_value=0, max_value=2**32))
+def test_engine_traces_replay_clean_on_random_tied_graphs(g, seed):
+    p = SprParams.for_graph(g, seed=seed)
+    part, trace = run_spr(g, p)
+    result = verify_trace(g, trace, p)
+    assert result.ok, result.violations[:3]
+    assert partition_from_trace(g, trace).assignment == part.assignment
