@@ -235,7 +235,7 @@ class RunTrace:
                 else:
                     raise TraceFormatError(f"unknown trace event type {ev['type']!r}")
             p = doc["params"]
-            return RunTrace(
+            trace = RunTrace(
                 delta=p["delta"],
                 seed=p["seed"],
                 k=p["k"],
@@ -248,6 +248,27 @@ class RunTrace:
             raise TraceFormatError(f"malformed run trace: missing field {exc}") from None
         except TypeError as exc:
             raise TraceFormatError(f"malformed run trace: {exc}") from None
+        _check_field_types(trace)
+        return trace
+
+
+def _check_field_types(trace: RunTrace) -> None:
+    """Ids, counts, rounds and steps must be JSON integers; q, R, dist and
+    delta JSON numbers.  Checked column by column, not event by event."""
+    ints = [(trace.seed, trace.k, trace.rounds), trace.terminal_ids]
+    numbers = [(trace.delta,)]
+    if trace.radius_events:
+        rnd, step, q, radius = zip(*trace.radius_events)
+        ints += [rnd, step]
+        numbers += [q, radius]
+    if trace.cover_events:
+        vertex, terminal, rnd, step, dist = zip(*trace.cover_events)
+        ints += [vertex, terminal, rnd, step]
+        numbers.append(dist)
+    if any(set(map(type, col)) - {int} for col in ints) or any(
+        set(map(type, col)) - {int, float} for col in numbers
+    ):
+        raise TraceFormatError("malformed run trace: a field has the wrong type")
 
 
 def run_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -76,6 +76,9 @@ def _malformed_trace(tmp_path: Path, case: str) -> Path:
     elif case == "missing-terminals":
         del doc["params"]["terminals"]
         text = json.dumps(doc)
+    elif case == "string-increment":
+        doc["events"][0]["q"] = "0.5"
+        text = json.dumps(doc)
     else:
         text = text[: len(text) // 2]
     bad = tmp_path / f"{case}.json"
@@ -83,7 +86,9 @@ def _malformed_trace(tmp_path: Path, case: str) -> Path:
     return bad
 
 
-@pytest.mark.parametrize("case", ["unknown-event", "missing-terminals", "invalid-json"])
+@pytest.mark.parametrize(
+    "case", ["unknown-event", "missing-terminals", "string-increment", "invalid-json"]
+)
 def test_verify_malformed_trace_is_usage_error(tmp_path, capsys, case):
     bad = _malformed_trace(tmp_path, case)
     gpath = tmp_path / "g.txt"
