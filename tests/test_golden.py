@@ -1,10 +1,12 @@
 """Golden hashes: byte-identical run artefacts against a recorded build.
 
 Each case generates a graph, runs the clustering and hashes the three files
-``sprkit run`` writes for it (trace JSON, minor text, report JSON).  The
-guard case hashes the partial trace carried by ``RoundsGuardError``.  The
-expected digests live in ``tests/golden/hashes.json``; see the README there
-before touching them.  Run this file as a script to print the digests of the
+``sprkit run`` writes for it (trace JSON, minor text, report JSON), plus the
+covering check's flags when the case has at least two terminals.  The guard
+case hashes the partial trace carried by ``RoundsGuardError``.  One more
+entry hashes the charging ledgers of a fine-pair graph.  The expected
+digests live in ``tests/golden/hashes.json``; see the README there before
+touching them.  Run this file as a script to print the digests of the
 current build.
 """
 
@@ -17,7 +19,17 @@ from pathlib import Path
 
 import pytest
 
-from sprkit import RoundsGuardError, SprParams, preprocess_subdivide, run_and_contract, run_spr
+from conftest import fine_pair_graph
+from sprkit import (
+    RoundsGuardError,
+    SprParams,
+    build_interval_partition,
+    check_covering,
+    preprocess_subdivide,
+    reconstruct_ledger,
+    run_and_contract,
+    run_spr,
+)
 from sprkit.cli import _minor_to_text
 from sprkit.generators import generate
 
@@ -55,6 +67,10 @@ CASES = {
     ),
 }
 
+# id of the ledger entry: pair (0, 8) of fine_pair_graph(8, seed=5,
+# fineness=0.6), replayed for run seeds 0 and 1
+LEDGER_CASE = "ledger-fine-pair-k8"
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -76,11 +92,35 @@ def artefact_hashes(case_id: str) -> dict[str, str]:
             run_spr(graph, params)
         return {"partial_trace": _sha(exc.value.partial_trace.to_json())}
     minor, report, trace = run_and_contract(graph, params)
-    return {
+    out = {
         "trace": _sha(trace.to_json()),
         "minor": _sha(_minor_to_text(minor)),
         "report": _sha(json.dumps(report.to_json_dict(), indent=2)),
     }
+    if graph.k >= 2:
+        # the covering flags, formatted as the benchmark's digests are
+        cov = check_covering(trace, graph, params)
+        flags = [f"{r.vertex} {r.round} {int(r.covered_late)} {int(r.covered_early)}"
+                 for r in cov.records]
+        flags += [f"g {g.terminal} {g.round} {int(g.ok)}" for g in cov.groups]
+        out["covering"] = _sha("\n".join(flags))
+    return out
+
+
+def ledger_hashes() -> dict[str, str]:
+    """Steps, final charges and cost of each replayed ledger, as the benchmark
+    hashes them."""
+    graph = fine_pair_graph(8, seed=5, fineness=0.6)
+    partition = build_interval_partition(graph, 0, 8, SprParams.for_graph(graph))
+    out = {}
+    for seed in (0, 1):
+        params = SprParams.for_graph(graph, seed=seed)
+        _, trace = run_spr(graph, params)
+        led = reconstruct_ledger(trace, graph, partition, params)
+        lines = [repr(s) for s in led.steps]
+        lines += [repr(led.final_charges), repr(led.cost)]
+        out[f"seed{seed}"] = _sha("\n".join(lines))
+    return out
 
 
 @pytest.mark.parametrize("case_id", sorted(CASES))
@@ -89,11 +129,17 @@ def test_golden_artefacts_unchanged(case_id):
     assert artefact_hashes(case_id) == expected[case_id]
 
 
+def test_golden_ledger_unchanged():
+    expected = json.loads(HASHES_PATH.read_text())
+    assert ledger_hashes() == expected[LEDGER_CASE]
+
+
 def test_golden_file_covers_every_case():
-    assert sorted(json.loads(HASHES_PATH.read_text())) == sorted(CASES)
+    assert sorted(json.loads(HASHES_PATH.read_text())) == sorted([*CASES, LEDGER_CASE])
 
 
 if __name__ == "__main__":
     doc = {case_id: artefact_hashes(case_id) for case_id in sorted(CASES)}
+    doc[LEDGER_CASE] = ledger_hashes()
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
