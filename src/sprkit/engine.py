@@ -89,11 +89,6 @@ class SprParams:
             raise GraphError(f"terminal count {self.k} < 1")
         if not (0 < self.delta and math.isfinite(self.delta)):
             raise GraphError(f"delta must be positive, got {self.delta}")
-        # locked ratios: interval = early/10, weight = interval*delta/4,
-        # concentration = 3*delta*interval
-        assert abs(INTERVAL_FACTOR - EARLY_FACTOR / 10.0) < 1e-15
-        assert abs(self.weight_factor - INTERVAL_FACTOR * self.delta / 4.0) < 1e-15
-        assert abs(self.concentration_factor - 3.0 * self.delta * INTERVAL_FACTOR) < 1e-15
 
     @property
     def ratio(self) -> float:
@@ -147,6 +142,11 @@ class CoverEvent(NamedTuple):
     dist: float     # distance from the terminal inside the allowed region
 
 
+# one JSON object per event type, fields in NamedTuple order
+_RADIUS_JSON = '{"type":"radius","round":%r,"step":%r,"q":%r,"R":%r}'
+_COVER_JSON = '{"type":"cover","vertex":%r,"terminal":%r,"round":%r,"step":%r,"dist":%r}'
+
+
 @dataclass
 class RunTrace:
     delta: float
@@ -164,52 +164,31 @@ class RunTrace:
         return out
 
     def to_json(self) -> str:
-        events = []
-        cover_by_step = self.events_by_step()
-        for rev in self.radius_events:
-            events.append(
-                {
-                    "type": "radius",
-                    "round": rev.round,
-                    "step": rev.step,
-                    "q": rev.q,
-                    "R": rev.radius,
-                }
-            )
-            for cev in cover_by_step.get((rev.round, rev.step), []):
-                events.append(
-                    {
-                        "type": "cover",
-                        "vertex": cev.vertex,
-                        "terminal": cev.terminal,
-                        "round": cev.round,
-                        "step": cev.step,
-                        "dist": cev.dist,
-                    }
-                )
-        if not self.radius_events:
-            for cev in self.cover_events:
-                events.append(
-                    {
-                        "type": "cover",
-                        "vertex": cev.vertex,
-                        "terminal": cev.terminal,
-                        "round": cev.round,
-                        "step": cev.step,
-                        "dist": cev.dist,
-                    }
-                )
-        doc = {
-            "params": {
-                "delta": self.delta,
-                "seed": self.seed,
-                "k": self.k,
-                "terminals": list(self.terminal_ids),
-            },
-            "events": events,
-            "rounds": self.rounds,
-        }
-        return json.dumps(doc, separators=(",", ":"))
+        """The trace as compact JSON, byte for byte what ``json.dumps`` with
+        separators (",", ":") gives for the trace document: each radius event
+        followed by the cover events of its step, or only the cover events
+        when there are no radius events."""
+        # %r writes ints and floats as json.dumps does, except that it spells
+        # non-finite floats inf, -inf and nan; no key contains "inf" or "nan",
+        # so plain replacements on the event text fix those up
+        cover = [_COVER_JSON % ev for ev in self.cover_events]
+        if self.radius_events:
+            by_step: dict[tuple[int, int], list[str]] = {}
+            for ev, text in zip(self.cover_events, cover):
+                by_step.setdefault((ev.round, ev.step), []).append(text)
+            events = []
+            for rev in self.radius_events:
+                events.append(_RADIUS_JSON % rev)
+                events += by_step.get((rev.round, rev.step), ())
+        else:
+            events = cover
+        params = json.dumps(
+            {"delta": self.delta, "seed": self.seed, "k": self.k,
+             "terminals": list(self.terminal_ids)},
+            separators=(",", ":"),
+        )
+        body = ",".join(events).replace("inf", "Infinity").replace("nan", "NaN")
+        return '{"params":%s,"events":[%s],"rounds":%s}' % (params, body, json.dumps(self.rounds))
 
     @staticmethod
     def from_json(text: str) -> "RunTrace":

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import path_t_s_t, random_connected_graph, star_3
 from sprkit import (
+    CoverEvent,
+    RadiusEvent,
     RoundsGuardError,
     RunTrace,
     SprParams,
@@ -358,6 +361,72 @@ def test_trace_json_roundtrip_and_stability():
     assert back.radius_events == trace.radius_events
     assert back.cover_events == trace.cover_events
     assert text.index('"type":"radius"') < text.index('"type":"cover"')
+
+
+def _reference_event_dicts(trace):
+    """The trace's events as dicts, in the layout and order of the encoder
+    that built one dict per event: each radius event, then the cover events
+    of its step; all cover events when there are no radius events.  Cover
+    events of a step without a radius event are dropped."""
+    cover = [
+        {"type": "cover", "vertex": ev.vertex, "terminal": ev.terminal,
+         "round": ev.round, "step": ev.step, "dist": ev.dist}
+        for ev in trace.cover_events
+    ]
+    if not trace.radius_events:
+        return cover
+    events = []
+    for rev in trace.radius_events:
+        events.append({"type": "radius", "round": rev.round, "step": rev.step,
+                       "q": rev.q, "R": rev.radius})
+        events += [c for c in cover if (c["round"], c["step"]) == (rev.round, rev.step)]
+    return events
+
+
+# q, R and dist as the parser can hand them over: ints, floats, non-finite
+_numbers = st.one_of(st.floats(), st.integers(min_value=-10**6, max_value=10**6))
+_rounds = st.integers(min_value=0, max_value=3)
+_steps = st.integers(min_value=1, max_value=3)
+_traces = st.builds(
+    RunTrace,
+    delta=st.floats(min_value=1e-3, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**63),
+    k=st.integers(min_value=1, max_value=3),
+    terminal_ids=st.lists(st.integers(min_value=0, max_value=40), max_size=3).map(tuple),
+    # empty radius lists give the single-terminal layout; small round and
+    # step ranges give cover events both with and without a radius event
+    radius_events=st.lists(st.builds(RadiusEvent, _rounds, _steps, _numbers, _numbers),
+                           max_size=6),
+    cover_events=st.lists(
+        st.builds(CoverEvent, st.integers(min_value=0, max_value=40),
+                  st.integers(min_value=0, max_value=40), _rounds, _steps, _numbers),
+        max_size=10,
+    ),
+    rounds=st.integers(min_value=0, max_value=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_traces)
+def test_trace_json_matches_dict_encoder_and_roundtrips(trace):
+    events = _reference_event_dicts(trace)
+    doc = {
+        "params": {"delta": trace.delta, "seed": trace.seed, "k": trace.k,
+                   "terminals": list(trace.terminal_ids)},
+        "events": events,
+        "rounds": trace.rounds,
+    }
+    text = trace.to_json()
+    assert text == json.dumps(doc, separators=(",", ":"))
+    back = RunTrace.from_json(text)
+    # repr, not ==, so that NaN fields compare equal to themselves
+    assert repr(back.radius_events) == repr(trace.radius_events)
+    assert repr(back.cover_events) == repr(
+        [CoverEvent(*list(e.values())[1:]) for e in events if e["type"] == "cover"]
+    )
+    assert (back.delta, back.seed, back.k, back.terminal_ids, back.rounds) == (
+        trace.delta, trace.seed, trace.k, trace.terminal_ids, trace.rounds
+    )
 
 
 @st.composite
