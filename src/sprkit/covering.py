@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import DEADLINE_FACTOR, EARLY_FACTOR, RunTrace, SprParams
-from .graph import DistanceMap, GraphError, WeightedGraph
+from .graph import GraphError, WeightedGraph
 
 SPREAD_FACTOR = DEADLINE_FACTOR / EARLY_FACTOR  # = 12 with the locked factors
 
 
-@dataclass(frozen=True)
-class CoverRecord:
+class CoverRecord(NamedTuple):
     vertex: int
     terminal: int           # covering terminal vertex id
     round: int
@@ -74,17 +74,10 @@ class CoveringCheck:
         return tuple(g for g in self.groups if not g.ok)
 
 
-def _floor_log_ratio(x: float, ratio: float) -> int:
-    # x <= 0 cannot occur for positive distances; tiny x gives a very
-    # negative deadline, which no round >= 0 can meet.
-    return math.floor(math.log(x) / math.log(ratio))
-
-
 def check_covering(
     trace: RunTrace,
     graph: WeightedGraph,
     params: SprParams,
-    terminal_maps: tuple[DistanceMap, ...] | None = None,
 ) -> CoveringCheck:
     """Per-vertex coverage-timing records and same-step spread groups."""
     if trace.terminal_ids != graph.terminals:
@@ -100,33 +93,29 @@ def check_covering(
             "was the run preprocessed with subdivision? check against the "
             "subdivided graph"
         )
-    if terminal_maps is None:
-        terminal_maps = graph.terminal_distance_maps
-    term_index = {t: i for i, t in enumerate(graph.terminals)}
+    dist_from = {m.source: m.dist for m in graph.terminal_distance_maps}
     nearest = graph.nearest_terminal_distance
-    ratio = params.ratio
+    log, floor = math.log, math.floor
+    # round thresholds are floor(log_ratio(x)); x <= 0 cannot occur for
+    # positive distances, and a tiny x gives a very negative round that no
+    # round >= 0 can meet
+    log_ratio = log(params.ratio)
     ef = params.early_factor
 
     records = []
     groups: dict[tuple[int, int], list[CoverRecord]] = {}
-    for ev in trace.cover_events:
-        d_cover = terminal_maps[term_index[ev.terminal]].distance(ev.vertex)
-        d_near = nearest[ev.vertex]
-        deadline = _floor_log_ratio(DEADLINE_FACTOR * d_near, ratio)
-        early = _floor_log_ratio(ef * d_cover, ratio)
-        rec = CoverRecord(
-            vertex=ev.vertex,
-            terminal=ev.terminal,
-            round=ev.round,
-            dist_to_terminal=d_cover,
-            nearest_terminal=d_near,
-            deadline_round=deadline,
-            early_round=early,
-            covered_late=ev.round > deadline,
-            covered_early=ev.round < early,
-        )
+    for v, t, rnd, _, _ in trace.cover_events:
+        try:
+            d_cover = dist_from[t][v]
+        except KeyError:
+            raise GraphError(f"vertex {v} is not reachable from {t}") from None
+        d_near = nearest[v]
+        deadline = floor(log(DEADLINE_FACTOR * d_near) / log_ratio)
+        early = floor(log(ef * d_cover) / log_ratio)
+        rec = CoverRecord(v, t, rnd, d_cover, d_near, deadline, early,
+                          rnd > deadline, rnd < early)
         records.append(rec)
-        groups.setdefault((ev.terminal, ev.round), []).append(rec)
+        groups.setdefault((t, rnd), []).append(rec)
 
     group_rows = []
     for (t, rnd), recs in sorted(groups.items()):
