@@ -23,10 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
 
 from .engine import RunTrace, SprParams
-from .graph import DistanceMap, GraphError, WeightedGraph
+from .graph import GraphError, WeightedGraph, region_search
 
 COST_BOUND_FACTOR = 43.0  # exceedance threshold for the final cost, in units of d(t, t')
 
@@ -102,7 +101,6 @@ def build_interval_partition(
     t: int,
     t_prime: int,
     params: SprParams,
-    dist_map: DistanceMap | None = None,
 ) -> IntervalPartition:
     """Greedy left-to-right sweep of the canonical path interior.
 
@@ -118,8 +116,7 @@ def build_interval_partition(
             raise GraphError(f"vertex {v} is not a terminal")
     if params.k != graph.k or graph.k < 2:
         raise GraphError("params must match a graph with at least two terminals")
-    if dist_map is None:
-        dist_map = graph.terminal_distance_maps[graph.terminal_index(t) - 1]
+    dist_map = graph.terminal_distance_maps[graph.terminal_index(t) - 1]
     path = dist_map.path_to(t_prime)
     terminal_set = set(graph.terminals)
     for v in path[1:-1]:
@@ -220,47 +217,11 @@ class DetourLedger:
         return expect == len(self.partition.path) - 1
 
 
-def _bounded_region_search(
-    adj, owner: dict[int, int], cluster: int, source: int, stop_set: set[int], extra: float
-) -> tuple[dict[int, float], float | None]:
-    """Distances from source through unclaimed-or-own vertices.
-
-    Settles until the first vertex of ``stop_set`` is reached, then keeps
-    going for ``extra`` distance beyond it so all comparably close targets
-    are settled too.  Returns (distances, distance of first stop vertex).
-    """
-    dist: dict[int, float] = {}
-    best = {source: 0.0}
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    first_stop: float | None = None
-    while heap:
-        d, v = heappop(heap)
-        if v in dist or d != best.get(v):
-            continue
-        if first_stop is not None and d > first_stop + extra:
-            break
-        dist[v] = d
-        if first_stop is None and v in stop_set:
-            first_stop = d
-        for nbr, w in adj[v]:
-            if nbr in dist:
-                continue
-            ow = owner.get(nbr)
-            if ow is not None and ow != cluster:
-                continue
-            nd = d + w
-            if nd < best.get(nbr, math.inf):
-                best[nbr] = nd
-                heappush(heap, (nd, nbr))
-    return dist, first_stop
-
-
 def reconstruct_ledger(
     trace: RunTrace,
     graph: WeightedGraph,
     partition: IntervalPartition,
     params: SprParams,
-    terminal_maps: tuple[DistanceMap, ...] | None = None,
 ) -> DetourLedger:
     """Replay the trace in order and rebuild the full charging ledger.
 
@@ -278,16 +239,13 @@ def reconstruct_ledger(
             "was the run preprocessed with subdivision? analyze against the "
             "subdivided graph"
         )
-    if terminal_maps is None:
-        terminal_maps = graph.terminal_distance_maps
     term_index = {t: i for i, t in enumerate(graph.terminals)}
-    adj = graph.adjacency
 
     path = partition.path
-    interior = set(path[1:-1])
     path_index = {v: i for i, v in enumerate(path)}
     last = len(path) - 1
     active = [False] + [True] * (last - 1) + [False]  # indexed like path
+    active_vertices = set(path[1:-1])  # path[i] for every active i
     interval_of = partition.interval_of_index
     n_intervals = partition.phi
 
@@ -315,7 +273,6 @@ def reconstruct_ledger(
         return count
 
     seen_cover: set[int] = set()
-    active_count = last - 1
     live_span_total = 0
     for rev in trace.radius_events:
         j = rev.step
@@ -327,9 +284,7 @@ def reconstruct_ledger(
                 raise LedgerError(f"vertex {ev.vertex} covered twice in trace")
             seen_cover.add(ev.vertex)
         newly_active = [
-            path_index[ev.vertex]
-            for ev in events
-            if ev.vertex in interior and active[path_index[ev.vertex]]
+            path_index[ev.vertex] for ev in events if ev.vertex in active_vertices
         ]
         if not newly_active:
             for ev in events:
@@ -338,18 +293,15 @@ def reconstruct_ledger(
 
         # charging step: find the trigger vertex from the pre-step state
         t_j = graph.terminals[j - 1]
-        active_vertices = {path[i] for i in range(1, last) if active[i]}
-        dist, first = _bounded_region_search(adj, owner, j, t_j, active_vertices, extra)
-        if first is None:
+        _, stops = region_search(graph, owner, j, t_j, stop=active_vertices, extra=extra)
+        if not stops:
             raise LedgerError(
                 f"step ({rev.round},{j}) covers active path vertices but none "
                 "is reachable in the replayed pre-step state"
             )
-        candidates = [
-            i for i in range(1, last)
-            if active[i] and path[i] in dist and dist[path[i]] == first
-        ]
-        trigger_idx = min(candidates)
+        first = stops[0][1]
+        stop_at = [(path_index[v], d) for v, d in stops]
+        trigger_idx = min(i for i, d in stop_at if d == first)
         q_trigger = first - pre_radius
         if q_trigger < -1e-9:
             raise LedgerError("trigger vertex was already inside the pre-step radius")
@@ -365,12 +317,8 @@ def reconstruct_ledger(
             s_hi += 1
         # deactivating the whole slice needs one claimed active vertex at or
         # left of its left end and one at or right of its right end
-        left_candidates = [
-            dist[path[i]] for i in range(1, s_lo + 1) if active[i] and path[i] in dist
-        ]
-        right_candidates = [
-            dist[path[i]] for i in range(s_hi, last) if active[i] and path[i] in dist
-        ]
+        left_candidates = [d for i, d in stop_at if i <= s_lo]
+        right_candidates = [d for i, d in stop_at if i >= s_hi]
         if not left_candidates or not right_candidates:
             q_slice = math.inf
         else:
@@ -391,9 +339,8 @@ def reconstruct_ledger(
                 erased_ids.append(d.ident)
         live = [d for d in live if not d.erased]
         for idx in range(a, b + 1):
-            if active[idx]:
-                active_count -= 1
             active[idx] = False
+            active_vertices.discard(path[idx])
         det = Detour(
             ident=len(detours), a=a, b=b, round=rev.round, step=j, terminal=t_j,
             trigger_vertex=trigger_idx, trigger_interval=qi,
@@ -403,7 +350,7 @@ def reconstruct_ledger(
         charges[qi] += 1
         live_span_total += b - a + 1
         # active vertices are always the interior minus the live detours
-        if active_count + live_span_total != last - 1:
+        if len(active_vertices) + live_span_total != last - 1:
             raise LedgerError(
                 f"live detours and active vertices fell out of step at "
                 f"({rev.round},{j})"
@@ -435,7 +382,7 @@ def reconstruct_ledger(
                 "interval's slice count"
             )
 
-        d_trig = terminal_maps[term_index[t_j]].distance(path[trigger_idx])
+        d_trig = graph.terminal_distance_maps[j - 1].distance(path[trigger_idx])
         qualifies = rev.round >= math.log(params.early_factor * d_trig) / math.log(ratio)
         steps.append(
             ChargeStep(

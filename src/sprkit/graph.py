@@ -213,6 +213,52 @@ def shortest_paths(graph: WeightedGraph, source: int) -> DistanceMap:
     return DistanceMap(source=source, dist=dist, pred=pred)
 
 
+def region_search(
+    graph: WeightedGraph,
+    owner: dict[int, int],
+    cluster: int,
+    source: int,
+    limit: float = math.inf,
+    stop: set[int] | frozenset[int] = frozenset(),
+    extra: float = 0.0,
+) -> tuple[dict[int, float], list[tuple[int, float]]]:
+    """Distances from ``source`` through vertices that are unowned or owned
+    by ``cluster``, settling every vertex within ``limit``.
+
+    ``owner`` maps claimed vertices to their cluster; absent vertices are
+    unowned.  Once the first vertex of ``stop`` is settled at distance d, the
+    limit drops to d + ``extra``.  Returns the settled distances and the stop
+    vertices settled, with their distances, in settling order.
+    """
+    dist: dict[int, float] = {}
+    stops: list[tuple[int, float]] = []
+    best = {source: 0.0}
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    adj = graph.adjacency
+    while heap:
+        d, v = heappop(heap)
+        if v in dist or d != best[v]:
+            continue
+        if d > limit:
+            break
+        dist[v] = d
+        if v in stop:
+            if not stops:
+                limit = d + extra
+            stops.append((v, d))
+        for nbr, w in adj[v]:
+            if nbr in dist:
+                continue
+            ow = owner.get(nbr)
+            if ow is not None and ow != cluster:
+                continue
+            nd = d + w
+            if nd <= limit and nd < best.get(nbr, math.inf):
+                best[nbr] = nd
+                heappush(heap, (nd, nbr))
+    return dist, stops
+
+
 def ball(graph: WeightedGraph, center: int, radius: float) -> set[int]:
     """Vertices within graph distance ``radius`` of ``center``, boundary inclusive."""
     if center not in graph.vertex_set:

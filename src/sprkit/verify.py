@@ -3,19 +3,18 @@
 Replays a trace event by event against the graph and re-derives everything
 the engine claimed: radius accumulation, ball membership of every coverage
 event, uniqueness and monotonicity of coverage, cluster connectivity, and
-completeness.  The replay does its own region-restricted searches rather
-than calling back into the engine, so a bug in the hot loop cannot vouch
-for itself.
+completeness.  The replay runs a from-scratch region-restricted search per
+step (``graph.region_search``) rather than calling back into the engine, so
+a bug in the hot loop cannot vouch for itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from .engine import RunTrace, SprParams, sample_exponential, run_rng
-from .graph import WeightedGraph
+from .graph import WeightedGraph, region_search
 from .minor import TerminalPartition, validate_partition
 
 REL_TOL = 1e-9
@@ -28,31 +27,6 @@ class VerifyResult:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _region_distances(
-    graph: WeightedGraph, source: int, allowed, limit: float
-) -> dict[int, float]:
-    """Distances from source through vertices satisfying ``allowed``, up to limit."""
-    dist: dict[int, float] = {}
-    best = {source: 0.0}
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    adj = graph.adjacency
-    while heap:
-        d, v = heappop(heap)
-        if v in dist or d != best.get(v):
-            continue
-        if d > limit:
-            break
-        dist[v] = d
-        for nbr, w in adj[v]:
-            if nbr in dist or not allowed(nbr):
-                continue
-            nd = d + w
-            if nd <= limit and nd < best.get(nbr, math.inf):
-                best[nbr] = nd
-                heappush(heap, (nd, nbr))
-    return dist
 
 
 def verify_trace(
@@ -136,8 +110,7 @@ def verify_trace(
 
         uncovered_exists = len(owner) < graph.n
         if new_events or uncovered_exists:
-            allowed = lambda v, j=j: owner.get(v) in (None, j)
-            dist = _region_distances(graph, t_j, allowed, radius)
+            dist, _ = region_search(graph, owner, j, t_j, limit=radius)
             expected_new = {v for v in dist if v not in owner}
             got_new = {cev.vertex for cev in new_events}
             if expected_new != got_new:

@@ -256,13 +256,12 @@ def test_criterion_09_charging_failure_rate():
             for i in range(len(partition.path) - 1)
         ]
         assert max(steps_sizes) <= tau_pair * (1 + 1e-9)
-        maps = graph.terminal_distance_maps
         graph_ledgers = []
         for seed in range(15):
             params = SprParams.for_graph(graph, seed=seed)
             _, trace = run_spr(graph, params)
             graph_ledgers.append(
-                reconstruct_ledger(trace, graph, partition, params, terminal_maps=maps)
+                reconstruct_ledger(trace, graph, partition, params)
             )
         per_graph.append(graph_ledgers)
         ledgers.extend(graph_ledgers)
@@ -297,12 +296,11 @@ def test_criterion_10_ledger_structure():
         delta = partition.total_length
         assert delta * (1 - 1e-9) <= partition.sum_length_out() <= 2 * delta * (1 + 1e-9)
 
-        maps = graph.terminal_distance_maps
         ledgers = []
         for seed in range(25):
             params = SprParams.for_graph(graph, seed=seed)
             _, trace = run_spr(graph, params)
-            ledger = reconstruct_ledger(trace, graph, partition, params, terminal_maps=maps)
+            ledger = reconstruct_ledger(trace, graph, partition, params)
             ledgers.append(ledger)
             runs += 1
             assert ledger.tiles_interior()

@@ -300,12 +300,11 @@ def test_real_runs_tile_and_bookkeep():
     g = fine_pair_graph(8, seed=5, fineness=0.6)
     p0 = SprParams.for_graph(g)
     part = build_interval_partition(g, 0, 8, p0)
-    maps = g.terminal_distance_maps
     ledgers = []
     for seed in range(8):
         p = SprParams.for_graph(g, seed=seed)
         _, trace = run_spr(g, p)
-        ledger = reconstruct_ledger(trace, g, part, p, terminal_maps=maps)
+        ledger = reconstruct_ledger(trace, g, part, p)
         ledgers.append(ledger)
         assert ledger.tiles_interior()
         # surviving charge counts match the surviving detours per interval
@@ -346,11 +345,10 @@ def test_ledger_property_random_instances(seed, k):
         part = build_interval_partition(g, t, t_prime, p0)
     except InteriorTerminalError:
         return  # pair not analyzable; nothing to check
-    maps = g.terminal_distance_maps
     for run_seed in range(2):
         p = SprParams.for_graph(g, seed=run_seed)
         _, trace = run_spr(g, p)
-        led = reconstruct_ledger(trace, g, part, p, terminal_maps=maps)
+        led = reconstruct_ledger(trace, g, part, p)
         assert led.tiles_interior()
         recount = [0] * part.phi
         for det in led.surviving:
@@ -373,12 +371,11 @@ def test_charge_tail_dominated_by_coin_box_law():
     g = fine_pair_graph(8, seed=9, fineness=0.6)
     p0 = SprParams.for_graph(g)
     part = build_interval_partition(g, 0, 8, p0)
-    maps = g.terminal_distance_maps
     charges = []
     for seed in range(6):
         p = SprParams.for_graph(g, seed=seed)
         _, trace = run_spr(g, p)
-        ledger = reconstruct_ledger(trace, g, part, p, terminal_maps=maps)
+        ledger = reconstruct_ledger(trace, g, part, p)
         charges.extend(ledger.final_charges)
     charges = np.array(charges)
     coins = coin_box_batch(0.2, 200_000, np.random.default_rng(0))
