@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,34 @@ def test_contract_invariant_under_relabeling():
     for i in range(1, g.k + 1):
         for j in range(1, g.k + 1):
             assert minor.distance(i, j) == pytest.approx(minor2.distance(i, j), rel=REL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=3, max_value=16),
+    st.booleans(),
+)
+def test_distortion_report_invariant_under_relabeling(seed, n, tied):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(n, int(rng.integers(2, min(n, 5) + 1)), seed, extra_edges=n // 2)
+    if tied:
+        g = WeightedGraph.build(
+            g.vertices, [(u, v, float(round(2 * w))) for u, v, w in g.edges], g.terminals
+        )
+    part, _ = run_spr(g, SprParams.for_graph(g, seed=seed))
+
+    # a random injective map onto non-dense ids, so index order changes too
+    ids = rng.choice(10**6, size=g.n, replace=False)
+    relabel = {v: int(x) for v, x in zip(g.vertices, ids)}
+    g2 = WeightedGraph.build(
+        [relabel[v] for v in g.vertices],
+        [(relabel[u], relabel[v], w) for u, v, w in g.edges],
+        [relabel[t] for t in g.terminals],
+    )
+    part2 = TerminalPartition({relabel[v]: j for v, j in part.assignment.items()})
+    report = distortion(g, contract(g, part))
+    assert distortion(g2, contract(g2, part2)) == report
 
 
 def test_degree_two_insertion_does_not_change_minor():
