@@ -38,7 +38,7 @@ from .experiment import (
     run_experiment,
 )
 from .generators import FAMILIES, generate
-from .graph import GraphError, WeightedGraph, format_graph_text, parse_graph_text
+from .graph import GraphError, WeightedGraph, format_graph_text, parse_graph_text, shortest_paths
 from .minor import InducedMinor, distortion
 from .oracle import best_partition, compare_to_spr
 from .verify import verify_trace
@@ -187,23 +187,19 @@ def _trace_paths(arg: str) -> list[Path]:
 
 
 def _terminal_free_pairs(graph: WeightedGraph, t: int, t_prime: int) -> list[tuple[int, int]]:
-    """Split a pair whose canonical path crosses terminals into consecutive
-    terminal-free pairs; distances chain by the triangle inequality."""
-    dmap = graph.terminal_distance_maps[graph.terminal_index(t) - 1]
-    path = dmap.path_to(t_prime)
-    stops = [v for v in path if v in set(graph.terminals)]
-    pairs = []
-    for a, b in zip(stops, stops[1:]):
-        sub = _terminal_free_pairs(graph, a, b) if _has_interior_terminal(graph, a, b) else [(a, b)]
-        pairs.extend(sub)
-    return pairs
-
-
-def _has_interior_terminal(graph: WeightedGraph, t: int, t_prime: int) -> bool:
-    dmap = graph.terminal_distance_maps[graph.terminal_index(t) - 1]
-    interior = dmap.path_to(t_prime)[1:-1]
+    """Split a pair at the terminals inside its canonical path, recursively,
+    into consecutive terminal-free pairs; distances chain by the triangle
+    inequality."""
     terms = set(graph.terminals)
-    return any(v in terms for v in interior)
+
+    def split(a: int, b: int) -> list[tuple[int, int]]:
+        interior = shortest_paths(graph, a).path_to(b)[1:-1]
+        stops = [a, *(v for v in interior if v in terms), b]
+        if len(stops) == 2:
+            return [(a, b)]
+        return [pair for x, y in zip(stops, stops[1:]) for pair in split(x, y)]
+
+    return split(t, t_prime)
 
 
 def _check_entry(name, statistic, bound, slack, n_trials, seed=None):
@@ -273,10 +269,7 @@ def cmd_analyze(args) -> int:
     traces = [RunTrace.from_json(p.read_text()) for p in paths]
     delta = args.delta if args.delta is not None else traces[0].delta
     params = SprParams(k=graph.k, delta=delta)
-    if _has_interior_terminal(graph, t, t_prime):
-        pairs = _terminal_free_pairs(graph, t, t_prime)
-    else:
-        pairs = [(t, t_prime)]
+    pairs = _terminal_free_pairs(graph, t, t_prime)
     segments = []
     partitions = []
     all_ledgers = []
