@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .engine import RunTrace, SprParams
-from .graph import GraphError, WeightedGraph, region_search
+from .graph import GraphError, WeightedGraph, region_search, shortest_paths
 
 COST_BOUND_FACTOR = 43.0  # exceedance threshold for the final cost, in units of d(t, t')
 
@@ -116,7 +116,7 @@ def build_interval_partition(
             raise GraphError(f"vertex {v} is not a terminal")
     if params.k != graph.k or graph.k < 2:
         raise GraphError("params must match a graph with at least two terminals")
-    dist_map = graph.terminal_distance_maps[graph.terminal_index(t) - 1]
+    dist_map = shortest_paths(graph, t)
     path = dist_map.path_to(t_prime)
     terminal_set = set(graph.terminals)
     for v in path[1:-1]:
@@ -382,7 +382,9 @@ def reconstruct_ledger(
                 "interval's slice count"
             )
 
-        d_trig = graph.terminal_distance_maps[j - 1].distance(path[trigger_idx])
+        d_trig = graph.terminal_distance_maps[j - 1][graph.index[path[trigger_idx]]]
+        if d_trig == math.inf:
+            raise GraphError(f"vertex {path[trigger_idx]} is not reachable from {t_j}")
         qualifies = rev.round >= math.log(params.early_factor * d_trig) / math.log(ratio)
         steps.append(
             ChargeStep(

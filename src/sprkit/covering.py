@@ -93,9 +93,10 @@ def check_covering(
             "was the run preprocessed with subdivision? check against the "
             "subdivided graph"
         )
-    dist_from = {m.source: m.dist for m in graph.terminal_distance_maps}
+    row_of = dict(zip(graph.terminals, graph.terminal_distance_maps))
+    index = graph.index
     nearest = graph.nearest_terminal_distance
-    log, floor = math.log, math.floor
+    log, floor, inf = math.log, math.floor, math.inf
     # round thresholds are floor(log_ratio(x)); x <= 0 cannot occur for
     # positive distances, and a tiny x gives a very negative round that no
     # round >= 0 can meet
@@ -105,10 +106,10 @@ def check_covering(
     records = []
     groups: dict[tuple[int, int], list[CoverRecord]] = {}
     for v, t, rnd, _, _ in trace.cover_events:
-        try:
-            d_cover = dist_from[t][v]
-        except KeyError:
-            raise GraphError(f"vertex {v} is not reachable from {t}") from None
+        row = row_of.get(t)
+        d_cover = inf if row is None else row[index[v]]
+        if d_cover == inf:
+            raise GraphError(f"vertex {v} is not reachable from {t}")
         d_near = nearest[v]
         deadline = floor(log(DEADLINE_FACTOR * d_near) / log_ratio)
         early = floor(log(ef * d_cover) / log_ratio)

@@ -438,11 +438,11 @@ def _run_single_terminal(
     # ln 1 = 0 breaks the growth schedule, and the only valid partition
     # assigns everything to the single terminal, so no sampling happens.
     t = graph.terminals[0]
-    if not graph.is_connected():
+    row = graph.terminal_distance_maps[0]
+    if math.inf in row:
         raise GraphError("clustering requires a connected graph")
-    dmap = graph.terminal_distance_maps[0]
     cover_events = [
-        CoverEvent(v, t, 0, 1, dmap.distance(v)) for v in graph.vertices if v != t
+        CoverEvent(v, t, 0, 1, d) for v, d in zip(graph.vertices, row) if v != t
     ]
     assignment = {v: 1 for v in graph.vertices}
     trace = RunTrace(

@@ -6,6 +6,18 @@ can be shared freely across threads.
 
 Vertex ids are nonnegative integers.  Loaders and generators hand out dense
 ids 0..n-1; operations such as ``induced_subgraph`` keep the original ids.
+``WeightedGraph.index`` maps each id to its position in ``vertices``.
+
+Every all-vertex distance computation (the k terminal rows, the multi-source
+nearest-terminal distances, the minor's all-pairs matrix) runs one kernel,
+``_dijkstra``: distances only, on a position-indexed list adjacency, with
+lazy deletion and no predecessors.  Its values are exact, not merely close:
+for a positive weight w, ``fl(a + w)`` is never below ``a`` and is monotone
+in ``a``, so Dijkstra returns for every vertex the minimum over all paths of
+the left-to-right float sum of the path's weights, whatever the heap's tie
+order.  Any correct Dijkstra, ``shortest_paths`` included, returns the same
+doubles.  Canonical paths (``shortest_paths`` and its ``DistanceMap``) are
+computed only for a pair under analysis: one search from one terminal.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 
 class GraphError(ValueError):
@@ -110,32 +122,30 @@ class WeightedGraph:
         return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
     @cached_property
-    def terminal_distance_maps(self) -> tuple["DistanceMap", ...]:
-        """One shortest-path map per terminal, in terminal order."""
-        return tuple(shortest_paths(self, t) for t in self.terminals)
+    def index(self) -> dict[int, int]:
+        """Position of every vertex id in ``vertices``."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _index_adjacency(self) -> list[list[tuple[int, float]]]:
+        index, adj = self.index, self.adjacency
+        return [[(index[u], w) for u, w in adj[v]] for v in self.vertices]
+
+    @cached_property
+    def terminal_distance_maps(self) -> tuple[list[float], ...]:
+        """One distance row per terminal, in terminal order.
+
+        Row j-1 holds the distance from terminal j to vertex v at
+        ``index[v]``, and ``math.inf`` where v is unreachable.
+        """
+        adj, index = self._index_adjacency, self.index
+        return tuple(_dijkstra(adj, (index[t],)) for t in self.terminals)
 
     @cached_property
     def nearest_terminal_distance(self) -> dict[int, float]:
-        """Distance from every vertex to its closest terminal (multi-source)."""
-        dist: dict[int, float] = {}
-        heap: list[tuple[float, int]] = [(0.0, t) for t in sorted(self.terminals)]
-        adj = self.adjacency
-        while heap:
-            d, v = heappop(heap)
-            if v in dist:
-                continue
-            dist[v] = d
-            for nbr, w in adj[v]:
-                if nbr not in dist:
-                    heappush(heap, (d + w, nbr))
-        return dist
-
-    def terminal_index(self, t: int) -> int:
-        """1-based index of terminal vertex ``t``."""
-        try:
-            return self.terminals.index(t) + 1
-        except ValueError:
-            raise GraphError(f"vertex {t} is not a terminal") from None
+        """Distance from every reachable vertex to its closest terminal."""
+        dist = _dijkstra(self._index_adjacency, [self.index[t] for t in self.terminals])
+        return {v: d for v, d in zip(self.vertices, dist) if d != math.inf}
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -182,6 +192,29 @@ class DistanceMap:
             path.append(self.pred[path[-1]])
         path.reverse()
         return path
+
+
+def _dijkstra(adj: list[list[tuple[int, float]]], sources) -> list[float]:
+    """Distances from the nearest of ``sources`` to every position of ``adj``.
+
+    ``adj[i]`` lists ``(position, weight)`` pairs; unreachable positions get
+    ``math.inf``.  Exact: see the module docstring.
+    """
+    dist = [math.inf] * len(adj)
+    heap = [(0.0, s) for s in sources]
+    heapify(heap)
+    for _, s in heap:
+        dist[s] = 0.0
+    while heap:
+        d, v = heappop(heap)
+        if d > dist[v]:
+            continue
+        for u, w in adj[v]:
+            nd = d + w
+            if nd < dist[u]:
+                dist[u] = nd
+                heappush(heap, (nd, u))
+    return dist
 
 
 def shortest_paths(graph: WeightedGraph, source: int) -> DistanceMap:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
+from math import inf
 
-from .graph import GraphError, WeightedGraph
+from .graph import GraphError, WeightedGraph, _dijkstra
 
 
 @dataclass(frozen=True)
@@ -124,36 +124,16 @@ class InducedMinor:
     terminal_ids: tuple[int, ...]
     edges: tuple[tuple[int, int, float], ...]  # (i, j, weight) with i < j
 
-    @cached_property
-    def adjacency(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        adj: dict[int, list[tuple[int, float]]] = {i: [] for i in range(1, self.k + 1)}
-        for i, j, w in self.edges:
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        return {i: tuple(sorted(nbrs)) for i, nbrs in adj.items()}
-
     def distance(self, i: int, j: int) -> float:
         return self.distance_matrix[i - 1][j - 1]
 
     @cached_property
     def distance_matrix(self) -> tuple[tuple[float, ...], ...]:
-        rows = []
-        for src in range(1, self.k + 1):
-            dist = {src: 0.0}
-            heap: list[tuple[float, int]] = [(0.0, src)]
-            settled: set[int] = set()
-            while heap:
-                d, v = heappop(heap)
-                if v in settled:
-                    continue
-                settled.add(v)
-                for nbr, w in self.adjacency[v]:
-                    nd = d + w
-                    if nbr not in settled and nd < dist.get(nbr, float("inf")):
-                        dist[nbr] = nd
-                        heappush(heap, (nd, nbr))
-            rows.append(tuple(dist.get(i, float("inf")) for i in range(1, self.k + 1)))
-        return tuple(rows)
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.k)]
+        for i, j, w in self.edges:
+            adj[i - 1].append((j - 1, w))
+            adj[j - 1].append((i - 1, w))
+        return tuple(tuple(_dijkstra(adj, (s,))) for s in range(self.k))
 
 
 def contract(graph: WeightedGraph, partition: TerminalPartition) -> InducedMinor:
@@ -167,15 +147,16 @@ def contract(graph: WeightedGraph, partition: TerminalPartition) -> InducedMinor
         i, j = assignment[u], assignment[v]
         if i != j:
             crossing.add((min(i, j), max(i, j)))
-    dmaps = graph.terminal_distance_maps
+    rows, index = graph.terminal_distance_maps, graph.index
     edges = []
     for i, j in sorted(crossing):
         tj = graph.terminals[j - 1]
-        if not dmaps[i - 1].reachable(tj):
+        d = rows[i - 1][index[tj]]
+        if d == inf:
             raise GraphError(
                 f"terminals {graph.terminals[i - 1]} and {tj} are disconnected"
             )
-        edges.append((i, j, dmaps[i - 1].distance(tj)))
+        edges.append((i, j, d))
     return InducedMinor(k=graph.k, terminal_ids=graph.terminals, edges=tuple(edges))
 
 
@@ -223,18 +204,18 @@ def distortion(graph: WeightedGraph, minor: InducedMinor) -> DistortionReport:
     """
     if minor.terminal_ids != graph.terminals:
         raise GraphError("minor terminals do not match graph terminals")
-    dmaps = graph.terminal_distance_maps
+    rows, index = graph.terminal_distance_maps, graph.index
     pairs = []
     best: tuple[float, tuple[int, int]] | None = None
     for i in range(1, graph.k + 1):
         for j in range(i + 1, graph.k + 1):
             tj = graph.terminals[j - 1]
-            if not dmaps[i - 1].reachable(tj):
+            dg = rows[i - 1][index[tj]]
+            if dg == inf:
                 raise GraphError(
                     f"terminal pair ({graph.terminals[i - 1]},{tj}) unreachable; "
                     "graph must be connected"
                 )
-            dg = dmaps[i - 1].distance(tj)
             dm = minor.distance(i, j)
             ratio = dm / dg
             pairs.append(PairDistortion(i, j, dg, dm, ratio))

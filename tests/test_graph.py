@@ -1,7 +1,15 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sprkit
 from conftest import all_pairs_relaxation, edge_filter_oracle, random_connected_graph
 from sprkit.graph import (
     GraphError,
@@ -14,6 +22,7 @@ from sprkit.graph import (
     shortest_paths,
     subdivide_edges,
 )
+from sprkit.minor import InducedMinor
 
 REL = 1e-9
 
@@ -198,6 +207,83 @@ def test_determinism_bit_for_bit():
     d2 = shortest_paths(g2, 0)
     assert d1.dist == d2.dist
     assert d1.pred == d2.pred
+
+
+# --- the distance kernel against canonical searches -----------------------
+
+
+@st.composite
+def kernel_graphs(draw):
+    """Sparse random graphs, often disconnected: tied integer or float
+    weights, and non-dense ids from ``induced_subgraph`` half the time."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=1, max_value=16))
+    tied = draw(st.booleans())
+    p = draw(st.floats(min_value=0.05, max_value=0.6))
+    edges = [
+        (u, v, float(rng.integers(1, 4)) if tied else float(rng.uniform(0.1, 2.0)))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < p
+    ]
+    k = draw(st.integers(min_value=1, max_value=n))
+    terms = [int(t) for t in rng.choice(n, size=k, replace=False)]
+    g = WeightedGraph.build(range(n), edges, terms)
+    if draw(st.booleans()):
+        g = induced_subgraph(g, [v for v in range(n) if v in terms or rng.random() < 0.7])
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_graphs())
+@example(WeightedGraph.build([0, 1, 4, 9], [(0, 1, 1.0), (4, 9, 2.0)], [9, 0]))
+def test_kernel_rows_equal_canonical_searches(g):
+    rows = g.terminal_distance_maps
+    assert len(rows) == g.k
+    for t, row in zip(g.terminals, rows):
+        ref = shortest_paths(g, t).dist
+        expected = [ref.get(v, math.inf).hex() for v in g.vertices]
+        assert [row[g.index[v]].hex() for v in g.vertices] == expected
+
+    nearest = {v: min(row[i] for row in rows) for i, v in enumerate(g.vertices)}
+    assert g.nearest_terminal_distance == {
+        v: d for v, d in nearest.items() if d != math.inf
+    }
+
+    # the same graph as a minor on positions 1..n
+    minor = InducedMinor(
+        k=g.n,
+        terminal_ids=g.vertices,
+        edges=tuple((g.index[u] + 1, g.index[v] + 1, w) for u, v, w in g.edges),
+    )
+    as_graph = WeightedGraph.build(range(1, g.n + 1), minor.edges, range(1, g.n + 1))
+    for i in range(1, g.n + 1):
+        ref = shortest_paths(as_graph, i).dist
+        expected = [ref.get(j, math.inf).hex() for j in range(1, g.n + 1)]
+        assert [d.hex() for d in minor.distance_matrix[i - 1]] == expected
+
+
+def test_distance_layer_does_not_import_scipy():
+    # importing scipy.sparse.csgraph doubles the process's peak RSS, so the
+    # distance layer stays in pure Python
+    code = (
+        "import sys\n"
+        "import sprkit\n"
+        "from sprkit import SprParams, check_covering, run_and_contract\n"
+        "from sprkit.generators import grid_graph\n"
+        "g = grid_graph(6, 6, 'random', k=4, seed=0)\n"
+        "params = SprParams.for_graph(g, seed=1)\n"
+        "_, _, trace = run_and_contract(g, params)\n"
+        "check_covering(trace, g, params)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(sprkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # --- text format ---------------------------------------------------------
