@@ -10,7 +10,7 @@ ids 0..n-1; operations such as ``induced_subgraph`` keep the original ids.
 
 Every all-vertex distance computation (the k terminal rows, the multi-source
 nearest-terminal distances, the minor's all-pairs matrix) runs one kernel,
-``_dijkstra``: distances only, on a position-indexed list adjacency, with
+``_dijkstra``: distances only, on an adjacency indexed by vertex position, with
 lazy deletion and no predecessors.  Its values are exact, not merely close:
 for a positive weight w, ``fl(a + w)`` is never below ``a`` and is monotone
 in ``a``, so Dijkstra returns for every vertex the minimum over all paths of
@@ -23,6 +23,8 @@ computed only for a pair under analysis: one search from one terminal.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -127,19 +129,23 @@ class WeightedGraph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def _index_adjacency(self) -> list[list[tuple[int, float]]]:
+    def _index_adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        # tuples, not lists: the garbage collector stops tracking tuples of
+        # atoms, so a cached graph adds nothing to every full collection
         index, adj = self.index, self.adjacency
-        return [[(index[u], w) for u, w in adj[v]] for v in self.vertices]
+        return tuple(tuple([(index[u], w) for u, w in adj[v]]) for v in self.vertices)
 
     @cached_property
-    def terminal_distance_maps(self) -> tuple[list[float], ...]:
+    def terminal_distance_maps(self) -> tuple[array, ...]:
         """One distance row per terminal, in terminal order.
 
         Row j-1 holds the distance from terminal j to vertex v at
-        ``index[v]``, and ``math.inf`` where v is unreachable.
+        ``index[v]``, and ``math.inf`` where v is unreachable.  Rows are
+        ``array('d')``: 8 bytes an entry, and never traversed by the
+        garbage collector, where a list of floats costs 32 and is.
         """
         adj, index = self._index_adjacency, self.index
-        return tuple(_dijkstra(adj, (index[t],)) for t in self.terminals)
+        return tuple(array("d", _dijkstra(adj, (index[t],))) for t in self.terminals)
 
     @cached_property
     def nearest_terminal_distance(self) -> dict[int, float]:
@@ -194,7 +200,7 @@ class DistanceMap:
         return path
 
 
-def _dijkstra(adj: list[list[tuple[int, float]]], sources) -> list[float]:
+def _dijkstra(adj: Sequence[Sequence[tuple[int, float]]], sources) -> list[float]:
     """Distances from the nearest of ``sources`` to every position of ``adj``.
 
     ``adj[i]`` lists ``(position, weight)`` pairs; unreachable positions get
