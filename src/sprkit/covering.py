@@ -106,8 +106,10 @@ def check_covering(
     records = []
     groups: dict[tuple[int, int], list[CoverRecord]] = {}
     for v, t, rnd, _, _ in trace.cover_events:
-        row = row_of.get(t)
-        d_cover = inf if row is None else row[index[v]]
+        try:
+            d_cover = row_of[t][index[v]]
+        except KeyError:  # t is not a terminal
+            d_cover = inf
         if d_cover == inf:
             raise GraphError(f"vertex {v} is not reachable from {t}")
         d_near = nearest[v]
