@@ -3,8 +3,9 @@
 Each case generates a graph, runs the clustering and hashes the three files
 ``sprkit run`` writes for it (trace JSON, minor text, report JSON), plus the
 covering check's flags when the case has at least two terminals.  The guard
-case hashes the partial trace carried by ``RoundsGuardError``.  One more
-entry hashes the charging ledgers of a fine-pair graph.  The expected
+case hashes the partial trace carried by ``RoundsGuardError``.  The ledger
+entries hash the charging ledgers of one terminal-free pair per graph, at
+two run seeds each.  The expected
 digests live in ``tests/golden/hashes.json``; see the README there before
 touching them.  Run this file as a script to print the digests of the
 current build.
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fine_pair_graph
+from conftest import coarse_subdivided_random, fine_pair_graph
 from sprkit import (
     RoundsGuardError,
     SprParams,
@@ -67,9 +68,15 @@ CASES = {
     ),
 }
 
-# id of the ledger entry: pair (0, 8) of fine_pair_graph(8, seed=5,
-# fineness=0.6), replayed for run seeds 0 and 1
-LEDGER_CASE = "ledger-fine-pair-k8"
+# ledger entry id -> (graph builder, analysed pair, run seeds)
+LEDGER_CASES = {
+    "ledger-fine-pair-k8": (lambda: fine_pair_graph(8, seed=5, fineness=0.6), (0, 8), (0, 1)),
+    "ledger-fine-pair-k8-g3": (lambda: fine_pair_graph(8, seed=3), (0, 8), (0, 1)),
+    "ledger-fine-pair-k8-g7": (lambda: fine_pair_graph(8, seed=7), (0, 8), (2, 3)),
+    "ledger-coarse-k6-g3": (
+        lambda: coarse_subdivided_random(6, seed=3, threshold=0.05)[0], (2, 5), (0, 1),
+    ),
+}
 
 
 def _sha(text: str) -> str:
@@ -107,13 +114,14 @@ def artefact_hashes(case_id: str) -> dict[str, str]:
     return out
 
 
-def ledger_hashes() -> dict[str, str]:
+def ledger_hashes(case_id: str) -> dict[str, str]:
     """Steps, final charges and cost of each replayed ledger, as the benchmark
     hashes them."""
-    graph = fine_pair_graph(8, seed=5, fineness=0.6)
-    partition = build_interval_partition(graph, 0, 8, SprParams.for_graph(graph))
+    build, (t, t_prime), seeds = LEDGER_CASES[case_id]
+    graph = build()
+    partition = build_interval_partition(graph, t, t_prime, SprParams.for_graph(graph))
     out = {}
-    for seed in (0, 1):
+    for seed in seeds:
         params = SprParams.for_graph(graph, seed=seed)
         _, trace = run_spr(graph, params)
         led = reconstruct_ledger(trace, graph, partition, params)
@@ -131,15 +139,16 @@ def test_golden_artefacts_unchanged(case_id):
 
 def test_golden_ledger_unchanged():
     expected = json.loads(HASHES_PATH.read_text())
-    assert ledger_hashes() == expected[LEDGER_CASE]
+    for case_id in sorted(LEDGER_CASES):
+        assert ledger_hashes(case_id) == expected[case_id], case_id
 
 
 def test_golden_file_covers_every_case():
-    assert sorted(json.loads(HASHES_PATH.read_text())) == sorted([*CASES, LEDGER_CASE])
+    assert sorted(json.loads(HASHES_PATH.read_text())) == sorted([*CASES, *LEDGER_CASES])
 
 
 if __name__ == "__main__":
     doc = {case_id: artefact_hashes(case_id) for case_id in sorted(CASES)}
-    doc[LEDGER_CASE] = ledger_hashes()
+    doc.update((case_id, ledger_hashes(case_id)) for case_id in sorted(LEDGER_CASES))
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
