@@ -154,6 +154,11 @@ class WeightedGraph:
         return {v: d for v, d in zip(self.vertices, dist) if d != math.inf}
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
+        # computed once: the graph is immutable
         if not self.vertices:
             return True
         seen = {self.vertices[0]}
