@@ -14,7 +14,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -236,23 +236,7 @@ def rows_to_json(rows: list[ExperimentRow], spec: ExperimentSpec) -> str:
             "subdivide": spec.subdivide,
             "max_rounds": spec.max_rounds,
         },
-        "rows": [
-            {
-                "family": r.family,
-                "n": r.n,
-                "k": r.k,
-                "seed": r.seed,
-                "subdivided": r.subdivided,
-                "status": r.status,
-                "max_distortion": r.max_distortion,
-                "mean_distortion": r.mean_distortion,
-                "rounds": r.rounds,
-                "late_coverage": r.late_coverage,
-                "early_coverage": r.early_coverage,
-                "wall_ms": r.wall_ms,
-            }
-            for r in rows
-        ],
+        "rows": [asdict(r) for r in rows],
     }
     return json.dumps(doc, indent=2)
 

@@ -4,6 +4,7 @@ import pytest
 
 from sprkit.experiment import (
     CSV_COLUMNS,
+    ExperimentRow,
     ExperimentSpec,
     config_graph,
     derive_seed,
@@ -150,3 +151,59 @@ def test_parallel_jobs_match_serial():
     serial = rows_to_csv(run_experiment(spec, jobs=1))
     parallel = rows_to_csv(run_experiment(spec, jobs=2))
     assert serial == parallel
+
+
+ROWS_JSON = """{
+  "spec": {
+    "configs": [
+      {
+        "family": "star",
+        "k": 4
+      }
+    ],
+    "seeds_per_config": 2,
+    "base_seed": 7,
+    "delta": 0.05,
+    "subdivide": false,
+    "max_rounds": null
+  },
+  "rows": [
+    {
+      "family": "star",
+      "n": 5,
+      "k": 4,
+      "seed": 11,
+      "subdivided": false,
+      "status": "ok",
+      "max_distortion": 1.5,
+      "mean_distortion": 1.25,
+      "rounds": 3,
+      "late_coverage": true,
+      "early_coverage": false,
+      "wall_ms": 2.0
+    },
+    {
+      "family": "star",
+      "n": 5,
+      "k": 4,
+      "seed": 12,
+      "subdivided": false,
+      "status": "error:GraphError",
+      "max_distortion": null,
+      "mean_distortion": null,
+      "rounds": null,
+      "late_coverage": null,
+      "early_coverage": null,
+      "wall_ms": null
+    }
+  ]
+}"""
+
+
+def test_rows_json_text_is_fixed():
+    spec = ExperimentSpec(configs=({"family": "star", "k": 4},), seeds_per_config=2, base_seed=7)
+    rows = [
+        ExperimentRow("star", 5, 4, 11, False, "ok", 1.5, 1.25, 3, True, False, wall_ms=2.0),
+        ExperimentRow("star", 5, 4, 12, False, "error:GraphError", None, None, None, None, None),
+    ]
+    assert rows_to_json(rows, spec) == ROWS_JSON
