@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .engine import RunTrace, SprParams
-from .graph import GraphError, WeightedGraph, region_search, shortest_paths
+from .graph import ClusterReplay, GraphError, WeightedGraph, shortest_paths
 
 COST_BOUND_FACTOR = 43.0  # exceedance threshold for the final cost, in units of d(t, t')
 
@@ -228,7 +228,10 @@ def reconstruct_ledger(
     The minimal increments q_v are recomputed at replay time from the
     recorded pre-step state: q_v is the current region distance from the
     stepping terminal to v minus the cluster's pre-step radius.  Ties for
-    the trigger vertex break toward the lowest path index.
+    the trigger vertex break toward the lowest path index.  Region distances
+    come from ``graph.ClusterReplay``; every claiming step runs a ball search
+    to the radius so that each claim carries the ledger's own distance, never
+    the trace's, into later searches.
     """
     if trace.terminal_ids != graph.terminals:
         raise LedgerError("trace terminals do not match graph terminals")
@@ -249,7 +252,7 @@ def reconstruct_ledger(
     interval_of = partition.interval_of_index
     n_intervals = partition.phi
 
-    owner: dict[int, int] = {t: j for j, t in enumerate(graph.terminals, start=1)}
+    replay = ClusterReplay(graph)
     radii = {j: 0.0 for j in range(1, trace.k + 1)}
     charges = [0] * n_intervals
     slices = [1 if q.end >= q.start else 0 for q in partition.intervals]
@@ -278,22 +281,25 @@ def reconstruct_ledger(
         j = rev.step
         pre_radius = radii[j]
         radii[j] += rev.q
-        events = cover_by_step.get((rev.round, rev.step), [])
+        events = cover_by_step.get((rev.round, rev.step))
+        if not events:
+            continue
         for ev in events:
             if ev.vertex in seen_cover:
                 raise LedgerError(f"vertex {ev.vertex} covered twice in trace")
             seen_cover.add(ev.vertex)
+        # the claims' distances, which seed later steps' searches
+        ball, _ = replay.search(j, limit=radii[j])
         newly_active = [
             path_index[ev.vertex] for ev in events if ev.vertex in active_vertices
         ]
         if not newly_active:
-            for ev in events:
-                owner[ev.vertex] = j
+            replay.claim(j, [ev.vertex for ev in events], ball)
             continue
 
         # charging step: find the trigger vertex from the pre-step state
         t_j = graph.terminals[j - 1]
-        _, stops = region_search(graph, owner, j, t_j, stop=active_vertices, extra=extra)
+        _, stops = replay.search(j, stop=active_vertices, extra=extra)
         if not stops:
             raise LedgerError(
                 f"step ({rev.round},{j}) covers active path vertices but none "
@@ -396,9 +402,9 @@ def reconstruct_ledger(
                 slices_after=tuple(touched),
             )
         )
-        for ev in events:
-            owner[ev.vertex] = j
+        replay.claim(j, [ev.vertex for ev in events], ball)
 
+    owner = replay.owner
     missing = {v for v in graph.vertices if v not in owner and v not in term_index}
     if missing:
         raise LedgerError(f"trace is incomplete; vertices never covered: {sorted(missing)[:5]}")

@@ -18,6 +18,10 @@ the left-to-right float sum of the path's weights, whatever the heap's tie
 order.  Any correct Dijkstra, ``shortest_paths`` included, returns the same
 doubles.  Canonical paths (``shortest_paths`` and its ``DistanceMap``) are
 computed only for a pair under analysis: one search from one terminal.
+
+``ClusterReplay`` replays a run trace's claims for ``verify`` and the charging
+ledger.  Its searches start at a cluster's boundary and cover only unclaimed
+vertices, and give the same doubles as a search from the cluster's terminal.
 """
 
 from __future__ import annotations
@@ -257,50 +261,118 @@ def shortest_paths(graph: WeightedGraph, source: int) -> DistanceMap:
     return DistanceMap(source=source, dist=dist, pred=pred)
 
 
-def region_search(
-    graph: WeightedGraph,
-    owner: dict[int, int],
-    cluster: int,
-    source: int,
-    limit: float = math.inf,
-    stop: set[int] | frozenset[int] = frozenset(),
-    extra: float = 0.0,
-) -> tuple[dict[int, float], list[tuple[int, float]]]:
-    """Distances from ``source`` through vertices that are unowned or owned
-    by ``cluster``, settling every vertex within ``limit``.
+class ClusterReplay:
+    """The claims of a ball-growing run, replayed step by step.
 
-    ``owner`` maps claimed vertices to their cluster; absent vertices are
-    unowned.  Once the first vertex of ``stop`` is settled at distance d, the
-    limit drops to d + ``extra``.  Returns the settled distances and the stop
-    vertices settled, with their distances, in settling order.
+    Holds the owner (1-based cluster index) of every claimed vertex, the
+    distance of every claim the replay itself reproduced, and per cluster its
+    boundary: the members with a distance that still have an unclaimed
+    neighbour, tracked by per-vertex counts of unclaimed neighbours.
+    Terminals start claimed by their own clusters at distance 0.
+
+    ``search`` starts from a cluster's boundary, pushing d(y) + w for every
+    unclaimed neighbour of a boundary member y, and settles unclaimed
+    vertices only.  It gives exactly the doubles of a fresh search from the
+    cluster's terminal through its members and the unclaimed vertices,
+    provided every member's distance came from ``search`` at its claiming
+    step.  A member's region distance never changes after its claim: the
+    region only shrinks and the member's shortest path lies inside the
+    cluster (the argument of the ``engine`` module docstring).  On a shortest
+    path to an unclaimed vertex, the last member is a boundary member and the
+    path's float sum there is at least that member's distance; since
+    ``fl(a + w)`` is monotone in ``a``, continuing from the member's distance
+    gives the same sums.  Stop vertices settle in (distance, id) order, as in
+    the fresh search.
     """
-    dist: dict[int, float] = {}
-    stops: list[tuple[int, float]] = []
-    best = {source: 0.0}
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    adj = graph.adjacency
-    while heap:
-        d, v = heappop(heap)
-        if v in dist or d != best[v]:
-            continue
-        if d > limit:
-            break
-        dist[v] = d
-        if v in stop:
-            if not stops:
-                limit = d + extra
-            stops.append((v, d))
-        for nbr, w in adj[v]:
-            if nbr in dist:
+
+    def __init__(self, graph: WeightedGraph):
+        adj = graph.adjacency
+        self.adjacency = adj
+        self.owner: dict[int, int] = {t: j for j, t in enumerate(graph.terminals, start=1)}
+        self.dist: dict[int, float] = dict.fromkeys(graph.terminals, 0.0)
+        # unclaimed neighbours of every vertex: its degree minus its terminal
+        # neighbours
+        unclaimed = {v: len(nbrs) for v, nbrs in adj.items()}
+        for t in graph.terminals:
+            for u, _ in adj[t]:
+                unclaimed[u] -= 1
+        self._unclaimed_nbrs = unclaimed
+        self.boundary: list[set[int]] = [set()]
+        self.boundary += [{t} if unclaimed[t] else set() for t in graph.terminals]
+
+    def claim(self, cluster: int, vertices, found: dict[int, float]) -> None:
+        """Record that ``cluster`` claims ``vertices``, each at its distance
+        in ``found``.
+
+        A vertex absent from ``found`` (a claim the replay did not reproduce)
+        becomes claimed but is never a search seed.  A vertex stays with its
+        first claim, and need not be a vertex of the graph.
+        """
+        owner, adj, dist = self.owner, self.adjacency, self.dist
+        unclaimed, boundary = self._unclaimed_nbrs, self.boundary
+        own = boundary[cluster]
+        for v in vertices:
+            if v in owner:
                 continue
-            ow = owner.get(nbr)
-            if ow is not None and ow != cluster:
+            owner[v] = cluster
+            for u, _ in adj.get(v, ()):
+                unclaimed[u] -= 1
+                if not unclaimed[u] and u in dist:
+                    boundary[owner[u]].discard(u)
+            d = found.get(v)
+            if d is not None:
+                dist[v] = d
+                if unclaimed[v]:
+                    own.add(v)
+
+    def search(
+        self,
+        cluster: int,
+        limit: float = math.inf,
+        stop: set[int] | frozenset[int] = frozenset(),
+        extra: float = 0.0,
+    ) -> tuple[dict[int, float], list[tuple[int, float]]]:
+        """Distances from ``cluster``'s terminal through its members and the
+        unclaimed vertices, for every unclaimed vertex within ``limit``.
+
+        Once the first vertex of ``stop`` is settled at distance d, the limit
+        drops to d + ``extra``.  Returns the distances of the settled
+        unclaimed vertices and the stop vertices settled, with their
+        distances, in settling order (ties in vertex-id order).
+        """
+        owner, adj, dist = self.owner, self.adjacency, self.dist
+        best: dict[int, float] = {}
+        for y in self.boundary[cluster]:
+            dy = dist[y]
+            for u, w in adj[y]:
+                if u not in owner:
+                    nd = dy + w
+                    if nd <= limit and nd < best.get(u, math.inf):
+                        best[u] = nd
+        heap = [(d, u) for u, d in best.items()]
+        heapify(heap)
+        found: dict[int, float] = {}
+        stops: list[tuple[int, float]] = []
+        while heap:
+            d, v = heappop(heap)
+            if d > best[v]:
                 continue
-            nd = d + w
-            if nd <= limit and nd < best.get(nbr, math.inf):
-                best[nbr] = nd
-                heappush(heap, (nd, nbr))
-    return dist, stops
+            if d > limit:
+                break
+            found[v] = d
+            if v in stop:
+                if not stops:
+                    limit = d + extra
+                stops.append((v, d))
+            for u, w in adj[v]:
+                if u in owner:
+                    continue
+                nd = d + w
+                # a settled u has best[u] <= d <= nd, so it is never pushed
+                if nd <= limit and nd < best.get(u, math.inf):
+                    best[u] = nd
+                    heappush(heap, (nd, u))
+        return found, stops
 
 
 def ball(graph: WeightedGraph, center: int, radius: float) -> set[int]:

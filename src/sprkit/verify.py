@@ -3,9 +3,19 @@
 Replays a trace event by event against the graph and re-derives everything
 the engine claimed: radius accumulation, ball membership of every coverage
 event, uniqueness and monotonicity of coverage, cluster connectivity, and
-completeness.  The replay runs a from-scratch region-restricted search per
-step (``graph.region_search``) rather than calling back into the engine, so
-a bug in the hot loop cannot vouch for itself.
+completeness.  The replay never calls back into the engine, so a bug in the
+hot loop cannot vouch for itself, and never reads the trace's recorded
+distances.
+
+Each step's ball comes from ``graph.ClusterReplay``: a search from the
+stepping cluster's boundary members over the unclaimed vertices, seeded with
+the distances verify itself computed for those members at their claiming
+steps.  While every earlier step's claims equal its replayed ball, this
+gives the same set and the same doubles as a fresh search from the terminal
+through the cluster and the unclaimed vertices (the argument is in the
+``ClusterReplay`` docstring).  At the first step whose claims differ, verify
+reports the difference; a claim it did not reproduce has no distance and
+never seeds a later search.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .engine import RunTrace, SprParams, sample_exponential, run_rng
-from .graph import WeightedGraph, region_search
+from .graph import ClusterReplay, WeightedGraph
 from .minor import TerminalPartition, validate_partition
 
 REL_TOL = 1e-9
@@ -92,7 +102,8 @@ def verify_trace(
 
     # ball semantics per step: replayed region distances must cover exactly
     # the newly recorded vertices within the radius
-    owner: dict[int, int] = {t: j for j, t in enumerate(graph.terminals, start=1)}
+    replay = ClusterReplay(graph)
+    owner = replay.owner
     cover_by_step = trace.events_by_step()
     radii = {j: 0.0 for j in range(1, k + 1)}
     for ev in trace.radius_events:
@@ -109,31 +120,31 @@ def verify_trace(
                 )
 
         uncovered_exists = len(owner) < graph.n
-        if new_events or uncovered_exists:
-            dist, _ = region_search(graph, owner, j, t_j, limit=radius)
-            expected_new = {v for v in dist if v not in owner}
-            got_new = {cev.vertex for cev in new_events}
-            if expected_new != got_new:
-                violations.append(
-                    f"step ({ev.round},{j}) claims {sorted(got_new)} but ball "
-                    f"replay gives {sorted(expected_new)}"
-                )
-            for cev in new_events:
-                d = dist.get(cev.vertex)
-                if d is None:
-                    continue
-                if not math.isclose(d, cev.dist, rel_tol=REL_TOL, abs_tol=1e-12):
-                    violations.append(
-                        f"recorded distance {cev.dist!r} for vertex {cev.vertex} "
-                        f"differs from replayed {d!r}"
-                    )
-                if d > radius * (1 + REL_TOL):
-                    violations.append(
-                        f"vertex {cev.vertex} covered at distance {d!r} beyond "
-                        f"radius {radius!r}"
-                    )
+        if not (new_events or uncovered_exists):
+            continue
+        dist, _ = replay.search(j, limit=radius)
+        got_new = {cev.vertex for cev in new_events}
+        if dist.keys() != got_new:
+            violations.append(
+                f"step ({ev.round},{j}) claims {sorted(got_new)} but ball "
+                f"replay gives {sorted(dist)}"
+            )
         for cev in new_events:
-            owner[cev.vertex] = j
+            d = dist.get(cev.vertex)
+            if d is None:
+                continue
+            if not math.isclose(d, cev.dist, rel_tol=REL_TOL, abs_tol=1e-12):
+                violations.append(
+                    f"recorded distance {cev.dist!r} for vertex {cev.vertex} "
+                    f"differs from replayed {d!r}"
+                )
+            if d > radius * (1 + REL_TOL):
+                violations.append(
+                    f"vertex {cev.vertex} covered at distance {d!r} beyond "
+                    f"radius {radius!r}"
+                )
+        # the replayed distances, never the recorded ones, seed later steps
+        replay.claim(j, got_new, dist)
 
     # final partition must be a valid terminal partition
     if len(owner) == graph.n:

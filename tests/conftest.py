@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from sprkit import SprParams, subdivide_edges
 from sprkit.graph import WeightedGraph
@@ -141,3 +142,19 @@ def coarse_subdivided_random(
         d for v, d in base.nearest_terminal_distance.items() if v not in base.terminals
     )
     return subdivide_edges(base, threshold).graph, d_floor
+
+
+@st.composite
+def small_integer_weighted_graphs(draw):
+    """Connected graphs on 3-14 vertices with weights in {1, 2, 3}, so equal
+    region distances are common, and 2-6 terminals."""
+    n = draw(st.integers(min_value=3, max_value=14))
+    weight = st.integers(min_value=1, max_value=3).map(float)
+    edges = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), draw(weight))
+    k = draw(st.integers(min_value=2, max_value=min(6, n)))
+    terminals = draw(st.permutations(range(n)))[:k]
+    return WeightedGraph.build(range(n), [(u, v, w) for (u, v), w in edges.items()], terminals)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import path_t_s_t, random_connected_graph, star_3
+from conftest import (
+    path_t_s_t,
+    random_connected_graph,
+    small_integer_weighted_graphs,
+    star_3,
+)
 from sprkit import (
     CoverEvent,
     RadiusEvent,
@@ -427,22 +432,6 @@ def test_trace_json_matches_dict_encoder_and_roundtrips(trace):
     assert (back.delta, back.seed, back.k, back.terminal_ids, back.rounds) == (
         trace.delta, trace.seed, trace.k, trace.terminal_ids, trace.rounds
     )
-
-
-@st.composite
-def small_integer_weighted_graphs(draw):
-    """Connected graphs on 3-14 vertices with weights in {1, 2, 3}, so equal
-    region distances are common, and 2-6 terminals."""
-    n = draw(st.integers(min_value=3, max_value=14))
-    weight = st.integers(min_value=1, max_value=3).map(float)
-    edges = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n)}
-    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                              max_size=2 * n)):
-        if u != v:
-            edges.setdefault((min(u, v), max(u, v)), draw(weight))
-    k = draw(st.integers(min_value=2, max_value=min(6, n)))
-    terminals = draw(st.permutations(range(n)))[:k]
-    return WeightedGraph.build(range(n), [(u, v, w) for (u, v), w in edges.items()], terminals)
 
 
 @settings(max_examples=60, deadline=None)
