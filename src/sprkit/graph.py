@@ -266,9 +266,10 @@ class ClusterReplay:
 
     Holds the owner (1-based cluster index) of every claimed vertex, the
     distance of every claim the replay itself reproduced, and per cluster its
-    boundary: the members with a distance that still have an unclaimed
-    neighbour, tracked by per-vertex counts of unclaimed neighbours.
-    Terminals start claimed by their own clusters at distance 0.
+    boundary: the members with a distance that may still have an unclaimed
+    neighbour.  A search reads every boundary member's neighbours anyway, and
+    drops the members it finds with none left.  Terminals start claimed by
+    their own clusters at distance 0.
 
     ``search`` starts from a cluster's boundary, pushing d(y) + w for every
     unclaimed neighbour of a boundary member y, and settles unclaimed
@@ -286,19 +287,10 @@ class ClusterReplay:
     """
 
     def __init__(self, graph: WeightedGraph):
-        adj = graph.adjacency
-        self.adjacency = adj
+        self.adjacency = graph.adjacency
         self.owner: dict[int, int] = {t: j for j, t in enumerate(graph.terminals, start=1)}
         self.dist: dict[int, float] = dict.fromkeys(graph.terminals, 0.0)
-        # unclaimed neighbours of every vertex: its degree minus its terminal
-        # neighbours
-        unclaimed = {v: len(nbrs) for v, nbrs in adj.items()}
-        for t in graph.terminals:
-            for u, _ in adj[t]:
-                unclaimed[u] -= 1
-        self._unclaimed_nbrs = unclaimed
-        self.boundary: list[set[int]] = [set()]
-        self.boundary += [{t} if unclaimed[t] else set() for t in graph.terminals]
+        self.boundary: list[set[int]] = [set(), *({t} for t in graph.terminals)]
 
     def claim(self, cluster: int, vertices, found: dict[int, float]) -> None:
         """Record that ``cluster`` claims ``vertices``, each at its distance
@@ -308,22 +300,16 @@ class ClusterReplay:
         becomes claimed but is never a search seed.  A vertex stays with its
         first claim, and need not be a vertex of the graph.
         """
-        owner, adj, dist = self.owner, self.adjacency, self.dist
-        unclaimed, boundary = self._unclaimed_nbrs, self.boundary
-        own = boundary[cluster]
+        owner, dist = self.owner, self.dist
+        boundary = self.boundary[cluster]
         for v in vertices:
             if v in owner:
                 continue
             owner[v] = cluster
-            for u, _ in adj.get(v, ()):
-                unclaimed[u] -= 1
-                if not unclaimed[u] and u in dist:
-                    boundary[owner[u]].discard(u)
             d = found.get(v)
             if d is not None:
                 dist[v] = d
-                if unclaimed[v]:
-                    own.add(v)
+                boundary.add(v)
 
     def search(
         self,
@@ -341,14 +327,24 @@ class ClusterReplay:
         distances, in settling order (ties in vertex-id order).
         """
         owner, adj, dist = self.owner, self.adjacency, self.dist
+        boundary = self.boundary[cluster]
+        inf = math.inf
         best: dict[int, float] = {}
-        for y in self.boundary[cluster]:
+        inner = []
+        for y in boundary:
             dy = dist[y]
+            has_unclaimed = False
             for u, w in adj[y]:
                 if u not in owner:
+                    has_unclaimed = True
                     nd = dy + w
-                    if nd <= limit and nd < best.get(u, math.inf):
+                    if nd <= limit and nd < best.get(u, inf):
                         best[u] = nd
+            if not has_unclaimed:
+                inner.append(y)
+        # claimed vertices stay claimed, so a member without an unclaimed
+        # neighbour never seeds a search again
+        boundary.difference_update(inner)
         heap = [(d, u) for u, d in best.items()]
         heapify(heap)
         found: dict[int, float] = {}
@@ -369,7 +365,7 @@ class ClusterReplay:
                     continue
                 nd = d + w
                 # a settled u has best[u] <= d <= nd, so it is never pushed
-                if nd <= limit and nd < best.get(u, math.inf):
+                if nd <= limit and nd < best.get(u, inf):
                     best[u] = nd
                     heappush(heap, (nd, u))
         return found, stops

@@ -120,31 +120,30 @@ def verify_trace(
                 )
 
         uncovered_exists = len(owner) < graph.n
-        if not (new_events or uncovered_exists):
-            continue
-        dist, _ = replay.search(j, limit=radius)
-        got_new = {cev.vertex for cev in new_events}
-        if dist.keys() != got_new:
-            violations.append(
-                f"step ({ev.round},{j}) claims {sorted(got_new)} but ball "
-                f"replay gives {sorted(dist)}"
-            )
-        for cev in new_events:
-            d = dist.get(cev.vertex)
-            if d is None:
-                continue
-            if not math.isclose(d, cev.dist, rel_tol=REL_TOL, abs_tol=1e-12):
+        if new_events or uncovered_exists:
+            dist, _ = replay.search(j, limit=radius)
+            got_new = {cev.vertex for cev in new_events}
+            if dist.keys() != got_new:
                 violations.append(
-                    f"recorded distance {cev.dist!r} for vertex {cev.vertex} "
-                    f"differs from replayed {d!r}"
+                    f"step ({ev.round},{j}) claims {sorted(got_new)} but ball "
+                    f"replay gives {sorted(dist)}"
                 )
-            if d > radius * (1 + REL_TOL):
-                violations.append(
-                    f"vertex {cev.vertex} covered at distance {d!r} beyond "
-                    f"radius {radius!r}"
-                )
-        # the replayed distances, never the recorded ones, seed later steps
-        replay.claim(j, got_new, dist)
+            for cev in new_events:
+                d = dist.get(cev.vertex)
+                if d is None:
+                    continue
+                if not math.isclose(d, cev.dist, rel_tol=REL_TOL, abs_tol=1e-12):
+                    violations.append(
+                        f"recorded distance {cev.dist!r} for vertex {cev.vertex} "
+                        f"differs from replayed {d!r}"
+                    )
+                if d > radius * (1 + REL_TOL):
+                    violations.append(
+                        f"vertex {cev.vertex} covered at distance {d!r} beyond "
+                        f"radius {radius!r}"
+                    )
+            # the replayed distances, never the recorded ones, seed later steps
+            replay.claim(j, got_new, dist)
 
     # final partition must be a valid terminal partition
     if len(owner) == graph.n:
