@@ -66,7 +66,6 @@ from .graph import (
     ParseError,
     SubdivideResult,
     WeightedGraph,
-    ball,
     format_graph_text,
     induced_subgraph,
     parse_graph_text,

@@ -371,33 +371,6 @@ class ClusterReplay:
         return found, stops
 
 
-def ball(graph: WeightedGraph, center: int, radius: float) -> set[int]:
-    """Vertices within graph distance ``radius`` of ``center``, boundary inclusive."""
-    if center not in graph.vertex_set:
-        raise GraphError(f"unknown center vertex {center}")
-    if radius < 0:
-        raise GraphError(f"negative radius {radius}")
-    out: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, center)]
-    best: dict[int, float] = {center: 0.0}
-    adj = graph.adjacency
-    while heap:
-        d, v = heappop(heap)
-        if v in out:
-            continue
-        if d > radius:
-            break
-        out.add(v)
-        for nbr, w in adj[v]:
-            if nbr in out:
-                continue
-            nd = d + w
-            if nd <= radius and nd < best.get(nbr, math.inf):
-                best[nbr] = nd
-                heappush(heap, (nd, nbr))
-    return out
-
-
 def induced_subgraph(graph: WeightedGraph, keep) -> WeightedGraph:
     """Subgraph on ``keep``: all edges with both endpoints kept, terminals restricted."""
     keep_set = set(int(v) for v in keep)

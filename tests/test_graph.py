@@ -15,7 +15,6 @@ from sprkit.graph import (
     GraphError,
     ParseError,
     WeightedGraph,
-    ball,
     format_graph_text,
     induced_subgraph,
     parse_graph_text,
@@ -88,27 +87,6 @@ def test_unreachable_is_flagged_not_infinite():
     assert not dm.reachable(2)
     with pytest.raises(GraphError):
         dm.distance(2)
-
-
-def test_ball_on_path():
-    g = WeightedGraph.build([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0)], [0])
-    assert ball(g, 0, 1.5) == {0, 1}
-    assert ball(g, 0, 0.0) == {0}
-    assert ball(g, 1, 1.0) == {0, 1, 2}  # inclusive boundary
-
-
-def test_ball_radius_reaches_component():
-    g = random_connected_graph(18, 2, seed=3, extra_edges=6)
-    dm = shortest_paths(g, 0)
-    diameter = max(dm.distance(v) for v in g.vertices)
-    assert ball(g, 0, diameter) == set(g.vertices)
-    assert ball(g, 0, diameter) == {v for v in g.vertices if dm.distance(v) <= diameter}
-
-
-def test_ball_negative_radius():
-    g = WeightedGraph.build([0, 1], [(0, 1, 1.0)], [0])
-    with pytest.raises(GraphError):
-        ball(g, 0, -0.1)
 
 
 def test_induced_subgraph_identity():
