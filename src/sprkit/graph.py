@@ -9,15 +9,38 @@ ids 0..n-1; operations such as ``induced_subgraph`` keep the original ids.
 ``WeightedGraph.index`` maps each id to its position in ``vertices``.
 
 Every all-vertex distance computation (the k terminal rows, the multi-source
-nearest-terminal distances, the minor's all-pairs matrix) runs one kernel,
-``_dijkstra``: distances only, on an adjacency indexed by vertex position, with
-lazy deletion and no predecessors.  Its values are exact, not merely close:
-for a positive weight w, ``fl(a + w)`` is never below ``a`` and is monotone
-in ``a``, so Dijkstra returns for every vertex the minimum over all paths of
-the left-to-right float sum of the path's weights, whatever the heap's tie
-order.  Any correct Dijkstra, ``shortest_paths`` included, returns the same
-doubles.  Canonical paths (``shortest_paths`` and its ``DistanceMap``) are
-computed only for a pair under analysis: one search from one terminal.
+nearest-terminal distances, the minor's all-pairs matrix) runs one exact
+kernel, ``_distance_columns``, on an adjacency indexed by vertex position and
+its CSR arrays (row starts, neighbour positions, float64 weights).  It takes
+the sources 16 at a time as the columns of a flat ``n x 16`` float64 label
+array and runs in two phases:
+
+* Sweeps.  The kernel holds the (vertex, column) pairs improved in the last
+  sweep.  A sweep expands their out-edges, keeps the candidates
+  ``label[u] + w`` that beat the target's label, applies them with
+  ``np.minimum.at``, and makes the improved pairs the next active set.  A
+  sweep's temporaries take about 40 bytes per candidate: active pairs x
+  degree x 40 B.
+* Heap tail.  Once the active set has stopped growing and is narrow (16
+  pairs, one per column of a full chunk), each column becomes a list of
+  Python floats and ``_dijkstra`` finishes it, starting from the column's
+  labels with the column's active vertices on the heap.  Long chains of
+  degree-two vertices are where sweeps lose: a frontier of one pair per
+  column pays a whole sweep per hop.
+
+Its values are exact, not merely close.  Every label is always the
+left-to-right float sum of the weights of a real path.  At the switch every
+pair outside the active set has had its last improvement propagated along
+all its edges, so the tail reaches the same fixed point the sweeps would.
+For a positive weight w, ``fl(a + w)`` is never below ``a`` and is monotone
+in ``a``, so any fixed point of label correction is, for every vertex, the
+minimum over all paths of the left-to-right float sum of the path's weights,
+whatever order the relaxations ran in; a minimum is exact in any order.
+Any correct Dijkstra, ``shortest_paths`` included, returns the same doubles.
+The kernel stays on numpy, which the package already loads: importing
+scipy's graph routines would double a small run's peak memory.  Canonical
+paths (``shortest_paths`` and its ``DistanceMap``) are computed only for a
+pair under analysis: one search from one terminal.
 
 ``ClusterReplay`` replays a run trace's claims for ``verify`` and the charging
 ledger.  Its searches start at a cluster's boundary and cover only unclaimed
@@ -32,6 +55,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -140,6 +165,10 @@ class WeightedGraph:
         return tuple(tuple([(index[u], w) for u, w in adj[v]]) for v in self.vertices)
 
     @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _csr_arrays(self._index_adjacency)
+
+    @cached_property
     def terminal_distance_maps(self) -> tuple[array, ...]:
         """One distance row per terminal, in terminal order.
 
@@ -148,13 +177,18 @@ class WeightedGraph:
         ``array('d')``: 8 bytes an entry, and never traversed by the
         garbage collector, where a list of floats costs 32 and is.
         """
-        adj, index = self._index_adjacency, self.index
-        return tuple(array("d", _dijkstra(adj, (index[t],))) for t in self.terminals)
+        index = self.index
+        columns = [(index[t],) for t in self.terminals]
+        return tuple(
+            array("d", row)
+            for row in _distance_columns(self._index_adjacency, self._csr, columns)
+        )
 
     @cached_property
     def nearest_terminal_distance(self) -> dict[int, float]:
         """Distance from every reachable vertex to its closest terminal."""
-        dist = _dijkstra(self._index_adjacency, [self.index[t] for t in self.terminals])
+        sources = [self.index[t] for t in self.terminals]
+        [dist] = _distance_columns(self._index_adjacency, self._csr, [sources])
         return {v: d for v, d in zip(self.vertices, dist) if d != math.inf}
 
     def is_connected(self) -> bool:
@@ -209,17 +243,98 @@ class DistanceMap:
         return path
 
 
-def _dijkstra(adj: Sequence[Sequence[tuple[int, float]]], sources) -> list[float]:
-    """Distances from the nearest of ``sources`` to every position of ``adj``.
+_CHUNK = 16        # sources per label array, one column each
+_TAIL_WIDTH = 16   # active pairs at which the heap tail takes over
+_SORT_SHARE = 32   # dedupe by sorting below 1/32 of the label array
 
-    ``adj[i]`` lists ``(position, weight)`` pairs; unreachable positions get
-    ``math.inf``.  Exact: see the module docstring.
+
+def _csr_arrays(adj: Sequence[Sequence[tuple[int, float]]]):
+    """Row starts, neighbour positions and float64 weights of ``adj``."""
+    indptr = np.zeros(len(adj) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, adj), np.intp, len(adj)), out=indptr[1:])
+    m = int(indptr[-1])
+    nbr = np.fromiter((u for row in adj for u, _ in row), np.intp, m)
+    weight = np.fromiter((w for row in adj for _, w in row), np.float64, m)
+    return indptr, nbr, weight
+
+
+def _distance_columns(adj, csr, columns, chunk=_CHUNK, width=_TAIL_WIDTH):
+    """Distances from the nearest source of each column, column by column.
+
+    ``adj[i]`` lists ``(position, weight)`` pairs, ``csr`` holds the same
+    edges as arrays, and each column is a collection of source positions.
+    Yields one list of Python floats per column, in column order; unreachable
+    positions get ``math.inf``.  ``chunk`` columns share a label array, and
+    the heap tail takes over at ``width`` active pairs.  Exact: see the
+    module docstring.
     """
-    dist = [math.inf] * len(adj)
-    heap = [(0.0, s) for s in sources]
+    for first in range(0, len(columns), chunk):
+        yield from _sweep_chunk(adj, csr, columns[first:first + chunk], width)
+
+
+def _sweep_chunk(adj, csr, columns, width):
+    indptr, nbr, weight = csr
+    c = len(columns)
+    size = len(adj) * c
+    # the pair (vertex position v, column j) sits at v * c + j
+    labels = np.full(size, math.inf)
+    active = _distinct(
+        np.array([s * c + j for j, col in enumerate(columns) for s in col], dtype=np.intp)
+    )
+    labels[active] = 0.0
+    mark = np.zeros(size, dtype=bool)
+    last = 0  # the seeds count as growth: at least one sweep runs
+    while active.size > width or active.size > last:
+        last = active.size
+        vertex, col = np.divmod(active, c)
+        start = indptr[vertex]
+        degree = indptr[vertex + 1] - start
+        # one candidate per out-edge of an active pair; in-place updates keep
+        # the temporaries at about 40 bytes a candidate
+        pair = np.repeat(np.arange(last), degree)
+        edge = np.repeat(start - np.cumsum(degree) + degree, degree)
+        edge += np.arange(edge.size)
+        cand = labels[active][pair]
+        cand += weight[edge]
+        target = nbr[edge]
+        del edge
+        target *= c
+        target += col[pair]
+        del pair
+        better = cand < labels[target]
+        target = target[better]
+        np.minimum.at(labels, target, cand[better])
+        del cand, better
+        if target.size * _SORT_SHARE < size:
+            active = _distinct(target)
+        else:
+            mark[target] = True
+            active = np.flatnonzero(mark)
+            mark[active] = False
+    vertex, col = np.divmod(active, c)
+    for j in range(c):
+        yield _dijkstra(adj, labels[j::c].tolist(), vertex[col == j].tolist())
+
+
+def _distinct(pairs: np.ndarray) -> np.ndarray:
+    # np.unique would import numpy.ma, 1.7 MB of resident memory
+    pairs = np.sort(pairs)
+    return np.concatenate((pairs[:1], pairs[1:][pairs[1:] != pairs[:-1]]))
+
+
+def _dijkstra(
+    adj: Sequence[Sequence[tuple[int, float]]], dist: list[float], seeds
+) -> list[float]:
+    """Finish the labels ``dist`` by Dijkstra from the positions ``seeds``.
+
+    ``adj[i]`` lists ``(position, weight)`` pairs.  Every label must be a
+    path's float sum or ``math.inf``, and every position v outside ``seeds``
+    must already have relaxed its edges: ``dist[u] <= dist[v] + w`` for each
+    ``(u, w)`` in ``adj[v]``.  Returns ``dist``, updated in place.  Exact:
+    see the module docstring.
+    """
+    heap = [(dist[s], s) for s in seeds]
     heapify(heap)
-    for _, s in heap:
-        dist[s] = 0.0
     while heap:
         d, v = heappop(heap)
         if d > dist[v]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
-from .graph import GraphError, WeightedGraph, _dijkstra
+from .graph import GraphError, WeightedGraph, _csr_arrays, _distance_columns
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,8 @@ class InducedMinor:
         for i, j, w in self.edges:
             adj[i - 1].append((j - 1, w))
             adj[j - 1].append((i - 1, w))
-        return tuple(tuple(_dijkstra(adj, (s,))) for s in range(self.k))
+        columns = [(s,) for s in range(self.k)]
+        return tuple(tuple(row) for row in _distance_columns(adj, _csr_arrays(adj), columns))
 
 
 def contract(graph: WeightedGraph, partition: TerminalPartition) -> InducedMinor:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 import sprkit
 from conftest import all_pairs_relaxation, edge_filter_oracle, random_connected_graph
+from sprkit import graph as graph_module
 from sprkit.graph import (
     GraphError,
     ParseError,
     WeightedGraph,
+    _distance_columns,
     format_graph_text,
     induced_subgraph,
     parse_graph_text,
@@ -239,6 +242,99 @@ def test_kernel_rows_equal_canonical_searches(g):
         ref = shortest_paths(as_graph, i).dist
         expected = [ref.get(j, math.inf).hex() for j in range(1, g.n + 1)]
         assert [d.hex() for d in minor.distance_matrix[i - 1]] == expected
+
+
+def canonical_column(g, sources):
+    """``float.hex`` of the distance from the nearest of ``sources`` to every
+    vertex, in vertex order, from one canonical search per source."""
+    best = [math.inf] * g.n
+    for s in sources:
+        dist = shortest_paths(g, s).dist
+        best = [min(b, dist.get(v, math.inf)) for b, v in zip(best, g.vertices)]
+    return [d.hex() for d in best]
+
+
+def kernel_columns(g, columns, **knobs):
+    """Run the private kernel on vertex-id columns; hex rows in vertex order."""
+    index = g.index
+    pos = [[index[v] for v in col] for col in columns]
+    rows = _distance_columns(g._index_adjacency, g._csr, pos, **knobs)
+    return [[d.hex() for d in row] for row in rows]
+
+
+# width 0 never hands over (sweeps only); width inf hands over as soon as the
+# frontier stops growing, after the first sweep (tail-heavy); the widths in
+# between give mixed runs.  Chunks of 1-3 columns put k above the chunk width
+# and, mostly, off its multiples.
+PHASES = [(0, 16), (math.inf, 16), (0, 1), (math.inf, 1), (1, 2), (2, 3), (4, 3), (64, 16)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_graphs(), st.sampled_from(PHASES))
+def test_kernel_phases_equal_canonical_searches(g, phase):
+    width, chunk = phase
+    columns = [(t,) for t in g.terminals] + [g.terminals]
+    expected = [canonical_column(g, col) for col in columns]
+    assert kernel_columns(g, columns, chunk=chunk, width=width) == expected
+
+
+def test_kernel_phases_run():
+    # a tail that gets seeds proves the hand-over happened; width 0 never
+    # hands over, so the tail only converts the finished columns
+    g = random_connected_graph(60, 5, seed=4, extra_edges=60)
+    columns = [(t,) for t in g.terminals] + [g.terminals]
+    seeds = {}
+    real = graph_module._dijkstra
+    for width in (0, 8, math.inf):
+        calls = []
+
+        def spy(adj, dist, sources):
+            calls.append(len(sources))
+            return real(adj, dist, sources)
+
+        with mock.patch.object(graph_module, "_dijkstra", spy):
+            got = kernel_columns(g, columns, chunk=4, width=width)
+        assert got == [canonical_column(g, col) for col in columns]
+        assert len(calls) == len(columns)
+        seeds[width] = sum(calls)
+    assert seeds[0] == 0
+    assert 0 < seeds[8] < seeds[math.inf]
+
+
+def test_kernel_long_weighted_path():
+    # 2,000 hops: the sweeps only ever hold one pair per column
+    rng = np.random.default_rng(11)
+    n = 2000
+    edges = [(v, v + 1, float(rng.uniform(0.1, 2.0))) for v in range(n - 1)]
+    g = WeightedGraph.build(range(n), edges, [0, n - 1, 777])
+    columns = [(t,) for t in g.terminals] + [g.terminals]
+    expected = [canonical_column(g, col) for col in columns]
+    for width, chunk in ((0, 16), (math.inf, 16), (64, 2)):
+        assert kernel_columns(g, columns, chunk=chunk, width=width) == expected
+    assert [[d.hex() for d in row] for row in g.terminal_distance_maps] == expected[:3]
+
+
+def test_kernel_random_sparse_graph():
+    # k = 40 columns: two full chunks of 16 and one of 8
+    g = random_connected_graph(600, 40, seed=17, extra_edges=900)
+    expected = [canonical_column(g, (t,)) for t in g.terminals]
+    assert [[d.hex() for d in row] for row in g.terminal_distance_maps] == expected
+    nearest = [min(col) for col in zip(*g.terminal_distance_maps)]
+    assert [g.nearest_terminal_distance[v] for v in g.vertices] == nearest
+    assert kernel_columns(g, [g.terminals], width=0) == [canonical_column(g, g.terminals)]
+
+
+def test_kernel_outputs_are_python_floats():
+    # a numpy.float64 would change the %r text of the minor and the trace
+    g = random_connected_graph(80, 20, seed=2, extra_edges=40)
+    assert all(type(d) is float for row in g.terminal_distance_maps for d in row)
+    assert all(type(d) is float for d in g.nearest_terminal_distance.values())
+    minor = InducedMinor(
+        k=g.n,
+        terminal_ids=g.vertices,
+        edges=tuple((g.index[u] + 1, g.index[v] + 1, w) for u, v, w in g.edges),
+    )
+    assert all(type(d) is float for row in minor.distance_matrix for d in row)
 
 
 def test_distance_layer_does_not_import_scipy():
