@@ -105,9 +105,10 @@ def child(src: Path, *args: str) -> dict:
     """Run this script's ``--child`` mode against ``src``; return its JSON."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(PERFBENCH)])}
     out = subprocess.run(
-        [sys.executable, __file__, "--child", *args],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, __file__, "--child", *args], env=env, capture_output=True, text=True,
     )
+    if out.returncode:
+        raise SystemExit(f"bench: child {' '.join(args)} failed:\n{out.stderr}")
     return json.loads(out.stdout.splitlines()[-1])
 
 

@@ -302,7 +302,7 @@ def test_kernel_phases_run():
 
 
 def test_kernel_long_weighted_path():
-    # 2,000 hops: the sweeps only ever hold one pair per column
+    # 2,000 hops: the sweeps never hold more than two pairs per column
     rng = np.random.default_rng(11)
     n = 2000
     edges = [(v, v + 1, float(rng.uniform(0.1, 2.0))) for v in range(n - 1)]
