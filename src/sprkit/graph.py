@@ -18,9 +18,11 @@ array and runs in two phases:
 * Sweeps.  The kernel holds the (vertex, column) pairs improved in the last
   sweep.  A sweep expands their out-edges, keeps the candidates
   ``label[u] + w`` that beat the target's label, applies them with
-  ``np.minimum.at``, and makes the improved pairs the next active set.  A
-  sweep's temporaries take about 40 bytes per candidate: active pairs x
-  degree x 40 B.
+  ``np.minimum.at``, and makes the improved pairs the next active set.  It
+  expands the pairs 4096 at a time, every block from the labels the sweep
+  started with, so a sweep does what one expansion of the whole set would.
+  The temporaries take about 40 bytes per candidate, 4096 x degree x 40 B
+  for a block, plus 8 bytes per active pair and per improving candidate.
 * Heap tail.  Once the active set has stopped growing and is narrow (16
   pairs, one per column of a full chunk), each column becomes a list of
   Python floats and ``_dijkstra`` finishes it, starting from the column's
@@ -181,14 +183,14 @@ class WeightedGraph:
         columns = [(index[t],) for t in self.terminals]
         return tuple(
             array("d", row)
-            for row in _distance_columns(self._index_adjacency, self._csr, columns)
+            for row in _distance_columns(self._index_adjacency, columns, self._csr)
         )
 
     @cached_property
     def nearest_terminal_distance(self) -> dict[int, float]:
         """Distance from every reachable vertex to its closest terminal."""
         sources = [self.index[t] for t in self.terminals]
-        [dist] = _distance_columns(self._index_adjacency, self._csr, [sources])
+        [dist] = _distance_columns(self._index_adjacency, [sources], self._csr)
         return {v: d for v, d in zip(self.vertices, dist) if d != math.inf}
 
     def is_connected(self) -> bool:
@@ -245,6 +247,7 @@ class DistanceMap:
 
 _CHUNK = 16        # sources per label array, one column each
 _TAIL_WIDTH = 16   # active pairs at which the heap tail takes over
+_BLOCK = 1 << 12   # active pairs a sweep expands at a time
 _SORT_SHARE = 32   # dedupe by sorting below 1/32 of the label array
 
 
@@ -258,22 +261,23 @@ def _csr_arrays(adj: Sequence[Sequence[tuple[int, float]]]):
     return indptr, nbr, weight
 
 
-def _distance_columns(adj, csr, columns, chunk=_CHUNK, width=_TAIL_WIDTH):
+def _distance_columns(adj, columns, csr=None, chunk=_CHUNK, width=_TAIL_WIDTH):
     """Distances from the nearest source of each column, column by column.
 
-    ``adj[i]`` lists ``(position, weight)`` pairs, ``csr`` holds the same
-    edges as arrays, and each column is a collection of source positions.
-    Yields one list of Python floats per column, in column order; unreachable
-    positions get ``math.inf``.  ``chunk`` columns share a label array, and
-    the heap tail takes over at ``width`` active pairs.  Exact: see the
-    module docstring.
+    ``adj[i]`` lists ``(position, weight)`` pairs and each column is a
+    collection of source positions.  ``csr`` holds the same edges as arrays
+    and is built from ``adj`` when not given.  Yields one list of Python
+    floats per column, in column order; unreachable positions get
+    ``math.inf``.  ``chunk`` columns share a label array, and the heap tail
+    takes over at ``width`` active pairs.  Exact: see the module docstring.
     """
+    if csr is None:
+        csr = _csr_arrays(adj)
     for first in range(0, len(columns), chunk):
         yield from _sweep_chunk(adj, csr, columns[first:first + chunk], width)
 
 
 def _sweep_chunk(adj, csr, columns, width):
-    indptr, nbr, weight = csr
     c = len(columns)
     size = len(adj) * c
     # the pair (vertex position v, column j) sits at v * c + j
@@ -286,25 +290,12 @@ def _sweep_chunk(adj, csr, columns, width):
     last = 0  # the seeds count as growth: at least one sweep runs
     while active.size > width or active.size > last:
         last = active.size
-        vertex, col = np.divmod(active, c)
-        start = indptr[vertex]
-        degree = indptr[vertex + 1] - start
-        # one candidate per out-edge of an active pair; in-place updates keep
-        # the temporaries at about 40 bytes a candidate
-        pair = np.repeat(np.arange(last), degree)
-        edge = np.repeat(start - np.cumsum(degree) + degree, degree)
-        edge += np.arange(edge.size)
-        cand = labels[active][pair]
-        cand += weight[edge]
-        target = nbr[edge]
-        del edge
-        target *= c
-        target += col[pair]
-        del pair
-        better = cand < labels[target]
-        target = target[better]
-        np.minimum.at(labels, target, cand[better])
-        del cand, better
+        # every block expands the labels the sweep started with
+        base = labels[active]
+        target = np.concatenate([
+            _expand(labels, csr, c, active[lo:lo + _BLOCK], base[lo:lo + _BLOCK])
+            for lo in range(0, last, _BLOCK)
+        ])
         if target.size * _SORT_SHARE < size:
             active = _distinct(target)
         else:
@@ -314,6 +305,31 @@ def _sweep_chunk(adj, csr, columns, width):
     vertex, col = np.divmod(active, c)
     for j in range(c):
         yield _dijkstra(adj, labels[j::c].tolist(), vertex[col == j].tolist())
+
+
+def _expand(labels, csr, c, pairs, base):
+    """Relax the out-edges of ``pairs`` from their labels ``base`` into
+    ``labels``; return the pairs this improved, with repeats."""
+    indptr, nbr, weight = csr
+    vertex, col = np.divmod(pairs, c)
+    start = indptr[vertex]
+    degree = indptr[vertex + 1] - start
+    # one candidate per out-edge; in-place updates keep the temporaries at
+    # about 40 bytes a candidate
+    pair = np.repeat(np.arange(pairs.size), degree)
+    edge = np.repeat(start - np.cumsum(degree) + degree, degree)
+    edge += np.arange(edge.size)
+    cand = base[pair]
+    cand += weight[edge]
+    target = nbr[edge]
+    del edge
+    target *= c
+    target += col[pair]
+    del pair
+    better = cand < labels[target]
+    target = target[better]
+    np.minimum.at(labels, target, cand[better])
+    return target
 
 
 def _distinct(pairs: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
-from .graph import GraphError, WeightedGraph, _csr_arrays, _distance_columns
+from .graph import GraphError, WeightedGraph, _distance_columns
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ class InducedMinor:
             adj[i - 1].append((j - 1, w))
             adj[j - 1].append((i - 1, w))
         columns = [(s,) for s in range(self.k)]
-        return tuple(tuple(row) for row in _distance_columns(adj, _csr_arrays(adj), columns))
+        return tuple(tuple(row) for row in _distance_columns(adj, columns))
 
 
 def contract(graph: WeightedGraph, partition: TerminalPartition) -> InducedMinor:

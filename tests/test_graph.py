@@ -258,7 +258,7 @@ def kernel_columns(g, columns, **knobs):
     """Run the private kernel on vertex-id columns; hex rows in vertex order."""
     index = g.index
     pos = [[index[v] for v in col] for col in columns]
-    rows = _distance_columns(g._index_adjacency, g._csr, pos, **knobs)
+    rows = _distance_columns(g._index_adjacency, pos, g._csr, **knobs)
     return [[d.hex() for d in row] for row in rows]
 
 
@@ -270,12 +270,13 @@ PHASES = [(0, 16), (math.inf, 16), (0, 1), (math.inf, 1), (1, 2), (2, 3), (4, 3)
 
 
 @settings(max_examples=150, deadline=None)
-@given(kernel_graphs(), st.sampled_from(PHASES))
-def test_kernel_phases_equal_canonical_searches(g, phase):
+@given(kernel_graphs(), st.sampled_from(PHASES), st.sampled_from([1, 2, graph_module._BLOCK]))
+def test_kernel_phases_equal_canonical_searches(g, phase, block):
     width, chunk = phase
     columns = [(t,) for t in g.terminals] + [g.terminals]
     expected = [canonical_column(g, col) for col in columns]
-    assert kernel_columns(g, columns, chunk=chunk, width=width) == expected
+    with mock.patch.object(graph_module, "_BLOCK", block):
+        assert kernel_columns(g, columns, chunk=chunk, width=width) == expected
 
 
 def test_kernel_phases_run():
@@ -299,6 +300,30 @@ def test_kernel_phases_run():
         seeds[width] = sum(calls)
     assert seeds[0] == 0
     assert 0 < seeds[8] < seeds[math.inf]
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_kernel_blocks_match_one_expansion(block):
+    # every block expands the labels its sweep started with, so small blocks
+    # reach the same doubles and hand the same seeds to the tail
+    g = random_connected_graph(60, 5, seed=4, extra_edges=60)
+    columns = [(t,) for t in g.terminals] + [g.terminals]
+    expected = [canonical_column(g, col) for col in columns]
+    real = graph_module._dijkstra
+    for width in (0, 8, math.inf):
+        seeds = {}
+        for size in (graph_module._BLOCK, block):
+            calls = []
+
+            def spy(adj, dist, sources):
+                calls.append(sorted(sources))
+                return real(adj, dist, sources)
+
+            with mock.patch.object(graph_module, "_dijkstra", spy), \
+                    mock.patch.object(graph_module, "_BLOCK", size):
+                assert kernel_columns(g, columns, chunk=4, width=width) == expected
+            seeds[size] = calls
+        assert seeds[block] == seeds[graph_module._BLOCK]
 
 
 def test_kernel_long_weighted_path():
