@@ -8,11 +8,11 @@ Usage, from the repository root:
 
 For each size (n=2k k=16, n=20k k=64, n=50k k=256) a fresh child process
 builds the sparse graph of ``perfbench/inputs.sparse_graph_text`` (graph
-seed 0) and runs the pipeline layer by layer, ``--repeats`` times, each time
-on a freshly parsed graph with run seed 0.  Each layer is timed in wall
-seconds under the span name of the traced benchmark
-(``perfbench/workloads.py``).  The file keeps the median per layer, the
-exact work counts and the child's peak RSS.  The run also records the
+seed 0) and runs the traced ``compress-cold`` unit of
+``perfbench/workloads.py`` on it with run seed 0, then the covering check,
+three times.  Each layer is timed in wall seconds under the benchmark's span
+name.  The file keeps the median per layer, the exact work counts and the
+child's peak RSS.  The run also records the
 machine, the host speed from the benchmark's calibration kernel
 (``perfbench/calibrate.py``) before and after the sizes, and the wall time
 of the checkout's tier-1 tests.
@@ -35,6 +35,7 @@ import statistics
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from importlib import metadata
 from pathlib import Path
 
@@ -43,49 +44,49 @@ PERFBENCH = ROOT / "perfbench"
 SIZES = ((2000, 16), (20000, 64), (50000, 256))
 GRAPH_SEED = 0
 RUN_SEED = 0
+REPEATS = 3
 CALIBRATION_RUNS = 15
 
 
-def time_size(n: int, k: int, repeats: int) -> dict:
+def time_size(n: int, k: int) -> dict:
     """One size, in this process: per-layer medians, counts and peak RSS."""
+    import workloads
     from inputs import sparse_graph_text
-    from sprkit import SprParams, check_covering, contract, distortion, parse_graph_text, run_spr
+    from sprkit import SprParams, check_covering, parse_graph_text
 
     seconds: dict[str, list[float]] = {}
 
-    def timed(name, fn, *args):
+    @contextmanager
+    def span(name):
         start = time.perf_counter()
-        out = fn(*args)
+        yield
         seconds.setdefault(name, []).append(time.perf_counter() - start)
-        return out
 
-    for _ in range(repeats):
-        text = timed("inputs.sparse_graph_text", sparse_graph_text, n, k, GRAPH_SEED)
-        graph = timed("graph.parse", parse_graph_text, text)
-        params = SprParams.for_graph(graph, seed=RUN_SEED)
-        timed("graph.build", lambda: graph.adjacency)
-        timed("graph.nearest_terminal", lambda: graph.nearest_terminal_distance)
-        partition, trace = timed("engine.run_spr", run_spr, graph, params)
-        timed("graph.terminal_distances", lambda: graph.terminal_distance_maps)
-        minor = timed("minor.contract", contract, graph, partition)
-        timed("minor.apsp", lambda: minor.distance_matrix)
-        timed("minor.distortion", distortion, graph, minor)
-        timed("engine.trace_to_json", trace.to_json)
-        timed("covering.check_covering", check_covering, trace, graph, params)
+    # the covering check reads the rows the unit cached on its graph, so
+    # keep the graph the unit parses
+    graphs = []
+    workloads.parse_graph_text = lambda text: graphs.append(parse_graph_text(text)) or graphs[-1]
+    for _ in range(REPEATS):
+        with span("inputs.sparse_graph_text"):
+            text = sparse_graph_text(n, k, GRAPH_SEED)
+        out = workloads.compress_traced_unit({"texts": [text], "seeds": [RUN_SEED]}, 0, span)
+        graph, trace = graphs.pop(), out["trace"]
+        with span("covering.check_covering"):
+            check_covering(trace, graph, SprParams.for_graph(graph, seed=RUN_SEED))
         counts = {
-            "graph.edges": len(graph.edges),
+            "graph.edges": out["m"],
             "engine.rounds": trace.rounds,
             "engine.steps": len(trace.radius_events),
             "engine.cover_events": len(trace.cover_events),
-            "minor.edges": len(minor.edges),
+            "minor.edges": len(out["minor"].edges),
         }
-        del text, graph, partition, trace, minor
+        del text, out, graph, trace
     return {
         "n": n,
         "k": k,
         "graph_seed": GRAPH_SEED,
         "run_seed": RUN_SEED,
-        "repeats": repeats,
+        "repeats": REPEATS,
         "layers_s": {name: statistics.median(v) for name, v in seconds.items()},
         "counts": counts,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
@@ -168,16 +169,12 @@ def main() -> int:
     parser.add_argument("--out", type=Path, help="BENCH file to update")
     parser.add_argument("--label", default="change")
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--sizes", default=",".join(f"{n}/{k}" for n, k in SIZES),
-                        help="comma-separated n/k pairs")
-    parser.add_argument("--no-tier1", action="store_true", help="skip the tier-1 timing")
     parser.add_argument("--child", nargs=3, metavar=("WHAT", "N", "K"), help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.child:
         what, n, k = args.child
-        result = host_speed() if what == "speed" else time_size(int(n), int(k), args.repeats)
+        result = host_speed() if what == "speed" else time_size(int(n), int(k))
         print(json.dumps(result))
         return 0
 
@@ -186,12 +183,11 @@ def main() -> int:
     src = args.src.resolve()
     if not (src / "sprkit" / "__init__.py").exists():
         parser.error(f"{src} holds no sprkit package")
-    sizes = [tuple(int(x) for x in pair.split("/")) for pair in args.sizes.split(",")]
     speed_before = child(src, "speed", "0", "0")
     results = []
-    for n, k in sizes:
-        print(f"bench: n={n} k={k}, {args.repeats} repeats", file=sys.stderr, flush=True)
-        results.append(child(src, "size", str(n), str(k), "--repeats", str(args.repeats)))
+    for n, k in SIZES:
+        print(f"bench: n={n} k={k}, {REPEATS} repeats", file=sys.stderr, flush=True)
+        results.append(child(src, "size", str(n), str(k)))
         layers = results[-1]["layers_s"]
         print("  " + "  ".join(f"{name}={s:.3f}" for name, s in layers.items()),
               file=sys.stderr, flush=True)
@@ -200,7 +196,7 @@ def main() -> int:
         "git_commit": git_commit(src),
         "source_sha256": source_digest(src),
         "host_speed": {"before": speed_before, "after": speed_after},
-        "tier1": None if args.no_tier1 else tier1(src),
+        "tier1": tier1(src),
         "sizes": results,
     }
 
