@@ -281,38 +281,16 @@ def test_kernel_phases_equal_canonical_searches(g, phase, block):
 
 def test_kernel_phases_run():
     # a tail that gets seeds proves the hand-over happened; width 0 never
-    # hands over, so the tail only converts the finished columns
+    # hands over, so the tail only converts the finished columns.  Every
+    # block expands the labels its sweep started with, so blocks of 1 and 3
+    # pairs hand the tail the same seeds as one expansion of the whole set.
     g = random_connected_graph(60, 5, seed=4, extra_edges=60)
     columns = [(t,) for t in g.terminals] + [g.terminals]
     seeds = {}
     real = graph_module._dijkstra
     for width in (0, 8, math.inf):
-        calls = []
-
-        def spy(adj, dist, sources):
-            calls.append(len(sources))
-            return real(adj, dist, sources)
-
-        with mock.patch.object(graph_module, "_dijkstra", spy):
-            got = kernel_columns(g, columns, chunk=4, width=width)
-        assert got == [canonical_column(g, col) for col in columns]
-        assert len(calls) == len(columns)
-        seeds[width] = sum(calls)
-    assert seeds[0] == 0
-    assert 0 < seeds[8] < seeds[math.inf]
-
-
-@pytest.mark.parametrize("block", [1, 3])
-def test_kernel_blocks_match_one_expansion(block):
-    # every block expands the labels its sweep started with, so small blocks
-    # reach the same doubles and hand the same seeds to the tail
-    g = random_connected_graph(60, 5, seed=4, extra_edges=60)
-    columns = [(t,) for t in g.terminals] + [g.terminals]
-    expected = [canonical_column(g, col) for col in columns]
-    real = graph_module._dijkstra
-    for width in (0, 8, math.inf):
-        seeds = {}
-        for size in (graph_module._BLOCK, block):
+        runs = []
+        for block in (graph_module._BLOCK, 3, 1):
             calls = []
 
             def spy(adj, dist, sources):
@@ -320,10 +298,15 @@ def test_kernel_blocks_match_one_expansion(block):
                 return real(adj, dist, sources)
 
             with mock.patch.object(graph_module, "_dijkstra", spy), \
-                    mock.patch.object(graph_module, "_BLOCK", size):
-                assert kernel_columns(g, columns, chunk=4, width=width) == expected
-            seeds[size] = calls
-        assert seeds[block] == seeds[graph_module._BLOCK]
+                    mock.patch.object(graph_module, "_BLOCK", block):
+                got = kernel_columns(g, columns, chunk=4, width=width)
+            assert got == [canonical_column(g, col) for col in columns]
+            assert len(calls) == len(columns)
+            runs.append(calls)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        seeds[width] = sum(map(len, runs[0]))
+    assert seeds[0] == 0
+    assert 0 < seeds[8] < seeds[math.inf]
 
 
 def test_kernel_long_weighted_path():
