@@ -65,7 +65,12 @@ def time_size(n: int, k: int) -> dict:
     # the covering check reads the rows the unit cached on its graph, so
     # keep the graph the unit parses
     graphs = []
-    workloads.parse_graph_text = lambda text: graphs.append(parse_graph_text(text)) or graphs[-1]
+
+    def parse(text):
+        graphs.append(parse_graph_text(text))
+        return graphs[-1]
+
+    workloads.parse_graph_text = parse
     for _ in range(REPEATS):
         with span("inputs.sparse_graph_text"):
             text = sparse_graph_text(n, k, GRAPH_SEED)
