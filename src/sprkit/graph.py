@@ -21,14 +21,17 @@ array and runs in two phases:
   ``np.minimum.at``, and makes the improved pairs the next active set.  It
   expands the pairs 4096 at a time, every block from the labels the sweep
   started with, so a sweep does what one expansion of the whole set would.
-  The temporaries take about 40 bytes per candidate, 4096 x degree x 40 B
-  for a block, plus 8 bytes per active pair and per improving candidate.
+  A block's temporaries take about 30 bytes per candidate, 4096 x degree x
+  30 B, and up to 37 when nearly every candidate improves; the sweep adds 8
+  bytes per active pair and per improving candidate.
 * Heap tail.  Once the active set has stopped growing and is narrow (16
-  pairs, one per column of a full chunk), each column becomes a list of
-  Python floats and ``_dijkstra`` finishes it, starting from the column's
-  labels with the column's active vertices on the heap.  Long chains of
-  degree-two vertices are where sweeps lose: a frontier of one pair per
-  column pays a whole sweep per hop.
+  pairs, one per column of a full chunk), the columns with active pairs
+  become lists of Python floats and ``_dijkstra`` finishes each, starting
+  from the column's labels with the column's active vertices on the heap.
+  A column without active pairs is already final and is copied straight
+  from the label array.  Long chains of degree-two vertices are where
+  sweeps lose: a frontier of one pair per column pays a whole sweep per
+  hop.
 
 Its values are exact, not merely close.  Every label is always the
 left-to-right float sum of the weights of a real path.  At the switch every
@@ -181,10 +184,7 @@ class WeightedGraph:
         """
         index = self.index
         columns = [(index[t],) for t in self.terminals]
-        return tuple(
-            array("d", row)
-            for row in _distance_columns(self._index_adjacency, columns, self._csr)
-        )
+        return tuple(_distance_columns(self._index_adjacency, columns, self._csr))
 
     @cached_property
     def nearest_terminal_distance(self) -> dict[int, float]:
@@ -266,10 +266,10 @@ def _distance_columns(adj, columns, csr=None, chunk=_CHUNK, width=_TAIL_WIDTH):
 
     ``adj[i]`` lists ``(position, weight)`` pairs and each column is a
     collection of source positions.  ``csr`` holds the same edges as arrays
-    and is built from ``adj`` when not given.  Yields one list of Python
-    floats per column, in column order; unreachable positions get
-    ``math.inf``.  ``chunk`` columns share a label array, and the heap tail
-    takes over at ``width`` active pairs.  Exact: see the module docstring.
+    and is built from ``adj`` when not given.  Yields one ``array('d')``
+    per column, in column order; unreachable positions get ``math.inf``.
+    ``chunk`` columns share a label array, and the heap tail takes over at
+    ``width`` active pairs.  Exact: see the module docstring.
     """
     if csr is None:
         csr = _csr_arrays(adj)
@@ -304,7 +304,12 @@ def _sweep_chunk(adj, csr, columns, width):
             mark[active] = False
     vertex, col = np.divmod(active, c)
     for j in range(c):
-        yield _dijkstra(adj, labels[j::c].tolist(), vertex[col == j].tolist())
+        seeds = vertex[col == j].tolist()
+        if seeds:
+            yield array("d", _dijkstra(adj, labels[j::c].tolist(), seeds))
+        else:
+            # no active pair: the column is final
+            yield array("d", labels[j::c].tobytes())
 
 
 def _expand(labels, csr, c, pairs, base):
@@ -315,20 +320,18 @@ def _expand(labels, csr, c, pairs, base):
     start = indptr[vertex]
     degree = indptr[vertex + 1] - start
     # one candidate per out-edge; in-place updates keep the temporaries at
-    # about 40 bytes a candidate
-    pair = np.repeat(np.arange(pairs.size), degree)
+    # about 25 bytes a candidate, plus 8 per improving one
     edge = np.repeat(start - np.cumsum(degree) + degree, degree)
     edge += np.arange(edge.size)
-    cand = base[pair]
+    cand = np.repeat(base, degree)
     cand += weight[edge]
     target = nbr[edge]
     del edge
     target *= c
-    target += col[pair]
-    del pair
-    better = cand < labels[target]
-    target = target[better]
-    np.minimum.at(labels, target, cand[better])
+    target += np.repeat(col, degree)
+    keep = np.flatnonzero(cand < labels[target])
+    target = target[keep]
+    np.minimum.at(labels, target, cand[keep])
     return target
 
 

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import inf
+from operator import truediv
+from typing import NamedTuple
 
 from .graph import GraphError, WeightedGraph, _distance_columns
 
@@ -161,8 +164,7 @@ def contract(graph: WeightedGraph, partition: TerminalPartition) -> InducedMinor
     return InducedMinor(k=graph.k, terminal_ids=graph.terminals, edges=tuple(edges))
 
 
-@dataclass(frozen=True)
-class PairDistortion:
+class PairDistortion(NamedTuple):
     i: int
     j: int
     d_graph: float
@@ -199,29 +201,37 @@ class DistortionReport:
 def distortion(graph: WeightedGraph, minor: InducedMinor) -> DistortionReport:
     """Per-pair minor/graph distance ratios and their maximum.
 
-    With a single terminal there are no pairs and the distortion is 1 by
+    Pairs come in (i, j) order, i < j, built one terminal row at a time; the
+    argmax is the first pair in that order with the largest ratio.  With a
+    single terminal there are no pairs and the distortion is 1 by
     convention.  An unreachable terminal pair in the graph is an input error
-    (entry points require connectivity).
+    (entry points require connectivity); the first one in (i, j) order is
+    reported.
     """
     if minor.terminal_ids != graph.terminals:
         raise GraphError("minor terminals do not match graph terminals")
-    rows, index = graph.terminal_distance_maps, graph.index
-    pairs = []
-    best: tuple[float, tuple[int, int]] | None = None
-    for i in range(1, graph.k + 1):
-        for j in range(i + 1, graph.k + 1):
-            tj = graph.terminals[j - 1]
-            dg = rows[i - 1][index[tj]]
-            if dg == inf:
-                raise GraphError(
-                    f"terminal pair ({graph.terminals[i - 1]},{tj}) unreachable; "
-                    "graph must be connected"
-                )
-            dm = minor.distance(i, j)
-            ratio = dm / dg
-            pairs.append(PairDistortion(i, j, dg, dm, ratio))
-            if best is None or ratio > best[0]:
-                best = (ratio, (i, j))
-    if not pairs:
+    terminals, k = graph.terminals, graph.k
+    if k < 2:
         return DistortionReport(pairs=(), max_ratio=1.0, argmax=None)
-    return DistortionReport(pairs=tuple(pairs), max_ratio=best[0], argmax=best[1])
+    index = graph.index
+    positions = [index[t] for t in terminals]
+    pairs: list[PairDistortion] = []
+    best, argmax = -inf, None
+    for i, row in enumerate(graph.terminal_distance_maps[:k - 1], start=1):
+        d_graph = list(map(row.__getitem__, positions[i:]))
+        if inf in d_graph:
+            tj = terminals[i + d_graph.index(inf)]
+            raise GraphError(
+                f"terminal pair ({terminals[i - 1]},{tj}) unreachable; "
+                "graph must be connected"
+            )
+        d_minor = minor.distance_matrix[i - 1][i:]
+        ratios = list(map(truediv, d_minor, d_graph))
+        pairs += map(
+            PairDistortion._make,
+            zip(repeat(i), range(i + 1, k + 1), d_graph, d_minor, ratios),
+        )
+        top = max(ratios)
+        if top > best:
+            best, argmax = top, (i, i + 1 + ratios.index(top))
+    return DistortionReport(pairs=tuple(pairs), max_ratio=best, argmax=argmax)

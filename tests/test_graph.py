@@ -1,5 +1,6 @@
 import math
 import os
+from array import array
 import subprocess
 import sys
 from pathlib import Path
@@ -280,13 +281,17 @@ def test_kernel_phases_equal_canonical_searches(g, phase, block):
 
 
 def test_kernel_phases_run():
-    # a tail that gets seeds proves the hand-over happened; width 0 never
-    # hands over, so the tail only converts the finished columns.  Every
-    # block expands the labels its sweep started with, so blocks of 1 and 3
-    # pairs hand the tail the same seeds as one expansion of the whole set.
+    # width 0 never hands over, so no column reaches the heap tail; at a
+    # hand-over only the columns that still have active pairs do, each with
+    # those pairs as seeds, and a seedless column is copied from the labels.
+    # Every block expands the labels its sweep started with, so blocks of 1
+    # and 3 pairs hand the tail the same seeds as one expansion of the whole
+    # set.
     g = random_connected_graph(60, 5, seed=4, extra_edges=60)
     columns = [(t,) for t in g.terminals] + [g.terminals]
-    seeds = {}
+    pos = [[g.index[v] for v in col] for col in columns]
+    expected = [canonical_column(g, col) for col in columns]
+    tails, seeds = {}, {}
     real = graph_module._dijkstra
     for width in (0, 8, math.inf):
         runs = []
@@ -299,13 +304,15 @@ def test_kernel_phases_run():
 
             with mock.patch.object(graph_module, "_dijkstra", spy), \
                     mock.patch.object(graph_module, "_BLOCK", block):
-                got = kernel_columns(g, columns, chunk=4, width=width)
-            assert got == [canonical_column(g, col) for col in columns]
-            assert len(calls) == len(columns)
+                rows = list(_distance_columns(g._index_adjacency, pos, g._csr, chunk=4, width=width))
+            assert all(type(row) is array and row.typecode == "d" for row in rows)
+            assert [[d.hex() for d in row] for row in rows] == expected
+            assert all(calls)
             runs.append(calls)
         assert runs[1] == runs[0] and runs[2] == runs[0]
+        tails[width] = len(runs[0])
         seeds[width] = sum(map(len, runs[0]))
-    assert seeds[0] == 0
+    assert tails[0] == 0
     assert 0 < seeds[8] < seeds[math.inf]
 
 
@@ -347,7 +354,7 @@ def test_kernel_outputs_are_python_floats():
 
 def test_distance_layer_does_not_import_scipy():
     # importing scipy.sparse.csgraph doubles the process's peak RSS, so the
-    # distance layer stays in pure Python
+    # distance layer runs on numpy alone
     code = (
         "import sys\n"
         "import sprkit\n"

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import path_t_s_t, random_connected_graph, star_3
-from sprkit import SprParams, run_spr
+from distortion_reference import reference_distortion
+from sprkit import SprParams, run_and_contract, run_spr
 from sprkit.graph import GraphError, WeightedGraph, subdivide_edges
 from sprkit.minor import (
     InducedMinor,
@@ -16,6 +17,7 @@ from sprkit.minor import (
     distortion,
     validate_partition,
 )
+from sprkit.oracle import best_partition
 
 REL = 1e-9
 
@@ -221,3 +223,101 @@ def test_random_runs_yield_valid_partitions(seed):
     g = random_connected_graph(14, 4, seed=seed % 1000, extra_edges=7)
     part, _ = run_spr(g, SprParams.for_graph(g, seed=seed))
     assert validate_partition(g, part) == []
+
+
+# --- row-wise distortion against the per-pair loop ------------------------
+
+
+@st.composite
+def small_graphs(draw, max_n, min_k=1, connected=True):
+    """Graphs on 2..max_n vertices with terminals in random order; weights
+    are uniform floats or, to tie ratios, integers 1..3."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=max(2, min_k), max_value=max_n))
+    k = draw(st.integers(min_value=min_k, max_value=n))
+    tied = draw(st.booleans())
+
+    def weight():
+        return float(rng.integers(1, 4)) if tied else float(rng.uniform(0.5, 1.5))
+
+    edges = {}
+    if connected:
+        for v in range(1, n):
+            edges[(int(rng.integers(0, v)), v)] = weight()
+    for _ in range(int(rng.integers(0, n + 1))):
+        u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        edges[(u, v)] = weight()
+    terms = [int(t) for t in rng.choice(n, size=k, replace=False)]
+    return WeightedGraph.build(range(n), [(u, v, w) for (u, v), w in edges.items()], terms)
+
+
+def outcome(fn, g, minor):
+    """The report as fields and as the JSON text ``sprkit run`` writes, or
+    the error text."""
+    try:
+        report = fn(g, minor)
+    except GraphError as exc:
+        return str(exc)
+    text = json.dumps(report.to_json_dict(), indent=2)
+    return report.pairs, report.max_ratio, report.argmax, text
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(max_n=16), st.integers(min_value=0, max_value=2**16))
+def test_distortion_equals_pair_loop_on_run_minors(g, seed):
+    part, _ = run_spr(g, SprParams.for_graph(g, seed=seed))
+    minor = contract(g, part)
+    assert outcome(distortion, g, minor) == outcome(reference_distortion, g, minor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(max_n=12, connected=False), st.integers(min_value=0, max_value=2**16))
+def test_distortion_equals_pair_loop_on_any_minor(g, seed):
+    # integer minor weights over integer graph distances tie ratios across
+    # rows; a disconnected graph must raise the pair loop's error
+    rng = np.random.default_rng(seed)
+    edges = tuple(
+        (i, j, float(rng.integers(1, 5)))
+        for i in range(1, g.k + 1)
+        for j in range(i + 1, g.k + 1)
+        if rng.random() < 0.5
+    )
+    minor = InducedMinor(k=g.k, terminal_ids=g.terminals, edges=edges)
+    assert outcome(distortion, g, minor) == outcome(reference_distortion, g, minor)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_distortion_small_k_equals_pair_loop(k):
+    for seed in range(10):
+        g = random_connected_graph(9, k, seed=seed, extra_edges=4)
+        minor, report, _ = run_and_contract(g, SprParams.for_graph(g, seed=seed))
+        assert outcome(distortion, g, minor) == outcome(reference_distortion, g, minor)
+        assert len(report.pairs) == k * (k - 1) // 2
+
+
+def test_distortion_ties_pick_first_pair():
+    # every pair has ratio 1, so the argmax is the first pair
+    g = star_3()
+    minor = InducedMinor(k=3, terminal_ids=(1, 2, 3), edges=((1, 2, 2.0), (1, 3, 2.0), (2, 3, 2.0)))
+    report = distortion(g, minor)
+    assert report.argmax == (1, 2) and report.max_ratio == 1.0
+    assert outcome(distortion, g, minor) == outcome(reference_distortion, g, minor)
+
+
+def test_distortion_unreachable_pair_message_unchanged():
+    # components {0, 1, 2} and {3, 4}: the first unreachable pair in (i, j)
+    # order is terminals 1 and 3, that is vertices 0 and 3
+    g = WeightedGraph.build(range(5), [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)], [0, 1, 3, 2, 4])
+    minor = InducedMinor(k=5, terminal_ids=g.terminals, edges=())
+    with pytest.raises(GraphError) as exc:
+        distortion(g, minor)
+    assert str(exc.value) == "terminal pair (0,3) unreachable; graph must be connected"
+    assert outcome(reference_distortion, g, minor) == str(exc.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(max_n=10, min_k=2), st.integers(min_value=0, max_value=2**16))
+def test_oracle_floor_below_run_distortion(g, seed):
+    # the run's partition is one of the oracle's candidates
+    _, report, _ = run_and_contract(g, SprParams.for_graph(g, seed=seed))
+    assert best_partition(g).best_distortion <= report.max_ratio
