@@ -321,15 +321,15 @@ def _expand(labels, csr, c, pairs, base):
     degree = indptr[vertex + 1] - start
     # one candidate per out-edge; in-place updates keep the temporaries at
     # about 25 bytes a candidate, plus 8 per improving one
-    edge = np.repeat(start - np.cumsum(degree) + degree, degree)
+    edge = (start - degree.cumsum() + degree).repeat(degree)
     edge += np.arange(edge.size)
-    cand = np.repeat(base, degree)
+    cand = base.repeat(degree)
     cand += weight[edge]
     target = nbr[edge]
     del edge
     target *= c
-    target += np.repeat(col, degree)
-    keep = np.flatnonzero(cand < labels[target])
+    target += col.repeat(degree)
+    keep = (cand < labels[target]).nonzero()[0]
     target = target[keep]
     np.minimum.at(labels, target, cand[keep])
     return target
