@@ -1,8 +1,8 @@
 import math
 import os
-from array import array
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -304,7 +304,9 @@ def test_kernel_phases_run():
 
             with mock.patch.object(graph_module, "_dijkstra", spy), \
                     mock.patch.object(graph_module, "_BLOCK", block):
-                rows = list(_distance_columns(g._index_adjacency, pos, g._csr, chunk=4, width=width))
+                rows = list(
+                    _distance_columns(g._index_adjacency, pos, g._csr, chunk=4, width=width)
+                )
             assert all(type(row) is array and row.typecode == "d" for row in rows)
             assert [[d.hex() for d in row] for row in rows] == expected
             assert all(calls)

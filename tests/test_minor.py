@@ -295,15 +295,6 @@ def test_distortion_small_k_equals_pair_loop(k):
         assert len(report.pairs) == k * (k - 1) // 2
 
 
-def test_distortion_ties_pick_first_pair():
-    # every pair has ratio 1, so the argmax is the first pair
-    g = star_3()
-    minor = InducedMinor(k=3, terminal_ids=(1, 2, 3), edges=((1, 2, 2.0), (1, 3, 2.0), (2, 3, 2.0)))
-    report = distortion(g, minor)
-    assert report.argmax == (1, 2) and report.max_ratio == 1.0
-    assert outcome(distortion, g, minor) == outcome(reference_distortion, g, minor)
-
-
 def test_distortion_unreachable_pair_message_unchanged():
     # components {0, 1, 2} and {3, 4}: the first unreachable pair in (i, j)
     # order is terminals 1 and 3, that is vertices 0 and 3
