@@ -10,9 +10,12 @@ For each size (n=2k k=16, n=20k k=64, n=50k k=256) a fresh child process
 builds the sparse graph of ``perfbench/inputs.sparse_graph_text`` (graph
 seed 0) and runs the traced ``compress-cold`` unit of
 ``perfbench/workloads.py`` on it with run seed 0, then the covering check,
-three times.  Each layer is timed in wall seconds under the benchmark's span
-name.  The file keeps the median per layer, the exact work counts and the
-child's peak RSS.  The run also records the
+three times.  One more child builds the ``analyze-pair`` graph and one trace
+(run seed 0) with that workload's set-up, then verifies the trace, checks
+its covering and replays its charging ledger, the workload's unit, three
+times.  Each layer is timed in wall seconds under the benchmark's span
+name, the set-up's under ``setup.``.  The file keeps the median per layer,
+the exact work counts and the child's peak RSS.  The run also records the
 machine, the host speed from the benchmark's calibration kernel
 (``perfbench/calibrate.py``) before and after the sizes, and the wall time
 of the checkout's tier-1 tests.
@@ -98,6 +101,38 @@ def time_size(n: int, k: int) -> dict:
     }
 
 
+def time_pair() -> dict:
+    """The analyze-pair unit on one trace, in this process: per-layer medians,
+    counts and peak RSS."""
+    import workloads
+
+    seconds: dict[str, list[float]] = {}
+
+    @contextmanager
+    def span(name):
+        start = time.perf_counter()
+        yield
+        seconds.setdefault(name, []).append(time.perf_counter() - start)
+
+    wl = workloads.WORKLOADS["analyze-pair"]
+    sizes = {**wl.sizes, "pool": 1}
+    state = wl.setup(RUN_SEED, sizes, span)
+    # the set-up runs once and may enter a span twice: keep each span's sum
+    layers = {f"setup.{name}": sum(v) for name, v in seconds.items()}
+    seconds.clear()
+    for _ in range(REPEATS):
+        out = wl.unit(state, 0, span)
+    layers.update((name, statistics.median(v)) for name, v in seconds.items())
+    return {
+        "sizes": sizes,
+        "run_seed": RUN_SEED,
+        "repeats": REPEATS,
+        "layers_s": layers,
+        "counts": workloads.counts(out),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
 def host_speed() -> dict:
     """The calibration kernel's median over a few runs, as a speed ratio."""
     import calibrate
@@ -179,7 +214,12 @@ def main() -> int:
 
     if args.child:
         what, n, k = args.child
-        result = host_speed() if what == "speed" else time_size(int(n), int(k))
+        if what == "speed":
+            result = host_speed()
+        elif what == "pair":
+            result = time_pair()
+        else:
+            result = time_size(int(n), int(k))
         print(json.dumps(result))
         return 0
 
@@ -196,6 +236,10 @@ def main() -> int:
         layers = results[-1]["layers_s"]
         print("  " + "  ".join(f"{name}={s:.3f}" for name, s in layers.items()),
               file=sys.stderr, flush=True)
+    print(f"bench: analyze-pair, {REPEATS} repeats", file=sys.stderr, flush=True)
+    pair = child(src, "pair", "0", "0")
+    print("  " + "  ".join(f"{name}={s:.3f}" for name, s in pair["layers_s"].items()),
+          file=sys.stderr, flush=True)
     speed_after = child(src, "speed", "0", "0")
     run = {
         "git_commit": git_commit(src),
@@ -203,6 +247,7 @@ def main() -> int:
         "host_speed": {"before": speed_before, "after": speed_after},
         "tier1": tier1(src),
         "sizes": results,
+        "analyze_pair": pair,
     }
 
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -235,7 +235,7 @@ def reconstruct_ledger(
     """
     if trace.terminal_ids != graph.terminals:
         raise LedgerError("trace terminals do not match graph terminals")
-    unknown = {ev.vertex for ev in trace.cover_events} - graph.vertex_set
+    unknown = {ev.vertex for ev in trace.cover_events}.difference(graph.index)
     if unknown:
         raise LedgerError(
             f"trace covers vertices not in this graph (e.g. {sorted(unknown)[:3]}); "

@@ -18,6 +18,12 @@ round.  Two timing events matter:
 A third per-run check: vertices claimed by the same terminal in the same
 round should sit at comparable distances; the spread bound is
 max d(t, v') <= (4 / early_factor) * min D(v) over the group.
+
+``check_covering`` reads both distances of an event at the vertex's
+position: d(v, t) from terminal t's row of ``terminal_distance_maps`` and
+D(v) from the nearest-terminal row.  Each (terminal, round) group keeps only
+its running largest d(v, t) and smallest D(v).  A cover event that names a
+terminal vertex (D(v) = 0, so no deadline round exists) is an input error.
 """
 
 from __future__ import annotations
@@ -86,7 +92,9 @@ def check_covering(
         raise GraphError("params terminal count does not match graph")
     if graph.k < 2:
         return CoveringCheck(records=(), groups=())
-    unknown = {ev.vertex for ev in trace.cover_events} - graph.vertex_set
+    events = trace.cover_events
+    index = graph.index
+    unknown = {ev.vertex for ev in events}.difference(index)
     if unknown:
         raise GraphError(
             f"trace covers vertices not in this graph (e.g. {sorted(unknown)[:3]}); "
@@ -94,9 +102,9 @@ def check_covering(
             "subdivided graph"
         )
     row_of = dict(zip(graph.terminals, graph.terminal_distance_maps))
-    index = graph.index
-    nearest = graph.nearest_terminal_distance
+    nearest = graph._nearest_row
     log, floor, inf = math.log, math.floor, math.inf
+    new = tuple.__new__
     # round thresholds are floor(log_ratio(x)); x <= 0 cannot occur for
     # positive distances, and a tiny x gives a very negative round that no
     # round >= 0 can meet
@@ -104,35 +112,43 @@ def check_covering(
     ef = params.early_factor
 
     records = []
-    groups: dict[tuple[int, int], list[CoverRecord]] = {}
-    for v, t, rnd, _, _ in trace.cover_events:
+    # (terminal, round) -> [largest d(v, t), smallest D(v)] over the group
+    groups: dict[tuple[int, int], list[float]] = {}
+    for v, t, rnd, _, _ in events:
+        p = index[v]
         try:
-            d_cover = row_of[t][index[v]]
+            d_cover = row_of[t][p]
         except KeyError:  # t is not a terminal
             d_cover = inf
         if d_cover == inf:
             raise GraphError(f"vertex {v} is not reachable from {t}")
-        d_near = nearest[v]
-        deadline = floor(log(DEADLINE_FACTOR * d_near) / log_ratio)
+        d_near = nearest[p]
+        try:
+            deadline = floor(log(DEADLINE_FACTOR * d_near) / log_ratio)
+        except ValueError:  # log(0): v is a terminal
+            raise GraphError(f"trace covers terminal {v}; terminals are never claimed") from None
         early = floor(log(ef * d_cover) / log_ratio)
-        rec = CoverRecord(v, t, rnd, d_cover, d_near, deadline, early,
-                          rnd > deadline, rnd < early)
-        records.append(rec)
-        groups.setdefault((t, rnd), []).append(rec)
+        records.append(new(CoverRecord, (v, t, rnd, d_cover, d_near, deadline, early,
+                                         rnd > deadline, rnd < early)))
+        spread = groups.get((t, rnd))
+        if spread is None:
+            groups[t, rnd] = [d_cover, d_near]
+        else:
+            if d_cover > spread[0]:
+                spread[0] = d_cover
+            if d_near < spread[1]:
+                spread[1] = d_near
 
-    group_rows = []
-    for (t, rnd), recs in sorted(groups.items()):
-        max_dist = max(r.dist_to_terminal for r in recs)
-        min_near = min(r.nearest_terminal for r in recs)
-        group_rows.append(
-            GroupSpread(
-                terminal=t,
-                round=rnd,
-                max_dist=max_dist,
-                min_nearest=min_near,
-                ok=max_dist <= SPREAD_FACTOR * min_near * (1 + 1e-9),
-            )
+    group_rows = [
+        GroupSpread(
+            terminal=t,
+            round=rnd,
+            max_dist=max_dist,
+            min_nearest=min_near,
+            ok=max_dist <= SPREAD_FACTOR * min_near * (1 + 1e-9),
         )
+        for (t, rnd), (max_dist, min_near) in sorted(groups.items())
+    ]
     return CoveringCheck(records=tuple(records), groups=tuple(group_rows))
 
 

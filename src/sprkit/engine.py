@@ -7,16 +7,21 @@ unclaimed territory.  Claims are permanent.  The run ends at the first round
 boundary where no vertex is unclaimed, and the full history (every radius
 increment, every coverage event) is recorded in a trace.
 
-Each cluster keeps one frontier heap of (distance, vertex) entries for the
-whole run.  A step pops entries while the smallest distance is within the
-radius, skips vertices already claimed (lazy deletion), claims the rest at
-the popped distance and pushes (d + w, neighbour) for every unclaimed
-neighbour.  This equals a fresh region-restricted search from t_j at every
-step: once v joins cluster j its shortest path through the allowed region
-lies inside cluster j, and every later region (cluster j plus the unclaimed
-vertices) still contains that path, so v's distance never changes.  Its
-float value does not change either, because fl(a + w) is monotone in a.
-Ties pop in vertex-id order, as they would in the fresh search.
+The run works on vertex positions (``graph.index``) over the position
+adjacency: the owner of every position is a list entry, and each cluster
+keeps one frontier heap of (distance, position) entries for the whole run.
+Ids appear only at the edges: each cover event names ``graph.vertices[p]``,
+and the partition dict is built once at the end.  A step pops entries while
+the smallest distance is within the radius, skips positions already claimed
+(lazy deletion), claims the rest at the popped distance and pushes
+(d + w, neighbour) for every unclaimed neighbour.  This equals a fresh
+region-restricted search from t_j at every step: once v joins cluster j its
+shortest path through the allowed region lies inside cluster j, and every
+later region (cluster j plus the unclaimed vertices) still contains that
+path, so v's distance never changes.  Its float value does not change
+either, because fl(a + w) is monotone in a.  Ties pop in vertex-id order, as
+they would in the fresh search: ``vertices`` is sorted, so position order is
+id order, and equal distances pop by position exactly as they would by id.
 
 Determinism: a run is a pure function of (graph, params).  The stream of
 uniform draws comes from a counter-based Philox generator keyed by
@@ -311,28 +316,31 @@ def min_terminal_pair_distance(graph: WeightedGraph) -> float:
     """
     if graph.k < 2:
         raise GraphError("need at least two terminals")
-    dist: dict[int, float] = {}
-    label: dict[int, int] = {}
+    index = graph.index
+    adj = graph._index_adjacency
+    # by vertex position; label -1 = not reached yet
+    dist = [math.inf] * graph.n
+    label = [-1] * graph.n
     heap: list[tuple[float, int, int]] = [
-        (0.0, t, idx) for idx, t in enumerate(graph.terminals)
+        (0.0, index[t], idx) for idx, t in enumerate(graph.terminals)
     ]
     heap.sort()
-    adj = graph.adjacency
     while heap:
-        d, v, src = heappop(heap)
-        if v in dist:
+        d, p, src = heappop(heap)
+        if label[p] >= 0:
             continue
-        dist[v] = d
-        label[v] = src
-        for nbr, w in adj[v]:
-            if nbr not in dist:
-                heappush(heap, (d + w, nbr, src))
+        dist[p] = d
+        label[p] = src
+        for q, w in adj[p]:
+            if label[q] < 0:
+                heappush(heap, (d + w, q, src))
     best = math.inf
     for u, v, w in graph.edges:
-        if u in label and v in label and label[u] != label[v]:
+        i, j = index[u], index[v]
+        if label[i] >= 0 and label[j] >= 0 and label[i] != label[j]:
             # the minimizing pair's shortest path changes label at some edge,
             # and there dist[u] + w + dist[v] equals the pair distance
-            best = min(best, dist[u] + w + dist[v])
+            best = min(best, dist[i] + w + dist[j])
     if not math.isfinite(best):
         raise GraphError("terminals are not mutually reachable")
     return best
@@ -361,8 +369,9 @@ def run_spr(
     """
     if params.k != graph.k:
         raise GraphError(f"params bound to k={params.k}, graph has k={graph.k}")
+    index = graph.index
     for t in graph.terminals:
-        if t not in graph.vertex_set:
+        if t not in index:
             raise GraphError(f"terminal {t} missing from graph")
 
     if graph.k == 1:
@@ -372,17 +381,19 @@ def run_spr(
         raise GraphError("clustering requires a connected graph")
 
     k = graph.k
-    terminals = graph.terminals
-    adj = graph.adjacency
-    owner = dict.fromkeys(graph.vertices, 0)  # 1-based cluster index, 0 = unclaimed
+    terminals, vertices = graph.terminals, graph.vertices
+    adj = graph._index_adjacency
+    # 1-based cluster index by vertex position, 0 = unclaimed
+    owner = [0] * graph.n
     for j, t in enumerate(terminals, start=1):
-        owner[t] = j
+        owner[index[t]] = j
     uncovered = graph.n - k
-    # one frontier per cluster: (distance from t_j, vertex) for every unclaimed
-    # neighbour of the cluster, with lazy deletion of vertices claimed since
+    # one frontier per cluster: (distance from t_j, position) for every
+    # unclaimed neighbour of the cluster, with lazy deletion of positions
+    # claimed since
     frontiers = []
     for t in terminals:
-        frontier = [(w, nbr) for nbr, w in adj[t] if not owner[nbr]]
+        frontier = [(w, q) for q, w in adj[index[t]] if not owner[q]]
         heapify(frontier)
         frontiers.append(frontier)
 
@@ -392,6 +403,7 @@ def run_spr(
     guard = params.max_rounds if params.max_rounds is not None else default_round_guard(graph, params)
 
     radii = [0.0] * k
+    new = tuple.__new__
     radius_events: list[RadiusEvent] = []
     cover_events: list[CoverEvent] = []
     rnd = 0
@@ -410,21 +422,23 @@ def run_spr(
             q = -mean * math.log1p(-u)
             radii[j - 1] += q
             radius = radii[j - 1]
-            radius_events.append(RadiusEvent(rnd, j, q, radius))
+            # tuple.__new__ skips the NamedTuple constructor's argument parsing
+            radius_events.append(new(RadiusEvent, (rnd, j, q, radius)))
             frontier = frontiers[j - 1]
+            t = terminals[j - 1]
             while frontier and frontier[0][0] <= radius:
-                d, v = heappop(frontier)
-                if owner[v]:
+                d, p = heappop(frontier)
+                if owner[p]:
                     continue
-                owner[v] = j
+                owner[p] = j
                 uncovered -= 1
-                cover_events.append(CoverEvent(v, terminals[j - 1], rnd, j, d))
-                for nbr, w in adj[v]:
-                    if not owner[nbr]:
-                        heappush(frontier, (d + w, nbr))
+                cover_events.append(new(CoverEvent, (vertices[p], t, rnd, j, d)))
+                for q, w in adj[p]:
+                    if not owner[q]:
+                        heappush(frontier, (d + w, q))
         rnd += 1
 
-    partition = TerminalPartition(assignment=owner)
+    partition = TerminalPartition(assignment=dict(zip(vertices, owner)))
     trace = RunTrace(
         delta=params.delta, seed=params.seed, k=k, terminal_ids=terminals,
         radius_events=radius_events, cover_events=cover_events, rounds=rnd,

@@ -6,7 +6,14 @@ can be shared freely across threads.
 
 Vertex ids are nonnegative integers.  Loaders and generators hand out dense
 ids 0..n-1; operations such as ``induced_subgraph`` keep the original ids.
-``WeightedGraph.index`` maps each id to its position in ``vertices``.
+``WeightedGraph.index`` maps each id to its position in ``vertices``, and
+``vertices`` is sorted, so position order is id order.  The position
+adjacency (``(position, weight)`` rows, built once from ``edges``) serves
+the distance kernel below, the connectivity check, the clustering engine,
+the partition check and contraction (``minor``), the covering check and
+the closest-terminal-pair search.  The dict ``adjacency`` keyed by id serves
+``shortest_paths`` and ``ClusterReplay`` only, so ``sprkit run`` never
+builds it.
 
 Every all-vertex distance computation (the k terminal rows, the multi-source
 nearest-terminal distances, the minor's all-pairs matrix) runs one exact
@@ -146,10 +153,6 @@ class WeightedGraph:
         return len(self.terminals)
 
     @cached_property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-    @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, float], ...]]:
         adj: dict[int, list[tuple[int, float]]] = {v: [] for v in self.vertices}
         for u, v, w in self.edges:
@@ -164,10 +167,21 @@ class WeightedGraph:
 
     @cached_property
     def _index_adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """``(position, weight)`` of every neighbour, per position.
+
+        ``edges`` are sorted with ``u < v``, so each row receives its lower
+        neighbours, then its higher ones, each in ascending order: rows come
+        out sorted, in the neighbour order of ``adjacency``.
+        """
+        index = self.index
+        adj: list[list[tuple[int, float]]] = [[] for _ in self.vertices]
+        for u, v, w in self.edges:
+            i, j = index[u], index[v]
+            adj[i].append((j, w))
+            adj[j].append((i, w))
         # tuples, not lists: the garbage collector stops tracking tuples of
         # atoms, so a cached graph adds nothing to every full collection
-        index, adj = self.index, self.adjacency
-        return tuple(tuple([(index[u], w) for u, w in adj[v]]) for v in self.vertices)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,9 +203,14 @@ class WeightedGraph:
     @cached_property
     def nearest_terminal_distance(self) -> dict[int, float]:
         """Distance from every reachable vertex to its closest terminal."""
+        return {v: d for v, d in zip(self.vertices, self._nearest_row) if d != math.inf}
+
+    @cached_property
+    def _nearest_row(self) -> array:
+        # the same distances by position, math.inf where no terminal is reachable
         sources = [self.index[t] for t in self.terminals]
         [dist] = _distance_columns(self._index_adjacency, [sources], self._csr)
-        return {v: d for v, d in zip(self.vertices, dist) if d != math.inf}
+        return dist
 
     def is_connected(self) -> bool:
         return self._connected
@@ -201,16 +220,16 @@ class WeightedGraph:
         # computed once: the graph is immutable
         if not self.vertices:
             return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        adj = self.adjacency
+        adj = self._index_adjacency
+        seen = bytearray(self.n)
+        seen[0] = 1
+        stack = [0]
         while stack:
-            v = stack.pop()
-            for nbr, _ in adj[v]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        return len(seen) == self.n
+            for q, _ in adj[stack.pop()]:
+                if not seen[q]:
+                    seen[q] = 1
+                    stack.append(q)
+        return 0 not in seen
 
 
 @dataclass(frozen=True)
@@ -368,7 +387,7 @@ def _dijkstra(
 
 def shortest_paths(graph: WeightedGraph, source: int) -> DistanceMap:
     """Exact Dijkstra distances from ``source`` with canonical predecessors."""
-    if source not in graph.vertex_set:
+    if source not in graph.index:
         raise GraphError(f"unknown source vertex {source}")
     dist: dict[int, float] = {}
     pred: dict[int, int] = {}
@@ -508,7 +527,7 @@ class ClusterReplay:
 def induced_subgraph(graph: WeightedGraph, keep) -> WeightedGraph:
     """Subgraph on ``keep``: all edges with both endpoints kept, terminals restricted."""
     keep_set = set(int(v) for v in keep)
-    unknown = keep_set - graph.vertex_set
+    unknown = keep_set.difference(graph.index)
     if unknown:
         raise GraphError(f"keep set contains unknown vertices {sorted(unknown)}")
     edges = [(u, v, w) for u, v, w in graph.edges if u in keep_set and v in keep_set]

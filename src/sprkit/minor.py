@@ -54,26 +54,43 @@ def validate_partition(
     Violations are data, not exceptions: totality, terminal placement, and
     per-cluster connectivity are each reported with a witness.
     """
+    return _check_partition(graph, partition)[0]
+
+
+def _check_partition(
+    graph: WeightedGraph, partition: TerminalPartition
+) -> tuple[list[PartitionViolation], list]:
+    """``validate_partition``'s violations and the cluster index of every
+    vertex position.
+
+    Each cluster is searched from its terminal over the position adjacency.
+    The clusters are disjoint, so one seen-flag per position serves them
+    all, and a cluster's lowest unreached position is its lowest unreached
+    vertex id.
+    """
     violations: list[PartitionViolation] = []
     assignment = partition.assignment
-    k = graph.k
-    for v in assignment:
-        if v not in graph.vertex_set:
-            violations.append(
-                PartitionViolation("unknown-vertex", f"vertex {v} not in graph", (v,))
-            )
-    for v in graph.vertices:
-        j = assignment.get(v)
-        if j is None:
-            violations.append(
-                PartitionViolation("unassigned", f"vertex {v} has no cluster", (v,))
-            )
-        elif not (1 <= j <= k):
-            violations.append(
-                PartitionViolation(
-                    "bad-index", f"vertex {v} assigned to index {j} outside 1..{k}", (v, j)
+    k, index, vertices = graph.k, graph.index, graph.vertices
+    # the per-vertex loops run only when a set comparison finds a fault
+    if not assignment.keys() <= index.keys():
+        violations += [
+            PartitionViolation("unknown-vertex", f"vertex {v} not in graph", (v,))
+            for v in assignment if v not in index
+        ]
+    label = list(map(assignment.get, vertices))
+    if not set(label) <= set(range(1, k + 1)):
+        for v, j in zip(vertices, label):
+            if j is None:
+                violations.append(
+                    PartitionViolation("unassigned", f"vertex {v} has no cluster", (v,))
                 )
-            )
+            elif not (1 <= j <= k):
+                violations.append(
+                    PartitionViolation(
+                        "bad-index", f"vertex {v} assigned to index {j} outside 1..{k}",
+                        (v, j),
+                    )
+                )
     for idx, t in enumerate(graph.terminals, start=1):
         j = assignment.get(t)
         if j is not None and j != idx:
@@ -85,33 +102,35 @@ def validate_partition(
                 )
             )
     if violations:
-        return violations
-    adj = graph.adjacency
-    members: list[list[int]] = [[] for _ in range(k + 1)]
-    for v in graph.vertices:
-        members[assignment[v]].append(v)
-    for idx in range(1, k + 1):
-        cluster = members[idx]
-        start = graph.terminals[idx - 1]
-        seen = {start}
+        return violations, label
+    adj = graph._index_adjacency
+    seen = bytearray(graph.n)
+    for idx, t in enumerate(graph.terminals, start=1):
+        start = index[t]
+        seen[start] = 1
         stack = [start]
         while stack:
-            v = stack.pop()
-            for nbr, _ in adj[v]:
-                if nbr not in seen and assignment[nbr] == idx:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        if len(seen) != len(cluster):
-            stranded = min(v for v in cluster if v not in seen)
-            violations.append(
-                PartitionViolation(
-                    "disconnected-cluster",
-                    f"cluster {idx} splits into components containing "
-                    f"{start} and {stranded}",
-                    (idx, start, stranded),
-                )
+            for q, _ in adj[stack.pop()]:
+                if not seen[q] and label[q] == idx:
+                    seen[q] = 1
+                    stack.append(q)
+    # the lowest unreached vertex of every cluster that has one
+    stranded: dict[int, int] = {}
+    p = seen.find(0)
+    while p >= 0:
+        stranded.setdefault(label[p], vertices[p])
+        p = seen.find(0, p + 1)
+    for idx in sorted(stranded):
+        start = graph.terminals[idx - 1]
+        violations.append(
+            PartitionViolation(
+                "disconnected-cluster",
+                f"cluster {idx} splits into components containing "
+                f"{start} and {stranded[idx]}",
+                (idx, start, stranded[idx]),
             )
-    return violations
+        )
+    return violations, label
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,16 +160,17 @@ class InducedMinor:
 
 
 def contract(graph: WeightedGraph, partition: TerminalPartition) -> InducedMinor:
-    """Contract each cluster to its terminal; single scan over the edge list."""
-    violations = validate_partition(graph, partition)
+    """Contract each cluster to its terminal; one scan over the position rows."""
+    violations, label = _check_partition(graph, partition)
     if violations:
         raise InvalidPartitionError(violations)
-    assignment = partition.assignment
+    # every crossing edge is read from both ends; keep the one with i < j
     crossing: set[tuple[int, int]] = set()
-    for u, v, _ in graph.edges:
-        i, j = assignment[u], assignment[v]
-        if i != j:
-            crossing.add((min(i, j), max(i, j)))
+    for i, row in zip(label, graph._index_adjacency):
+        for q, _ in row:
+            j = label[q]
+            if i < j:
+                crossing.add((i, j))
     rows, index = graph.terminal_distance_maps, graph.index
     edges = []
     for i, j in sorted(crossing):

@@ -51,7 +51,7 @@ def verify_trace(
     # coverage uniqueness and vertex validity
     covered_at: dict[int, tuple[int, int]] = {}
     for ev in trace.cover_events:
-        if ev.vertex not in graph.vertex_set:
+        if ev.vertex not in graph.index:
             violations.append(f"cover event for unknown vertex {ev.vertex}")
         if ev.vertex in covered_at:
             violations.append(f"vertex {ev.vertex} covered twice")

@@ -266,6 +266,27 @@ def test_run_subdivide_writes_graph_and_analyze_catches_mismatch(tmp_path):
     assert doc["segments"][0]["cost_bound"]["structural_ok"]
 
 
+def test_analyze_cover_event_for_terminal_is_usage_error(tmp_path, capsys):
+    gpath = tmp_path / "grid.txt"
+    assert main([
+        "gen", "--family", "grid", "--width", "6", "--height", "6", "--k", "4",
+        "--out", str(gpath),
+    ]) == 0
+    out = tmp_path / "trace.json"
+    assert main(["run", "--graph", str(gpath), "--seed", "3", "--out", str(out)]) == 0
+    # terminal 35 claimed by terminal 0, right after the first real claim
+    doc = json.loads(out.read_text())
+    first = next(i for i, ev in enumerate(doc["events"]) if ev["type"] == "cover")
+    doc["events"].insert(first + 1, dict(doc["events"][first], vertex=35, terminal=0))
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([
+        "analyze", "--graph", str(gpath), "--pair", "0", "5", "--traces", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: trace covers terminal 35; terminals are never claimed"]
+
+
 def test_missing_file_is_io_error(tmp_path):
     assert main(["run", "--graph", str(tmp_path / "no.txt"), "--out", "x.json"]) == 3
 

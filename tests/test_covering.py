@@ -1,12 +1,19 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import coarse_subdivided_random, random_connected_graph
+from conftest import (
+    coarse_subdivided_random,
+    random_connected_graph,
+    small_integer_weighted_graphs,
+)
+from covering_reference import reference_check_covering
 from sprkit import RunTrace, SprParams, check_covering, run_spr, summarize_covering
-from sprkit.covering import SPREAD_FACTOR
+from sprkit.covering import SPREAD_FACTOR, CoverRecord
 from sprkit.engine import CoverEvent
-from sprkit.graph import WeightedGraph
+from sprkit.graph import GraphError, WeightedGraph, subdivide_edges
 
 
 def _unit_path(n_edges: int) -> WeightedGraph:
@@ -128,3 +135,84 @@ def test_mismatched_trace_rejected():
     _, trace = run_spr(g, SprParams.for_graph(g, seed=0))
     with pytest.raises(Exception):
         check_covering(trace, other, SprParams.for_graph(other))
+
+
+@pytest.mark.parametrize("vertex", [0, 2])
+def test_cover_event_for_terminal_is_graph_error(vertex):
+    # D(v) = 0 for a terminal, so its deadline round has no value
+    g = _unit_path(2)
+    bad = _trace(g, [(1, 0, 3, 1, 1.0), (vertex, 0, 3, 1, 2.0)], 4)
+    with pytest.raises(GraphError, match=f"trace covers terminal {vertex}; "):
+        check_covering(bad, g, SprParams.for_graph(g))
+
+
+# --- position-indexed check against the id-keyed reference -----------------
+
+TAMPERS = ("none", "round", "terminal", "shuffle", "unknown", "non-terminal",
+           "cover-terminal", "unreachable")
+
+
+def _tamper(g: WeightedGraph, trace: RunTrace, kind: str, data):
+    """A copy of ``trace`` changed as ``kind`` says, and the graph to check
+    it against."""
+    covers = list(trace.cover_events)
+    i = data.draw(st.integers(0, len(covers) - 1))
+    ev = covers[i]
+    if kind == "round":
+        # other groups, and other late and early flags
+        covers[i] = ev._replace(round=data.draw(st.integers(0, trace.rounds + 30)))
+    elif kind == "terminal":
+        covers[i] = ev._replace(terminal=data.draw(st.sampled_from(g.terminals)))
+    elif kind == "shuffle":
+        # a group's events no longer sit together
+        covers = data.draw(st.permutations(covers))
+    elif kind == "unknown":
+        covers.insert(i, ev._replace(vertex=max(g.vertices) + data.draw(st.integers(1, 5))))
+    elif kind == "non-terminal":
+        covers[i] = ev._replace(terminal=ev.vertex)
+    elif kind == "cover-terminal":
+        covers.insert(i, ev._replace(vertex=data.draw(st.sampled_from(g.terminals))))
+    elif kind == "unreachable":
+        # one vertex that no terminal reaches
+        lone = max(g.vertices) + 1
+        g = WeightedGraph.build([*g.vertices, lone], g.edges, g.terminals)
+        covers.insert(i, ev._replace(vertex=lone))
+    tampered = RunTrace(
+        delta=trace.delta, seed=trace.seed, k=trace.k, terminal_ids=trace.terminal_ids,
+        radius_events=trace.radius_events, cover_events=covers, rounds=trace.rounds,
+    )
+    return g, tampered
+
+
+def _outcome(check, trace, g, params):
+    try:
+        result = check(trace, g, params)
+    except ValueError as exc:  # GraphError included
+        return type(exc), str(exc)
+    return result.records, result.groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_integer_weighted_graphs(),
+    st.sampled_from([None, 0.5, 1.5]),
+    st.integers(0, 2**32),
+    st.sampled_from(TAMPERS),
+    st.data(),
+)
+def test_check_covering_matches_reference(g, threshold, seed, kind, data):
+    if threshold is not None:
+        g = subdivide_edges(g, threshold).graph
+    params = SprParams.for_graph(g, seed=seed)
+    _, trace = run_spr(g, params)
+    assume(trace.cover_events)
+    g, trace = _tamper(g, trace, kind, data)
+    got = _outcome(check_covering, trace, g, params)
+    ref = _outcome(reference_check_covering, trace, g, params)
+    if ref == (ValueError, "math domain error"):
+        # the reference's crash on a covered terminal is now an input error
+        assert got[0] is GraphError and got[1].startswith("trace covers terminal ")
+        return
+    assert got == ref
+    if kind == "none":
+        assert all(type(rec) is CoverRecord for rec in got[0])

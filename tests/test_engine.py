@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -290,6 +291,35 @@ def test_run_accepts_non_dense_vertex_ids():
     assert set(part.assignment) == {0, 5, 9, 12, 20}
     assert validate_partition(g, part) == []
     assert verify_trace(g, trace, p).ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_integer_weighted_graphs(), st.integers(0, 2**32), st.data())
+def test_run_commutes_with_increasing_relabeling(g, seed, data):
+    # an increasing map keeps position order, so ties pop alike and the run
+    # is the same run with its ids mapped
+    gaps = data.draw(st.lists(st.integers(1, 1000), min_size=g.n, max_size=g.n))
+    relabel = dict(zip(g.vertices, accumulate(gaps)))
+    g2 = WeightedGraph.build(
+        relabel.values(),
+        [(relabel[u], relabel[v], w) for u, v, w in g.edges],
+        [relabel[t] for t in g.terminals],
+    )
+    params = SprParams.for_graph(g, seed=seed)
+    part, trace = run_spr(g, params)
+    part2, trace2 = run_spr(g2, params)
+    assert trace2.rounds == trace.rounds
+    assert trace2.radius_events == trace.radius_events
+    assert trace2.cover_events == [
+        ev._replace(vertex=relabel[ev.vertex], terminal=relabel[ev.terminal])
+        for ev in trace.cover_events
+    ]
+    assert all(type(ev) is RadiusEvent for ev in trace2.radius_events)
+    assert all(type(ev) is CoverEvent for ev in trace2.cover_events)
+    assert list(part.assignment) == list(g.vertices)
+    assert list(part2.assignment.items()) == [
+        (relabel[v], j) for v, j in part.assignment.items()
+    ]
 
 
 def test_verify_subdivided_run():

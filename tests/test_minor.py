@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import path_t_s_t, random_connected_graph, star_3
+from conftest import path_t_s_t, random_connected_graph, small_integer_weighted_graphs, star_3
 from distortion_reference import reference_distortion
+from partition_reference import reference_crossing_pairs, reference_validate_partition
 from sprkit import SprParams, run_and_contract, run_spr
-from sprkit.graph import GraphError, WeightedGraph, subdivide_edges
+from sprkit.graph import GraphError, WeightedGraph, induced_subgraph, subdivide_edges
 from sprkit.minor import (
     InducedMinor,
     InvalidPartitionError,
@@ -223,6 +224,57 @@ def test_random_runs_yield_valid_partitions(seed):
     g = random_connected_graph(14, 4, seed=seed % 1000, extra_edges=7)
     part, _ = run_spr(g, SprParams.for_graph(g, seed=seed))
     assert validate_partition(g, part) == []
+
+
+# --- position-indexed partition check against the id-keyed reference ------
+
+FAULTS = ("drop", "unknown", "bad-index", "terminal", "move")
+
+
+@st.composite
+def partitions(draw):
+    """A graph, half the time an induced subgraph with non-dense ids (and
+    perhaps disconnected), with a run's partition or random clusters, and
+    up to four faults of the kinds ``validate_partition`` reports."""
+    g = draw(small_integer_weighted_graphs())
+    if draw(st.booleans()):
+        keep = draw(st.sets(st.sampled_from(g.vertices), min_size=1))
+        g = induced_subgraph(g, keep | {g.terminals[0]})
+    k = g.k
+    if g.is_connected() and draw(st.booleans()):
+        seed = draw(st.integers(0, 2**16))
+        assignment = dict(run_spr(g, SprParams.for_graph(g, seed=seed))[0].assignment)
+    else:
+        assignment = {v: draw(st.integers(1, k)) for v in g.vertices}
+        assignment.update((t, j) for j, t in enumerate(g.terminals, start=1))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=4)):
+        v = draw(st.sampled_from(g.vertices))
+        if fault == "drop":
+            assignment.pop(v, None)
+        elif fault == "unknown":
+            assignment[max(g.vertices) + draw(st.integers(1, 5))] = draw(st.integers(1, k))
+        elif fault == "bad-index":
+            assignment[v] = draw(st.sampled_from([-1, 0, k + 1]))
+        elif fault == "terminal":
+            assignment[draw(st.sampled_from(g.terminals))] = draw(st.integers(1, k + 1))
+        else:
+            assignment[v] = draw(st.integers(1, k))
+    return g, TerminalPartition(assignment)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitions())
+def test_validate_partition_matches_reference(case):
+    g, part = case
+    violations = validate_partition(g, part)
+    assert violations == reference_validate_partition(g, part)
+    if violations:
+        with pytest.raises(InvalidPartitionError) as exc:
+            contract(g, part)
+        assert exc.value.violations == violations
+    else:
+        minor = contract(g, part)
+        assert [(i, j) for i, j, _ in minor.edges] == reference_crossing_pairs(g, part)
 
 
 # --- row-wise distortion against the per-pair loop ------------------------
