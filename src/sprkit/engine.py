@@ -39,6 +39,8 @@ import json
 import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import compress, repeat
+from operator import itemgetter, not_
 from typing import NamedTuple
 
 import numpy as np
@@ -118,10 +120,6 @@ class SprParams:
     def interval_factor(self) -> float:
         return INTERVAL_FACTOR
 
-    @property
-    def concentration_factor(self) -> float:
-        return 3.0 * self.delta * INTERVAL_FACTOR
-
     @staticmethod
     def for_graph(
         graph: WeightedGraph,
@@ -197,28 +195,37 @@ class RunTrace:
 
     @staticmethod
     def from_json(text: str) -> "RunTrace":
-        """Parse trace JSON; any syntax or schema fault raises TraceFormatError."""
+        """Parse trace JSON; any syntax or schema fault raises TraceFormatError.
+
+        Events are decoded by type, not one by one: one ``itemgetter`` reads
+        every field of an event, and ``tuple.__new__`` builds the record
+        without the argument handling of a NamedTuple call.
+        """
         try:
             doc = json.loads(text)
         except ValueError as exc:
             raise TraceFormatError(f"trace is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise TraceFormatError("trace is not valid JSON: nested too deeply") from None
         if not isinstance(doc, dict) or "events" not in doc or "params" not in doc:
             raise TraceFormatError("not a run trace: missing 'params'/'events'")
-        radius_events = []
-        cover_events = []
+        events, p = doc["events"], doc["params"]
+        if not isinstance(events, list):
+            raise TraceFormatError("malformed run trace: 'events' is not a list")
+        if not isinstance(p, dict):
+            raise TraceFormatError("malformed run trace: 'params' is not an object")
         try:
-            for ev in doc["events"]:
-                if ev["type"] == "radius":
-                    radius_events.append(
-                        RadiusEvent(ev["round"], ev["step"], ev["q"], ev["R"])
-                    )
-                elif ev["type"] == "cover":
-                    cover_events.append(
-                        CoverEvent(ev["vertex"], ev["terminal"], ev["round"], ev["step"], ev["dist"])
-                    )
-                else:
-                    raise TraceFormatError(f"unknown trace event type {ev['type']!r}")
-            p = doc["params"]
+            types = list(map(_EVENT_TYPE, events))
+            unknown = [t for t in types if t != "radius" and t != "cover"]
+            if unknown:
+                raise TraceFormatError(f"unknown trace event type {unknown[0]!r}")
+            is_cover = [t == "cover" for t in types]
+            radius = map(_RADIUS_FIELDS, compress(events, map(not_, is_cover)))
+            cover = map(_COVER_FIELDS, compress(events, is_cover))
+            radius_events = list(map(tuple.__new__, repeat(RadiusEvent), radius))
+            cover_events = list(map(tuple.__new__, repeat(CoverEvent), cover))
+            if not isinstance(p["terminals"], list):
+                raise TraceFormatError("malformed run trace: 'terminals' is not a list")
             trace = RunTrace(
                 delta=p["delta"],
                 seed=p["seed"],
@@ -236,19 +243,20 @@ class RunTrace:
         return trace
 
 
+_EVENT_TYPE = itemgetter("type")
+_RADIUS_FIELDS = itemgetter("round", "step", "q", "R")
+_COVER_FIELDS = itemgetter("vertex", "terminal", "round", "step", "dist")
+
+
 def _check_field_types(trace: RunTrace) -> None:
     """Ids, counts, rounds and steps must be JSON integers; q, R, dist and
     delta JSON numbers.  Checked column by column, not event by event."""
+    radius, cover = trace.radius_events, trace.cover_events
     ints = [(trace.seed, trace.k, trace.rounds), trace.terminal_ids]
-    numbers = [(trace.delta,)]
-    if trace.radius_events:
-        rnd, step, q, radius = zip(*trace.radius_events)
-        ints += [rnd, step]
-        numbers += [q, radius]
-    if trace.cover_events:
-        vertex, terminal, rnd, step, dist = zip(*trace.cover_events)
-        ints += [vertex, terminal, rnd, step]
-        numbers.append(dist)
+    ints += [map(itemgetter(i), radius) for i in (0, 1)]
+    ints += [map(itemgetter(i), cover) for i in (0, 1, 2, 3)]
+    numbers = [(trace.delta,), map(itemgetter(2), radius), map(itemgetter(3), radius),
+               map(itemgetter(4), cover)]
     if any(set(map(type, col)) - {int} for col in ints) or any(
         set(map(type, col)) - {int, float} for col in numbers
     ):

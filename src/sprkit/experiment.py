@@ -57,20 +57,44 @@ class ExperimentSpec:
             if "family" not in cfg:
                 raise GraphError(f"config missing 'family': {cfg}")
             k = cfg.get("k")
-            if k is not None and int(k) < 2 and not cfg.get("allow_single_terminal"):
+            if k is None:
+                continue
+            try:
+                k = int(k)
+            except (TypeError, ValueError):
+                raise GraphError(f"config {cfg} has a non-integer k") from None
+            if k < 2 and not cfg.get("allow_single_terminal"):
                 raise GraphError(f"config {cfg} has k < 2; set allow_single_terminal")
 
     @staticmethod
     def from_json(text: str) -> "ExperimentSpec":
-        doc = json.loads(text)
+        """Parse a spec; any syntax or schema fault raises GraphError."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise GraphError(f"experiment spec is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise GraphError("experiment spec is not valid JSON: nested too deeply") from None
+        if not isinstance(doc, dict) or "configs" not in doc:
+            raise GraphError("not an experiment spec: expected an object with 'configs'")
+        configs = doc["configs"]
+        if not isinstance(configs, list) or not all(isinstance(c, dict) for c in configs):
+            raise GraphError("experiment spec: 'configs' must be a list of objects")
+        try:
+            max_rounds = doc.get("max_rounds")
+            fields = {
+                "seeds_per_config": int(doc.get("seeds_per_config", 10)),
+                "base_seed": int(doc.get("base_seed", 0)),
+                "delta": float(doc.get("delta", 0.05)),
+                "max_rounds": None if max_rounds is None else int(max_rounds),
+            }
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"experiment spec: {exc}") from None
         return ExperimentSpec(
-            configs=tuple(doc["configs"]),
-            seeds_per_config=int(doc.get("seeds_per_config", 10)),
-            base_seed=int(doc.get("base_seed", 0)),
-            delta=float(doc.get("delta", 0.05)),
+            configs=tuple(configs),
             subdivide=bool(doc.get("subdivide", False)),
-            max_rounds=doc.get("max_rounds"),
             analyze=bool(doc.get("analyze", False)),
+            **fields,
         )
 
 

@@ -36,9 +36,27 @@ array and runs in two phases:
   become lists of Python floats and ``_dijkstra`` finishes each, starting
   from the column's labels with the column's active vertices on the heap.
   A column without active pairs is already final and is copied straight
-  from the label array.  Long chains of degree-two vertices are where
-  sweeps lose: a frontier of one pair per column pays a whole sweep per
-  hop.
+  from the label array.
+
+Chains of degree-two positions are where sweeps lose: a frontier of one pair
+per column pays a whole sweep per hop, and subdivided graphs are made of
+little else.  A chain is a maximal path whose interior positions have
+exactly two neighbours and are not sources.  For the terminal rows and the
+nearest-terminal column, the kernel folds every chain of at least
+``_FOLD_MIN`` interior positions into one edge between its two ends and runs
+both phases on the reduced graph of the other positions (``_Chains``, cached
+on the graph with the terminals as sources).  Relaxing a chain from a label
+x gives the left-to-right float sum x + w1 + w2 + ... of its weights: in a
+sweep, one ``np.add.accumulate`` over every candidate whose chain has that
+many weights; in the heap tail, ``reduce(add, weights, x)``.  Once the
+reduced labels are final, each interior position gets the smaller of the
+folds from the chain's two ends, one ``np.add.accumulate`` per interior
+length.  No interior position is ever active or a tail seed.  A chain whose
+two ends are one position is never relaxed, since it cannot shorten a path,
+but its interior is filled from both sides; a dead end (a degree-one end) is
+an end like any other; a cycle of degree-two positions without any end stays
+in the reduced graph, unreached, at ``math.inf``.  The minor's all-pairs
+matrix never folds: every minor vertex is a source.
 
 Its values are exact, not merely close.  Every label is always the
 left-to-right float sum of the weights of a real path.  At the switch every
@@ -49,6 +67,14 @@ in ``a``, so any fixed point of label correction is, for every vertex, the
 minimum over all paths of the left-to-right float sum of the path's weights,
 whatever order the relaxations ran in; a minimum is exact in any order.
 Any correct Dijkstra, ``shortest_paths`` included, returns the same doubles.
+A fold makes the additions hop-by-hop relaxation would make, in the same
+order, so the reduced labels reach that fixed point; an interior position
+is entered from one end or the other, and a path that turns back inside the
+chain is never shorter.  Three ways to lose this, all avoided here: the
+built-in ``sum()`` compensates float sums from Python 3.12 on;
+``np.add.reduce`` and ``np.sum`` add pairwise; and a difference of prefix
+sums is not the sum along the path.
+
 The kernel stays on numpy, which the package already loads: importing
 scipy's graph routines would double a small run's peak memory.  Canonical
 paths (``shortest_paths`` and its ``DistanceMap``) are computed only for a
@@ -65,8 +91,9 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
+from operator import add
 
 import numpy as np
 
@@ -188,6 +215,17 @@ class WeightedGraph:
         return _csr_arrays(self._index_adjacency)
 
     @cached_property
+    def _chains(self) -> _Chains | None:
+        """The kernel's chain table, with the terminals as sources."""
+        return _fold_chains(self._index_adjacency, [self.index[t] for t in self.terminals])
+
+    def _terminal_columns(self, columns) -> list[array]:
+        # columns of terminal positions, on the chain table when there is one
+        chains = self._chains
+        csr = None if chains else self._csr
+        return list(_distance_columns(self._index_adjacency, columns, csr, chains))
+
+    @cached_property
     def terminal_distance_maps(self) -> tuple[array, ...]:
         """One distance row per terminal, in terminal order.
 
@@ -197,8 +235,7 @@ class WeightedGraph:
         garbage collector, where a list of floats costs 32 and is.
         """
         index = self.index
-        columns = [(index[t],) for t in self.terminals]
-        return tuple(_distance_columns(self._index_adjacency, columns, self._csr))
+        return tuple(self._terminal_columns([(index[t],) for t in self.terminals]))
 
     @cached_property
     def nearest_terminal_distance(self) -> dict[int, float]:
@@ -208,8 +245,7 @@ class WeightedGraph:
     @cached_property
     def _nearest_row(self) -> array:
         # the same distances by position, math.inf where no terminal is reachable
-        sources = [self.index[t] for t in self.terminals]
-        [dist] = _distance_columns(self._index_adjacency, [sources], self._csr)
+        [dist] = self._terminal_columns([[self.index[t] for t in self.terminals]])
         return dist
 
     def is_connected(self) -> bool:
@@ -245,9 +281,6 @@ class DistanceMap:
     dist: dict[int, float]
     pred: dict[int, int]
 
-    def reachable(self, v: int) -> bool:
-        return v in self.dist
-
     def distance(self, v: int) -> float:
         if v not in self.dist:
             raise GraphError(f"vertex {v} is not reachable from {self.source}")
@@ -268,35 +301,177 @@ _CHUNK = 16        # sources per label array, one column each
 _TAIL_WIDTH = 16   # active pairs at which the heap tail takes over
 _BLOCK = 1 << 12   # active pairs a sweep expands at a time
 _SORT_SHARE = 32   # dedupe by sorting below 1/32 of the label array
+# interior positions a chain needs to be folded.  With every chain of
+# sparse random and grid graphs L positions long, folding them all took
+# 2.6-3.1x the unfolded time at L = 1, 1.1-1.2x at L = 4, 0.8-0.9x at
+# L = 6-8 and 0.5-0.7x from L = 12 on.
+_FOLD_MIN = 8
 
 
 def _csr_arrays(adj: Sequence[Sequence[tuple[int, float]]]):
     """Row starts, neighbour positions and float64 weights of ``adj``."""
-    indptr = np.zeros(len(adj) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, adj), np.intp, len(adj)), out=indptr[1:])
+    indptr = _row_starts(adj)
     m = int(indptr[-1])
     nbr = np.fromiter((u for row in adj for u, _ in row), np.intp, m)
     weight = np.fromiter((w for row in adj for _, w in row), np.float64, m)
     return indptr, nbr, weight
 
 
-def _distance_columns(adj, columns, csr=None, chunk=_CHUNK, width=_TAIL_WIDTH):
+def _row_starts(rows) -> np.ndarray:
+    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, rows), np.intp, len(rows)), out=indptr[1:])
+    return indptr
+
+
+@dataclass(frozen=True, eq=False)
+class _Chains:
+    """Chains of degree-two positions, each folded to one edge between its ends.
+
+    The kernel runs on the reduced graph of the positions outside folded
+    chains: ``kept`` lists them in ascending order, and ``compact`` maps a
+    position to its index there, or to -1 inside a chain.  ``adj`` and
+    ``csr`` hold the reduced graph's plain edges.  ``folds[i]`` lists
+    ``(end, weights)`` for every chain from reduced vertex i to another end,
+    the weights in walking order.  ``fold_csr`` holds the same as arrays:
+    row starts, ends, weight counts, and each chain's first weight in the
+    flat float64 weights that follow.  ``groups`` holds, per interior length,
+    the chains' reduced ends, interior positions and weights, for
+    ``unfold``.
+    """
+
+    kept: np.ndarray
+    compact: np.ndarray
+    adj: tuple
+    csr: tuple
+    folds: tuple
+    fold_csr: tuple
+    groups: tuple
+
+    def unfold(self, labels: np.ndarray):
+        """One ``array('d')`` over every position per column of the final
+        reduced labels (reduced vertex x column)."""
+        full = np.empty((labels.shape[1], self.compact.size))
+        full[:, self.kept] = labels.T
+        for a, b, inner, weight in self.groups:
+            # the fold from either end, position by position
+            left = _prefix_folds(labels[a], weight[:, :-1])
+            right = _prefix_folds(labels[b], weight[:, :0:-1])
+            full[:, inner] = np.minimum(left, right[..., ::-1])
+        for row in full:
+            yield array("d", row.tobytes())
+
+
+def _prefix_folds(start: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The left-to-right sums ``start[i, j] + w1``, ``start[i, j] + w1 + w2``,
+    ... over each row i of ``weight``, for every column j of ``start``: an
+    array indexed (j, i, hop)."""
+    g, h = weight.shape
+    sums = np.empty((start.shape[1], g, h + 1))
+    sums[..., 0] = start.T
+    sums[..., 1:] = weight
+    np.add.accumulate(sums, axis=2, out=sums)
+    return sums[..., 1:]
+
+
+def _fold_chains(adj, sources) -> _Chains | None:
+    """Fold every chain of ``adj`` with at least ``_FOLD_MIN`` interior
+    positions, the positions ``sources`` ending chains; None if there is none.
+
+    A chain is a maximal path whose interior positions have exactly two
+    neighbours and are not sources.  Its two ends may be one position (a
+    cycle through it), and a degree-one end is a dead end.  A cycle of
+    degree-two positions with no end stays in the reduced graph, unreached.
+    """
+    n = len(adj)
+    is_end = bytearray(map((2).__ne__, map(len, adj)))
+    for s in sources:
+        is_end[s] = 1
+    ends = np.flatnonzero(np.frombuffer(is_end, dtype=np.uint8)).tolist()
+    if n - len(ends) < _FOLD_MIN:
+        return None
+    # the last interior position of every chain walked: a walk from the
+    # chain's other end would start there
+    walked = bytearray(n)
+    chains = []
+    for a in ends:
+        for p, w in adj[a]:
+            if is_end[p] or walked[p]:
+                continue
+            prev, path, weights = a, [], [w]
+            while not is_end[p]:
+                path.append(p)
+                (x, wx), (y, wy) = adj[p]
+                if x == prev:
+                    prev, p, w = p, y, wy
+                else:
+                    prev, p, w = p, x, wx
+                weights.append(w)
+            walked[path[-1]] = 1
+            if len(path) >= _FOLD_MIN:
+                chains.append((a, p, path, weights))
+    if not chains:
+        return None
+    compact = np.zeros(n, dtype=np.intp)
+    for _, _, path, _ in chains:
+        compact[path] = -1
+    kept = np.flatnonzero(compact == 0)
+    compact[kept] = np.arange(kept.size)
+    cid = compact.tolist()
+    radj = tuple(tuple((cid[q], w) for q, w in adj[p] if cid[q] >= 0) for p in kept.tolist())
+    folds: list[list] = [[] for _ in radj]
+    groups: dict[int, list] = {}
+    for a, b, path, weights in chains:
+        a, b = cid[a], cid[b]
+        if a != b:
+            # a chain back to its own end never shortens a path
+            folds[a].append((b, tuple(weights)))
+            folds[b].append((a, tuple(reversed(weights))))
+        groups.setdefault(len(path), []).append((a, b, path, weights))
+    flat = [fold for row in folds for fold in row]
+    hops = np.fromiter((len(weights) for _, weights in flat), np.intp, len(flat))
+    return _Chains(
+        kept=kept,
+        compact=compact,
+        adj=radj,
+        csr=_csr_arrays(radj),
+        folds=tuple(map(tuple, folds)),
+        fold_csr=(
+            _row_starts(folds),
+            np.fromiter((b for b, _ in flat), np.intp, len(flat)),
+            hops,
+            hops.cumsum() - hops,
+            np.fromiter((w for _, weights in flat for w in weights), np.float64, int(hops.sum())),
+        ),
+        groups=tuple(
+            (np.array(a, dtype=np.intp), np.array(b, dtype=np.intp),
+             np.array(inner, dtype=np.intp), np.array(weights))
+            for a, b, inner, weights in (zip(*group) for group in groups.values())
+        ),
+    )
+
+
+def _distance_columns(adj, columns, csr=None, chains=None, chunk=_CHUNK, width=_TAIL_WIDTH):
     """Distances from the nearest source of each column, column by column.
 
     ``adj[i]`` lists ``(position, weight)`` pairs and each column is a
     collection of source positions.  ``csr`` holds the same edges as arrays
-    and is built from ``adj`` when not given.  Yields one ``array('d')``
-    per column, in column order; unreachable positions get ``math.inf``.
-    ``chunk`` columns share a label array, and the heap tail takes over at
-    ``width`` active pairs.  Exact: see the module docstring.
+    and is built from ``adj`` when not given.  With a chain table
+    ``chains`` (whose sources must include every column's), the kernel runs
+    on its reduced graph instead, and ``csr`` is not used.  Yields one
+    ``array('d')`` per column, in column order; unreachable positions get
+    ``math.inf``.  ``chunk`` columns share a label array, and the heap tail
+    takes over at ``width`` active pairs.  Exact: see the module docstring.
     """
-    if csr is None:
+    if chains is not None:
+        adj, csr = chains.adj, chains.csr
+        columns = [chains.compact[list(col)].tolist() for col in columns]
+    elif csr is None:
         csr = _csr_arrays(adj)
     for first in range(0, len(columns), chunk):
-        yield from _sweep_chunk(adj, csr, columns[first:first + chunk], width)
+        yield from _sweep_chunk(adj, csr, columns[first:first + chunk], width, chains)
 
 
-def _sweep_chunk(adj, csr, columns, width):
+def _sweep_chunk(adj, csr, columns, width, chains):
     c = len(columns)
     size = len(adj) * c
     # the pair (vertex position v, column j) sits at v * c + j
@@ -311,10 +486,13 @@ def _sweep_chunk(adj, csr, columns, width):
         last = active.size
         # every block expands the labels the sweep started with
         base = labels[active]
-        target = np.concatenate([
-            _expand(labels, csr, c, active[lo:lo + _BLOCK], base[lo:lo + _BLOCK])
-            for lo in range(0, last, _BLOCK)
-        ])
+        blocks = []
+        for lo in range(0, last, _BLOCK):
+            pairs, start = active[lo:lo + _BLOCK], base[lo:lo + _BLOCK]
+            blocks.append(_expand(labels, csr, c, pairs, start))
+            if chains is not None:
+                blocks.append(_expand_folds(labels, chains, c, pairs, start))
+        target = np.concatenate(blocks)
         if target.size * _SORT_SHARE < size:
             active = _distinct(target)
         else:
@@ -322,6 +500,13 @@ def _sweep_chunk(adj, csr, columns, width):
             active = np.flatnonzero(mark)
             mark[active] = False
     vertex, col = np.divmod(active, c)
+    if chains is not None:
+        for j in range(c):
+            seeds = vertex[col == j].tolist()
+            if seeds:
+                labels[j::c] = _dijkstra(adj, labels[j::c].tolist(), seeds, chains.folds)
+        yield from chains.unfold(labels.reshape(-1, c))
+        return
     for j in range(c):
         seeds = vertex[col == j].tolist()
         if seeds:
@@ -331,23 +516,58 @@ def _sweep_chunk(adj, csr, columns, width):
             yield array("d", labels[j::c].tobytes())
 
 
+def _out_edges(indptr, vertex):
+    """The index of every out-edge of ``vertex`` in CSR order, and the
+    out-degree of each entry of ``vertex``."""
+    start = indptr[vertex]
+    degree = indptr[vertex + 1] - start
+    edge = (start - degree.cumsum() + degree).repeat(degree)
+    edge += np.arange(edge.size)
+    return edge, degree
+
+
 def _expand(labels, csr, c, pairs, base):
     """Relax the out-edges of ``pairs`` from their labels ``base`` into
     ``labels``; return the pairs this improved, with repeats."""
     indptr, nbr, weight = csr
     vertex, col = np.divmod(pairs, c)
-    start = indptr[vertex]
-    degree = indptr[vertex + 1] - start
     # one candidate per out-edge; in-place updates keep the temporaries at
     # about 25 bytes a candidate, plus 8 per improving one
-    edge = (start - degree.cumsum() + degree).repeat(degree)
-    edge += np.arange(edge.size)
+    edge, degree = _out_edges(indptr, vertex)
     cand = base.repeat(degree)
     cand += weight[edge]
     target = nbr[edge]
     del edge
     target *= c
     target += col.repeat(degree)
+    keep = (cand < labels[target]).nonzero()[0]
+    target = target[keep]
+    np.minimum.at(labels, target, cand[keep])
+    return target
+
+
+def _expand_folds(labels, chains, c, pairs, base):
+    """Relax the folded chains leaving ``pairs`` from their labels ``base``
+    into ``labels``, one ``np.add.accumulate`` per weight count; return the
+    pairs this improved, with repeats."""
+    indptr, end, hops, first, weight = chains.fold_csr
+    vertex, col = np.divmod(pairs, c)
+    fold, degree = _out_edges(indptr, vertex)
+    if not fold.size:
+        return fold
+    order = np.argsort(hops[fold], kind="stable")
+    fold = fold[order]
+    base = base.repeat(degree)[order]
+    target = end[fold] * c + col.repeat(degree)[order]
+    h = hops[fold]
+    cuts = [0, *(np.flatnonzero(h[1:] != h[:-1]) + 1).tolist(), fold.size]
+    cand = np.empty(fold.size)
+    for lo, hi in zip(cuts, cuts[1:]):
+        sums = np.empty((hi - lo, h[lo] + 1))
+        sums[:, 0] = base[lo:hi]
+        sums[:, 1:] = weight[first[fold[lo:hi], None] + np.arange(h[lo])]
+        np.add.accumulate(sums, axis=1, out=sums)
+        cand[lo:hi] = sums[:, -1]
     keep = (cand < labels[target]).nonzero()[0]
     target = target[keep]
     np.minimum.at(labels, target, cand[keep])
@@ -361,15 +581,17 @@ def _distinct(pairs: np.ndarray) -> np.ndarray:
 
 
 def _dijkstra(
-    adj: Sequence[Sequence[tuple[int, float]]], dist: list[float], seeds
+    adj: Sequence[Sequence[tuple[int, float]]], dist: list[float], seeds, folds=None
 ) -> list[float]:
     """Finish the labels ``dist`` by Dijkstra from the positions ``seeds``.
 
-    ``adj[i]`` lists ``(position, weight)`` pairs.  Every label must be a
-    path's float sum or ``math.inf``, and every position v outside ``seeds``
-    must already have relaxed its edges: ``dist[u] <= dist[v] + w`` for each
-    ``(u, w)`` in ``adj[v]``.  Returns ``dist``, updated in place.  Exact:
-    see the module docstring.
+    ``adj[i]`` lists ``(position, weight)`` pairs, and ``folds[i]``, when
+    given, ``(position, weights)`` pairs relaxed as one left-to-right sum.
+    Every label must be a path's float sum or ``math.inf``, and every
+    position v outside ``seeds`` must already have relaxed its edges:
+    ``dist[u] <= dist[v] + w`` for each ``(u, w)`` in ``adj[v]``, and the
+    same for its folds.  Returns ``dist``, updated in place.  Exact: see
+    the module docstring.
     """
     heap = [(dist[s], s) for s in seeds]
     heapify(heap)
@@ -382,6 +604,12 @@ def _dijkstra(
             if nd < dist[u]:
                 dist[u] = nd
                 heappush(heap, (nd, u))
+        if folds:
+            for u, weights in folds[v]:
+                nd = reduce(add, weights, d)
+                if nd < dist[u]:
+                    dist[u] = nd
+                    heappush(heap, (nd, u))
     return dist
 
 

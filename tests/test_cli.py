@@ -79,6 +79,8 @@ def _malformed_trace(tmp_path: Path, case: str) -> Path:
     elif case == "string-increment":
         doc["events"][0]["q"] = "0.5"
         text = json.dumps(doc)
+    elif case == "deep-nesting":
+        text = "[" * 100000 + "]" * 100000
     else:
         text = text[: len(text) // 2]
     bad = tmp_path / f"{case}.json"
@@ -87,7 +89,8 @@ def _malformed_trace(tmp_path: Path, case: str) -> Path:
 
 
 @pytest.mark.parametrize(
-    "case", ["unknown-event", "missing-terminals", "string-increment", "invalid-json"]
+    "case",
+    ["unknown-event", "missing-terminals", "string-increment", "invalid-json", "deep-nesting"],
 )
 def test_verify_malformed_trace_is_usage_error(tmp_path, capsys, case):
     bad = _malformed_trace(tmp_path, case)
@@ -236,6 +239,31 @@ def test_experiment_end_to_end(tmp_path):
     ]) == 0
     summaries = json.loads((out3 / "analysis.json").read_text())
     assert summaries and "covering" in summaries[0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"configs": [',
+        '[{"family": "star", "k": 4}]',
+        '{"seeds_per_config": 2}',
+        '{"configs": [{"family": "star", "k": 4}], "seeds_per_config": "x"}',
+        "[" * 100000 + "]" * 100000,
+        '{"configs": {"family": "star", "k": 4}}',
+        '{"configs": ["star"]}',
+        '{"configs": [{"family": "star", "k": "x"}]}',
+        '{"configs": [{"family": "star", "k": 4}], "max_rounds": [3]}',
+    ],
+    ids=["invalid-json", "top-level-array", "missing-configs", "string-seeds", "deep-nesting",
+         "configs-object", "config-not-object", "string-k", "list-max-rounds"],
+)
+def test_experiment_malformed_spec_is_usage_error(tmp_path, capsys, text):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_subdivide_writes_graph_and_analyze_catches_mismatch(tmp_path):

@@ -29,6 +29,7 @@ from sprkit import (
     sample_exponential,
     verify_trace,
 )
+from sprkit.engine import TraceFormatError
 from sprkit.graph import GraphError, WeightedGraph, shortest_paths
 from sprkit.minor import validate_partition
 
@@ -100,7 +101,6 @@ def test_params_locked_ratios_at_default_delta():
     assert p.weight_factor == pytest.approx(1.0 / 2400)
     assert p.early_factor == pytest.approx(1.0 / 3)
     assert p.interval_factor == pytest.approx(1.0 / 30)
-    assert p.concentration_factor == pytest.approx(1.0 / 200)
     assert p.ratio > 1.0
     assert p.base_mean > 0.0
     assert p.ratio - 1.0 == pytest.approx(p.base_mean)
@@ -396,6 +396,54 @@ def test_trace_json_roundtrip_and_stability():
     assert back.radius_events == trace.radius_events
     assert back.cover_events == trace.cover_events
     assert text.index('"type":"radius"') < text.index('"type":"cover"')
+
+
+def _tampered_trace_text(case: str) -> str:
+    g = random_connected_graph(12, 3, seed=5, extra_edges=4)
+    _, trace = run_spr(g, SprParams.for_graph(g, seed=2))
+    doc = json.loads(trace.to_json())
+    radius = next(ev for ev in doc["events"] if ev["type"] == "radius")
+    cover = next(ev for ev in doc["events"] if ev["type"] == "cover")
+    if case.startswith("events-"):
+        doc["events"] = {"null": None, "number": 3, "object": {}}[case[len("events-"):]]
+    elif case.startswith("event-"):
+        doc["events"].append({"list": [], "string": "cover", "number": 7}[case[len("event-"):]])
+    elif case == "missing-type":
+        del cover["type"]
+    elif case == "unknown-type":
+        radius["type"] = "shrink"
+    elif case == "missing-field":
+        del cover["dist"]
+    elif case in ("bool-int", "float-int", "string-int"):
+        cover["vertex"] = {"bool-int": True, "float-int": 1.0, "string-int": "1"}[case]
+    elif case == "string-number":
+        radius["R"] = "0.5"
+    elif case == "params-list":
+        doc["params"] = [doc["params"]]
+    elif case == "terminals-object":
+        doc["params"]["terminals"] = {}
+    elif case == "missing-rounds":
+        del doc["rounds"]
+    return json.dumps(doc, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("case", [
+    "events-null", "events-number", "events-object", "event-list", "event-string",
+    "event-number", "missing-type", "unknown-type", "missing-field", "bool-int", "float-int",
+    "string-int", "string-number", "params-list", "terminals-object", "missing-rounds",
+])
+def test_trace_from_json_schema_faults(case):
+    with pytest.raises(TraceFormatError):
+        RunTrace.from_json(_tampered_trace_text(case))
+
+
+def test_trace_from_json_builds_event_records():
+    text = _tampered_trace_text("untouched")
+    trace = RunTrace.from_json(text)
+    assert trace.to_json() == text
+    assert {type(ev) for ev in trace.radius_events} == {RadiusEvent}
+    assert {type(ev) for ev in trace.cover_events} == {CoverEvent}
+    assert trace.cover_events[0].dist == trace.cover_events[0][4]
 
 
 def _reference_event_dicts(trace):

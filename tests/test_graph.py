@@ -88,7 +88,7 @@ def test_canonical_paths_deterministic_and_tie_broken():
 def test_unreachable_is_flagged_not_infinite():
     g = WeightedGraph.build([0, 1, 2], [(0, 1, 1.0)], [0])
     dm = shortest_paths(g, 0)
-    assert not dm.reachable(2)
+    assert 2 not in dm.dist
     with pytest.raises(GraphError):
         dm.distance(2)
 
@@ -352,6 +352,139 @@ def test_kernel_outputs_are_python_floats():
         edges=tuple((g.index[u] + 1, g.index[v] + 1, w) for u, v, w in g.edges),
     )
     assert all(type(d) is float for row in minor.distance_matrix for d in row)
+
+
+# --- folded chains of degree-two vertices ----------------------------------
+
+
+@st.composite
+def chain_graphs(draw):
+    """``subdivide_edges`` on small random graphs: tied or float weights,
+    pendant edges that become dead-end chains, a triangle through one vertex
+    that becomes a chain closing on it, a terminal-free ring, terminals
+    drawn from the chain vertices too, and non-dense ids half the time."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=1, max_value=8))
+    tied = draw(st.booleans())
+
+    def weight():
+        return float(rng.integers(1, 5)) if tied else float(rng.uniform(0.1, 4.0))
+
+    p = draw(st.floats(min_value=0.1, max_value=0.6))
+    edges = [(u, v, weight()) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    vertices = list(range(n))
+
+    def fresh():
+        vertices.append(len(vertices))
+        return vertices[-1]
+
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        edges.append((int(rng.integers(n)), fresh(), weight()))
+    if draw(st.booleans()):
+        a, x, y = int(rng.integers(n)), fresh(), fresh()
+        edges += [(a, x, weight()), (x, y, weight()), (y, a, weight())]
+    ring = []
+    if draw(st.booleans()):
+        ring = [fresh() for _ in range(3)]
+        edges += [(ring[i - 1], ring[i], weight()) for i in range(3)]
+    threshold = 1.0 if tied else float(rng.uniform(0.2, 1.0))
+    g = subdivide_edges(WeightedGraph.build(vertices, edges, [0]), threshold).graph
+    free = set(shortest_paths(g, ring[0]).dist) if ring else set()
+    allowed = [v for v in g.vertices if v not in free]
+    k = draw(st.integers(min_value=1, max_value=min(4, len(allowed))))
+    terms = [int(t) for t in rng.choice(allowed, size=k, replace=False)]
+    g = WeightedGraph.build(g.vertices, g.edges, terms)
+    if draw(st.booleans()):
+        g = induced_subgraph(g, [v for v in g.vertices if v in terms or rng.random() < 0.9])
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_graphs(), st.sampled_from(PHASES), st.sampled_from([1, 2, graph_module._FOLD_MIN]))
+def test_folded_kernel_equals_canonical_searches(g, phase, fold_min):
+    # rows and the all-terminal column, at every phase mix, bit for bit; the
+    # heap tail runs on the reduced graph only, never from a chain interior
+    width, chunk = phase
+    sources = [g.index[t] for t in g.terminals]
+    with mock.patch.object(graph_module, "_FOLD_MIN", fold_min):
+        chains = graph_module._fold_chains(g._index_adjacency, sources)
+    columns = [(t,) for t in g.terminals] + [g.terminals]
+    expected = [canonical_column(g, col) for col in columns]
+    real = graph_module._dijkstra
+
+    def spy(adj, dist, seeds, folds=None):
+        if chains is not None:
+            assert adj is chains.adj and folds is chains.folds
+            assert len(dist) == len(chains.kept)
+            assert not interior.intersection(chains.kept[seeds].tolist())
+        return real(adj, dist, seeds, folds)
+
+    if chains is not None:
+        interior = set(np.flatnonzero(chains.compact < 0).tolist())
+        assert interior and not interior.intersection(sources)
+    with mock.patch.object(graph_module, "_dijkstra", spy):
+        assert kernel_columns(g, columns, chains=chains, chunk=chunk, width=width) == expected
+    rows = [[d.hex() for d in row] for row in g.terminal_distance_maps]
+    assert rows == expected[:-1]
+    assert [d.hex() for d in g._nearest_row] == expected[-1]
+
+
+def test_fold_chains_table():
+    # terminals 0 and 31; 1 is the hub.  Chains: 1-10-11-12-1 closes on 1,
+    # 1-20-21-22 ends at a dead end, 1-30-31 and 31-32-0 meet at a terminal
+    # inside what would be one chain; the ring 40-41-42 has no end.  Walks
+    # start from the lower end
+    edges = [
+        (0, 1, 1.0), (1, 10, 0.5), (10, 11, 0.25), (11, 12, 0.125), (12, 1, 2.0),
+        (1, 20, 0.3), (20, 21, 0.7), (21, 22, 0.1), (1, 30, 0.6), (30, 31, 0.9),
+        (31, 32, 1.1), (32, 0, 0.2), (40, 41, 1.0), (41, 42, 1.0), (40, 42, 1.0),
+    ]
+    vertices = sorted({v for e in edges for v in e[:2]})
+    g = WeightedGraph.build(vertices, edges, [0, 31])
+    assert g._chains is None  # every chain is shorter than _FOLD_MIN
+    index = g.index
+    with mock.patch.object(graph_module, "_FOLD_MIN", 1):
+        chains = graph_module._fold_chains(g._index_adjacency, [index[0], index[31]])
+    kept = [g.vertices[p] for p in chains.kept]
+    assert kept == [0, 1, 22, 31, 40, 41, 42]
+    ends = {
+        tuple(g.vertices[chains.kept[e]] for e in (a, b)): [g.vertices[p] for p in inner]
+        for group in chains.groups
+        for a, b, path, _ in zip(*group)
+        for inner in [path]
+    }
+    assert ends == {(0, 31): [32], (1, 1): [10, 11, 12], (1, 22): [20, 21], (1, 31): [30]}
+    folds = {
+        (kept[i], kept[end]): weights for i, row in enumerate(chains.folds) for end, weights in row
+    }
+    # the chain back to its own end is never relaxed
+    assert folds == {
+        (1, 22): (0.3, 0.7, 0.1), (22, 1): (0.1, 0.7, 0.3),
+        (1, 31): (0.6, 0.9), (31, 1): (0.9, 0.6),
+        (31, 0): (1.1, 0.2), (0, 31): (0.2, 1.1),
+    }
+    columns = [(0,), (31,), (0, 31)]
+    expected = [canonical_column(g, col) for col in columns]
+    for width, chunk in PHASES:
+        assert kernel_columns(g, columns, chains=chains, chunk=chunk, width=width) == expected
+    assert expected[0][index[41]] == math.inf.hex()
+
+
+def test_fold_is_a_left_to_right_sum():
+    # 0.1 + 0.2 + 0.3 differs from 0.1 + (0.2 + 0.3) and from a compensated
+    # sum; the folded path must give what hop-by-hop relaxation gives
+    weights = [0.1, 0.2, 0.3] * 40
+    edges = [(v, v + 1, w) for v, w in enumerate(weights)]
+    g = WeightedGraph.build(range(len(weights) + 1), edges, [0, len(weights)])
+    assert g._chains is not None and len(g._chains.kept) == 2
+    far = 0.0
+    for w in weights:
+        far += w
+    assert far != math.fsum(weights)
+    assert g.terminal_distance_maps[0][-1] == far
+    assert [[d.hex() for d in row] for row in g.terminal_distance_maps] == [
+        canonical_column(g, (t,)) for t in g.terminals
+    ]
 
 
 def test_distance_layer_does_not_import_scipy():
