@@ -386,29 +386,23 @@ def _fold_chains(adj, sources) -> _Chains | None:
     is_end = bytearray(map((2).__ne__, map(len, adj)))
     for s in sources:
         is_end[s] = 1
-    ends = np.flatnonzero(np.frombuffer(is_end, dtype=np.uint8)).tolist()
-    if n - len(ends) < _FOLD_MIN:
+    inner = np.flatnonzero(np.frombuffer(is_end, dtype=np.uint8) == 0).tolist()
+    if len(inner) < _FOLD_MIN:
         return None
-    # the last interior position of every chain walked: a walk from the
-    # chain's other end would start there
-    walked = bytearray(n)
+    seen = bytearray(n)
     chains = []
-    for a in ends:
-        for p, w in adj[a]:
-            if is_end[p] or walked[p]:
-                continue
-            prev, path, weights = a, [], [w]
-            while not is_end[p]:
-                path.append(p)
-                (x, wx), (y, wy) = adj[p]
-                if x == prev:
-                    prev, p, w = p, y, wy
-                else:
-                    prev, p, w = p, x, wx
-                weights.append(w)
-            walked[path[-1]] = 1
-            if len(path) >= _FOLD_MIN:
-                chains.append((a, p, path, weights))
+    for p in inner:
+        if seen[p]:
+            continue
+        # walk out both ways from p to the chain's ends
+        (x, wx), (y, wy) = adj[p]
+        back, back_weights, a = _walk(adj, is_end, seen, p, x, wx)
+        if a == p:
+            continue  # a cycle without ends
+        ahead, weights, b = _walk(adj, is_end, seen, p, y, wy)
+        path = back[::-1] + [p] + ahead
+        if len(path) >= _FOLD_MIN:
+            chains.append((a, b, path, back_weights[::-1] + weights))
     if not chains:
         return None
     compact = np.zeros(n, dtype=np.intp)
@@ -448,6 +442,25 @@ def _fold_chains(adj, sources) -> _Chains | None:
             for a, b, inner, weights in (zip(*group) for group in groups.values())
         ),
     )
+
+
+def _walk(adj, is_end, seen, start, p, w):
+    """Walk from ``start`` over the edge of weight ``w`` to ``p`` and on,
+    marking each position in ``seen``, to the first end (or back to
+    ``start``).  Returns the positions passed, the weights crossed and the
+    position where the walk stopped."""
+    seen[start] = 1
+    prev, path, weights = start, [], [w]
+    while not is_end[p] and p != start:
+        seen[p] = 1
+        path.append(p)
+        (x, wx), (y, wy) = adj[p]
+        if x == prev:
+            prev, p, w = p, y, wy
+        else:
+            prev, p, w = p, x, wx
+        weights.append(w)
+    return path, weights, p
 
 
 def _distance_columns(adj, columns, csr=None, chains=None, chunk=_CHUNK, width=_TAIL_WIDTH):
