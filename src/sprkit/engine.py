@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
-from operator import itemgetter, not_
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -219,9 +219,8 @@ class RunTrace:
             unknown = [t for t in types if t != "radius" and t != "cover"]
             if unknown:
                 raise TraceFormatError(f"unknown trace event type {unknown[0]!r}")
-            is_cover = [t == "cover" for t in types]
-            radius = map(_RADIUS_FIELDS, compress(events, map(not_, is_cover)))
-            cover = map(_COVER_FIELDS, compress(events, is_cover))
+            radius = map(_RADIUS_FIELDS, compress(events, [t == "radius" for t in types]))
+            cover = map(_COVER_FIELDS, compress(events, [t == "cover" for t in types]))
             radius_events = list(map(tuple.__new__, repeat(RadiusEvent), radius))
             cover_events = list(map(tuple.__new__, repeat(CoverEvent), cover))
             if not isinstance(p["terminals"], list):
