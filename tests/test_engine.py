@@ -19,6 +19,7 @@ from sprkit import (
     RoundsGuardError,
     RunTrace,
     SprParams,
+    TraceFormatError,
     default_round_guard,
     min_terminal_pair_distance,
     partition_from_trace,
@@ -29,7 +30,6 @@ from sprkit import (
     sample_exponential,
     verify_trace,
 )
-from sprkit.engine import TraceFormatError
 from sprkit.graph import GraphError, WeightedGraph, shortest_paths
 from sprkit.minor import validate_partition
 
