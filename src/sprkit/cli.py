@@ -32,10 +32,9 @@ from .engine import (
 )
 from .experiment import (
     ExperimentSpec,
-    analysis_summaries,
+    _run_sweep,
     rows_to_csv,
     rows_to_json,
-    run_experiment,
 )
 from .generators import FAMILIES, generate
 from .graph import GraphError, WeightedGraph, format_graph_text, parse_graph_text, shortest_paths
@@ -337,7 +336,7 @@ def cmd_experiment(args) -> int:
     spec = ExperimentSpec.from_json(Path(args.spec).read_text())
     if args.analyze:
         spec = replace(spec, analyze=True)
-    rows = run_experiment(spec, jobs=args.jobs)
+    rows, summaries = _run_sweep(spec, jobs=args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_text = rows_to_csv(rows)
@@ -345,10 +344,7 @@ def cmd_experiment(args) -> int:
     if args.format == "json":
         _write(str(out_dir / "rows.json"), rows_to_json(rows, spec))
     if spec.analyze:
-        _write(
-            str(out_dir / "analysis.json"),
-            json.dumps(analysis_summaries(spec), indent=2),
-        )
+        _write(str(out_dir / "analysis.json"), json.dumps(summaries, indent=2))
     ok = sum(1 for r in rows if r.status == "ok")
     print(f"{len(rows)} rows ({ok} ok) -> {out_dir / 'rows.csv'}")
     return 0

@@ -55,8 +55,9 @@ from .minor import (
 )
 
 # Fixed coefficients of the clustered-growth schedule.  Only delta is
-# tunable; the others are locked ratios re-derived from it at construction
-# and cross-checked against their closed forms.
+# tunable (``SprParams`` validates k and delta alone); these are module
+# constants that the params, the round guard and the covering check read
+# as they stand.
 EARLY_FACTOR = 1.0 / 3.0          # early-coverage round threshold coefficient
 INTERVAL_FACTOR = EARLY_FACTOR / 10.0  # path-interval sizing coefficient
 DEADLINE_FACTOR = 4.0             # late-coverage deadline coefficient

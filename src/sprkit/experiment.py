@@ -156,89 +156,66 @@ def config_graph(spec: ExperimentSpec, config_index: int) -> WeightedGraph:
     return graph
 
 
-def _run_one(
-    spec: ExperimentSpec, config_index: int, run_index: int, graph: WeightedGraph
-) -> ExperimentRow:
-    cfg = spec.configs[config_index]
-    seed = derive_seed(spec.base_seed, config_index, run_index)
-    t0 = time.perf_counter()
-    try:
-        params = SprParams.for_graph(
-            graph, delta=spec.delta, seed=seed, max_rounds=spec.max_rounds
-        )
-        _, report, trace = run_and_contract(graph, params)
-        late = early = None
-        if graph.k >= 2:
-            check = check_covering(trace, graph, params)
-            late = check.any_late
-            early = check.any_early
-        return ExperimentRow(
-            family=cfg["family"],
-            n=graph.n,
-            k=graph.k,
-            seed=seed,
-            subdivided=spec.subdivide,
-            status="ok",
-            max_distortion=report.max_ratio,
-            mean_distortion=report.mean_ratio,
-            rounds=trace.rounds,
-            late_coverage=late,
-            early_coverage=early,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-        )
-    except Exception as exc:  # per-row failure; the sweep continues
-        return ExperimentRow(
-            family=cfg["family"],
-            n=graph.n,
-            k=graph.k,
-            seed=seed,
-            subdivided=spec.subdivide,
-            status=f"error:{type(exc).__name__}",
-            max_distortion=None,
-            mean_distortion=None,
-            rounds=None,
-            late_coverage=None,
-            early_coverage=None,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-        )
-
-
-def _run_config(spec: ExperimentSpec, config_index: int) -> list[ExperimentRow]:
+def _run_config(
+    spec: ExperimentSpec, config_index: int
+) -> tuple[list[ExperimentRow], dict | None]:
+    """One config's rows and, when ``spec.analyze`` is set, the covering
+    summary of its ok rows (None without one, or when k < 2)."""
     cfg = spec.configs[config_index]
     try:
         graph = config_graph(spec, config_index)
+        n, k = graph.n, graph.k
     except Exception as exc:  # bad config: one error row per planned run
-        return [
-            ExperimentRow(
-                family=cfg.get("family", "?"),
-                n=0,
-                k=0,
-                seed=derive_seed(spec.base_seed, config_index, r),
-                subdivided=spec.subdivide,
-                status=f"error:{type(exc).__name__}",
-                max_distortion=None,
-                mean_distortion=None,
-                rounds=None,
-                late_coverage=None,
-                early_coverage=None,
-            )
-            for r in range(spec.seeds_per_config)
-        ]
-    return [
-        _run_one(spec, config_index, r, graph) for r in range(spec.seeds_per_config)
-    ]
+        graph, n, k, status = None, 0, 0, f"error:{type(exc).__name__}"
+    rows, checks = [], []
+    for r in range(spec.seeds_per_config):
+        seed = derive_seed(spec.base_seed, config_index, r)
+        result, wall_ms = (None,) * 5, None
+        if graph is not None:
+            t0 = time.perf_counter()
+            try:
+                params = SprParams.for_graph(
+                    graph, delta=spec.delta, seed=seed, max_rounds=spec.max_rounds
+                )
+                _, report, trace = run_and_contract(graph, params)
+                late = early = None
+                if k >= 2:
+                    check = check_covering(trace, graph, params)
+                    late, early = check.any_late, check.any_early
+                    if spec.analyze:
+                        checks.append(check)
+                status = "ok"
+                result = (report.max_ratio, report.mean_ratio, trace.rounds, late, early)
+            except Exception as exc:  # per-row failure; the sweep continues
+                status = f"error:{type(exc).__name__}"
+            wall_ms = (time.perf_counter() - t0) * 1e3
+        rows.append(
+            ExperimentRow(cfg["family"], n, k, seed, spec.subdivide, status, *result,
+                          wall_ms=wall_ms)
+        )
+    if not checks:
+        return rows, None
+    covering = summarize_covering(checks).to_json_dict()
+    return rows, {"config": dict(cfg), "n": n, "k": k, "covering": covering}
+
+
+def _run_sweep(spec: ExperimentSpec, jobs: int) -> tuple[list[ExperimentRow], list[dict]]:
+    """All rows, ordered by (config, run), and the covering summaries of the
+    configs that have one, in config order."""
+    count = len(spec.configs)
+    workers = min(jobs, count)
+    if workers <= 1:
+        results = [_run_config(spec, ci) for ci in range(count)]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_config, [spec] * count, range(count)))
+    rows = [row for config_rows, _ in results for row in config_rows]
+    return rows, [summary for _, summary in results if summary is not None]
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ExperimentRow]:
     """All rows, ordered by (config, run); row failures do not abort the sweep."""
-    if jobs <= 1 or len(spec.configs) == 1:
-        results = [_run_config(spec, ci) for ci in range(len(spec.configs))]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_run_config, [spec] * len(spec.configs), range(len(spec.configs)))
-            )
-    return [row for config_rows in results for row in config_rows]
+    return _run_sweep(spec, jobs)[0]
 
 
 def rows_to_csv(rows: list[ExperimentRow]) -> str:
@@ -264,27 +241,3 @@ def rows_to_json(rows: list[ExperimentRow], spec: ExperimentSpec) -> str:
     }
     return json.dumps(doc, indent=2)
 
-
-def analysis_summaries(spec: ExperimentSpec) -> list[dict]:
-    """Covering-event summaries per config, for --analyze runs."""
-    from .engine import run_spr
-
-    out = []
-    for ci, cfg in enumerate(spec.configs):
-        graph = config_graph(spec, ci)
-        if graph.k < 2:
-            continue
-        checks = []
-        for r in range(spec.seeds_per_config):
-            seed = derive_seed(spec.base_seed, ci, r)
-            params = SprParams.for_graph(
-                graph, delta=spec.delta, seed=seed, max_rounds=spec.max_rounds
-            )
-            _, trace = run_spr(graph, params)
-            checks.append(check_covering(trace, graph, params))
-        summary = summarize_covering(checks)
-        out.append(
-            {"config": dict(cfg), "n": graph.n, "k": graph.k,
-             "covering": summary.to_json_dict()}
-        )
-    return out

@@ -463,7 +463,7 @@ def _walk(adj, is_end, seen, start, p, w):
     return path, weights, p
 
 
-def _distance_columns(adj, columns, csr=None, chains=None, chunk=_CHUNK, width=_TAIL_WIDTH):
+def _distance_columns(adj, columns, csr=None, chains=None):
     """Distances from the nearest source of each column, column by column.
 
     ``adj[i]`` lists ``(position, weight)`` pairs and each column is a
@@ -472,19 +472,19 @@ def _distance_columns(adj, columns, csr=None, chains=None, chunk=_CHUNK, width=_
     ``chains`` (whose sources must include every column's), the kernel runs
     on its reduced graph instead, and ``csr`` is not used.  Yields one
     ``array('d')`` per column, in column order; unreachable positions get
-    ``math.inf``.  ``chunk`` columns share a label array, and the heap tail
-    takes over at ``width`` active pairs.  Exact: see the module docstring.
+    ``math.inf``.  ``_CHUNK`` columns share a label array, and the heap tail
+    takes over at ``_TAIL_WIDTH`` active pairs.  Exact: see the module docstring.
     """
     if chains is not None:
         adj, csr = chains.adj, chains.csr
         columns = [chains.compact[list(col)].tolist() for col in columns]
     elif csr is None:
         csr = _csr_arrays(adj)
-    for first in range(0, len(columns), chunk):
-        yield from _sweep_chunk(adj, csr, columns[first:first + chunk], width, chains)
+    for first in range(0, len(columns), _CHUNK):
+        yield from _sweep_chunk(adj, csr, columns[first:first + _CHUNK], chains)
 
 
-def _sweep_chunk(adj, csr, columns, width, chains):
+def _sweep_chunk(adj, csr, columns, chains):
     c = len(columns)
     size = len(adj) * c
     # the pair (vertex position v, column j) sits at v * c + j
@@ -495,7 +495,7 @@ def _sweep_chunk(adj, csr, columns, width, chains):
     labels[active] = 0.0
     mark = np.zeros(size, dtype=bool)
     last = 0  # the seeds count as growth: at least one sweep runs
-    while active.size > width or active.size > last:
+    while active.size > _TAIL_WIDTH or active.size > last:
         last = active.size
         # every block expands the labels the sweep started with
         base = labels[active]

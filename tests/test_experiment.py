@@ -1,7 +1,12 @@
+import csv
+import io
 import json
+from unittest import mock
 
 import pytest
 
+from sprkit import engine, experiment
+from sprkit.cli import main
 from sprkit.experiment import (
     CSV_COLUMNS,
     ExperimentRow,
@@ -207,3 +212,152 @@ def test_rows_json_text_is_fixed():
         ExperimentRow("star", 5, 4, 12, False, "error:GraphError", None, None, None, None, None),
     ]
     assert rows_to_json(rows, spec) == ROWS_JSON
+
+
+# `sprkit experiment --analyze` on ANALYZE_SPEC: one summary per k >= 2 config;
+# the k = 1 config is left out
+ANALYZE_SPEC = {
+    "configs": [
+        {"family": "grid", "width": 5, "height": 5, "k": 4, "weight": 0.2},
+        {"family": "star", "k": 1, "allow_single_terminal": True},
+        {"family": "random-weighted", "n": 16, "edge_prob": 0.3, "k": 3,
+         "weight_range": [0.05, 2.0]},
+    ],
+    "seeds_per_config": 3,
+    "base_seed": 5,
+}
+
+ANALYSIS_JSON = """[
+  {
+    "config": {
+      "family": "grid",
+      "width": 5,
+      "height": 5,
+      "k": 4,
+      "weight": 0.2
+    },
+    "n": 25,
+    "k": 4,
+    "covering": {
+      "runs": 3,
+      "late_run_rate": 1.0,
+      "early_run_rate": 0.0,
+      "late_run_rate_restricted": null,
+      "d_floor": null,
+      "late_vertex_rate": 0.4444444444444444,
+      "early_vertex_rate": 0.0,
+      "spread_violation_runs": 0
+    }
+  },
+  {
+    "config": {
+      "family": "random-weighted",
+      "n": 16,
+      "edge_prob": 0.3,
+      "k": 3,
+      "weight_range": [
+        0.05,
+        2.0
+      ]
+    },
+    "n": 16,
+    "k": 3,
+    "covering": {
+      "runs": 3,
+      "late_run_rate": 1.0,
+      "early_run_rate": 0.0,
+      "late_run_rate_restricted": null,
+      "d_floor": null,
+      "late_vertex_rate": 0.15384615384615385,
+      "early_vertex_rate": 0.0,
+      "spread_violation_runs": 0
+    }
+  }
+]"""
+
+
+def _experiment(tmp_path, spec, name, *flags):
+    """Run ``sprkit experiment`` on ``spec``; the output directory."""
+    spec_path = tmp_path / f"{name}.spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / name
+    assert main(["experiment", "--spec", str(spec_path), "--out", str(out), *flags]) == 0
+    return out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_analysis_json_text_is_fixed(tmp_path, jobs):
+    out = _experiment(tmp_path, ANALYZE_SPEC, "out", "--analyze", "--jobs", jobs)
+    assert (out / "analysis.json").read_text() == ANALYSIS_JSON
+
+
+def test_analyze_runs_each_seed_once(tmp_path):
+    spy = mock.Mock(wraps=engine.run_spr)
+    with mock.patch.object(engine, "run_spr", spy):
+        _experiment(tmp_path, ANALYZE_SPEC, "out", "--analyze")
+    assert spy.call_count == len(ANALYZE_SPEC["configs"]) * ANALYZE_SPEC["seeds_per_config"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"configs": [{"family": "star", "k": 4}], "max_rounds": 1},
+        {"configs": [{"family": "star", "k": 4},
+                     {"family": "grid", "width": "x", "height": 4, "k": 2}]},
+    ],
+    ids=["round-guard", "bad-config"],
+)
+def test_analyze_leaves_failed_configs_out(tmp_path, capsys, spec):
+    spec = dict(spec, seeds_per_config=2, base_seed=3)
+    plain = _experiment(tmp_path, spec, "plain")
+    out = _experiment(tmp_path, spec, "out", "--analyze")
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "rows.csv").read_bytes() == (plain / "rows.csv").read_bytes()
+    rows = list(csv.DictReader(io.StringIO((out / "rows.csv").read_text())))
+    assert any(r["status"].startswith("error:") for r in rows)
+    ok_configs = [
+        cfg for ci, cfg in enumerate(spec["configs"])
+        if rows[ci * spec["seeds_per_config"]]["status"] == "ok"
+    ]
+    summaries = json.loads((out / "analysis.json").read_text())
+    assert [s["config"] for s in summaries] == ok_configs
+
+
+def test_analysis_covers_only_ok_rows(tmp_path):
+    # a round guard between the seeds' round counts fails some rows of the
+    # config; its summary counts the others
+    spec = {"configs": [{"family": "star", "k": 4}], "seeds_per_config": 3, "base_seed": 5}
+    rounds = [r.rounds for r in run_experiment(ExperimentSpec.from_json(json.dumps(spec)))]
+    guard = sorted(rounds)[1]
+    out = _experiment(tmp_path, dict(spec, max_rounds=guard), "out", "--analyze")
+    rows = list(csv.DictReader(io.StringIO((out / "rows.csv").read_text())))
+    statuses = [r["status"] for r in rows]
+    assert statuses == ["ok" if n <= guard else "error:RoundsGuardError" for n in rounds]
+    [summary] = json.loads((out / "analysis.json").read_text())
+    assert summary["covering"]["runs"] == statuses.count("ok") < len(rounds)
+
+
+def test_pool_capped_at_config_count():
+    class StubPool:
+        workers = []
+
+        def __init__(self, max_workers):
+            self.workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    spec = _spec(
+        configs=({"family": "star", "k": 4}, {"family": "star", "k": 3}),
+        seeds_per_config=1,
+    )
+    with mock.patch.object(experiment, "ProcessPoolExecutor", StubPool):
+        rows = run_experiment(spec, jobs=64)
+    assert StubPool.workers == [2]
+    assert rows_to_csv(rows) == rows_to_csv(run_experiment(spec))

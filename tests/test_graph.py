@@ -255,12 +255,17 @@ def canonical_column(g, sources):
     return [d.hex() for d in best]
 
 
-def kernel_columns(g, columns, **knobs):
-    """Run the private kernel on vertex-id columns; hex rows in vertex order."""
+def kernel_columns(g, columns, chains=None, chunk=graph_module._CHUNK,
+                   width=graph_module._TAIL_WIDTH):
+    """Run the private kernel on vertex-id columns, ``chunk`` columns to a
+    label array and the heap tail from ``width`` active pairs on; hex rows in
+    vertex order."""
     index = g.index
     pos = [[index[v] for v in col] for col in columns]
-    rows = _distance_columns(g._index_adjacency, pos, g._csr, **knobs)
-    return [[d.hex() for d in row] for row in rows]
+    with mock.patch.object(graph_module, "_CHUNK", chunk), \
+            mock.patch.object(graph_module, "_TAIL_WIDTH", width):
+        rows = _distance_columns(g._index_adjacency, pos, g._csr, chains)
+        return [[d.hex() for d in row] for row in rows]
 
 
 # width 0 never hands over (sweeps only); width inf hands over as soon as the
@@ -303,10 +308,10 @@ def test_kernel_phases_run():
                 return real(adj, dist, sources)
 
             with mock.patch.object(graph_module, "_dijkstra", spy), \
-                    mock.patch.object(graph_module, "_BLOCK", block):
-                rows = list(
-                    _distance_columns(g._index_adjacency, pos, g._csr, chunk=4, width=width)
-                )
+                    mock.patch.object(graph_module, "_BLOCK", block), \
+                    mock.patch.object(graph_module, "_CHUNK", 4), \
+                    mock.patch.object(graph_module, "_TAIL_WIDTH", width):
+                rows = list(_distance_columns(g._index_adjacency, pos, g._csr))
             assert all(type(row) is array and row.typecode == "d" for row in rows)
             assert [[d.hex() for d in row] for row in rows] == expected
             assert all(calls)
