@@ -21,9 +21,12 @@ machine, the host speed from the benchmark's calibration kernel
 of the checkout's tier-1 tests.
 
 ``--src`` names the ``src`` directory of the checkout to time, so the same
-script times a parent commit; the tier-1 tests are those beside it.  Each
-run replaces the entry ``--label`` in ``--out`` and keeps the others, so the
-parent and change figures sit in one file.
+script times a parent commit; the tier-1 tests are those beside it.  The
+counts read the trace's columns (``radius_round``, ``cover_vertex``), so a
+checkout whose ``RunTrace`` holds per-event records is timed with that
+checkout's own copy of this script.  Each run replaces the entry ``--label``
+in ``--out`` and keeps the others, so the parent and change figures sit in
+one file.
 """
 
 from __future__ import annotations
@@ -84,8 +87,8 @@ def time_size(n: int, k: int) -> dict:
         counts = {
             "graph.edges": out["m"],
             "engine.rounds": trace.rounds,
-            "engine.steps": len(trace.radius_events),
-            "engine.cover_events": len(trace.cover_events),
+            "engine.steps": len(trace.radius_round),
+            "engine.cover_events": len(trace.cover_vertex),
             "minor.edges": len(out["minor"].edges),
         }
         del text, out, graph, trace

@@ -45,7 +45,6 @@ from .engine import (
     TraceFormatError,
     default_round_guard,
     min_terminal_pair_distance,
-    partition_from_trace,
     preprocess_subdivide,
     run_and_contract,
     run_rng,

@@ -21,7 +21,7 @@ f = sum over intervals of (surviving charges) * (external length).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .engine import RunTrace, SprParams
@@ -235,7 +235,8 @@ def reconstruct_ledger(
     """
     if trace.terminal_ids != graph.terminals:
         raise LedgerError("trace terminals do not match graph terminals")
-    unknown = {ev.vertex for ev in trace.cover_events}.difference(graph.index)
+    vertex = trace.cover_vertex
+    unknown = set(vertex).difference(graph.index)
     if unknown:
         raise LedgerError(
             f"trace covers vertices not in this graph (e.g. {sorted(unknown)[:3]}); "
@@ -259,7 +260,7 @@ def reconstruct_ledger(
     live: list[Detour] = []
     detours: list[Detour] = []
     steps: list[ChargeStep] = []
-    cover_by_step = trace.events_by_step()
+    runs_by_step = trace.runs_by_step()
     ratio = params.ratio
     extra = partition.max_length_in * (1 + 1e-9) + 1e-15
 
@@ -277,24 +278,22 @@ def reconstruct_ledger(
 
     seen_cover: set[int] = set()
     live_span_total = 0
-    for rev in trace.radius_events:
-        j = rev.step
+    for rnd, j, q_step in zip(trace.radius_round, trace.radius_step, trace.radius_q):
         pre_radius = radii[j]
-        radii[j] += rev.q
-        events = cover_by_step.get((rev.round, rev.step))
-        if not events:
+        radii[j] += q_step
+        runs = runs_by_step.get((rnd, j))
+        if not runs:
             continue
-        for ev in events:
-            if ev.vertex in seen_cover:
-                raise LedgerError(f"vertex {ev.vertex} covered twice in trace")
-            seen_cover.add(ev.vertex)
+        claimed = [v for start, stop, _ in runs for v in vertex[start:stop]]
+        for v in claimed:
+            if v in seen_cover:
+                raise LedgerError(f"vertex {v} covered twice in trace")
+            seen_cover.add(v)
         # the claims' distances, which seed later steps' searches
         ball, _ = replay.search(j, limit=radii[j])
-        newly_active = [
-            path_index[ev.vertex] for ev in events if ev.vertex in active_vertices
-        ]
+        newly_active = [path_index[v] for v in claimed if v in active_vertices]
         if not newly_active:
-            replay.claim(j, [ev.vertex for ev in events], ball)
+            replay.claim(j, claimed, ball)
             continue
 
         # charging step: find the trigger vertex from the pre-step state
@@ -302,7 +301,7 @@ def reconstruct_ledger(
         _, stops = replay.search(j, stop=active_vertices, extra=extra)
         if not stops:
             raise LedgerError(
-                f"step ({rev.round},{j}) covers active path vertices but none "
+                f"step ({rnd},{j}) covers active path vertices but none "
                 "is reachable in the replayed pre-step state"
             )
         first = stops[0][1]
@@ -348,7 +347,7 @@ def reconstruct_ledger(
             active[idx] = False
             active_vertices.discard(path[idx])
         det = Detour(
-            ident=len(detours), a=a, b=b, round=rev.round, step=j, terminal=t_j,
+            ident=len(detours), a=a, b=b, round=rnd, step=j, terminal=t_j,
             trigger_vertex=trigger_idx, trigger_interval=qi,
         )
         detours.append(det)
@@ -359,7 +358,7 @@ def reconstruct_ledger(
         if len(active_vertices) + live_span_total != last - 1:
             raise LedgerError(
                 f"live detours and active vertices fell out of step at "
-                f"({rev.round},{j})"
+                f"({rnd},{j})"
             )
 
         # slice bookkeeping: only intervals touched by the span can change,
@@ -373,28 +372,27 @@ def reconstruct_ledger(
             touched.append((qidx, slices[qidx]))
             if qidx != qi and slices[qidx] > pre_slices[qidx]:
                 raise LedgerError(
-                    f"interval {qidx} gained a slice at step ({rev.round},{j})"
+                    f"interval {qidx} gained a slice at step ({rnd},{j})"
                 )
         if slices[qi] > pre_slices[qi] + 1:
             raise LedgerError(
                 f"trigger interval {qi} gained more than one slice at "
-                f"step ({rev.round},{j})"
+                f"step ({rnd},{j})"
             )
-        q_step = rev.q
         success = q_step >= q_slice
         if success and not slices[qi] < pre_slices[qi]:
             raise LedgerError(
-                f"successful step ({rev.round},{j}) did not shrink the trigger "
+                f"successful step ({rnd},{j}) did not shrink the trigger "
                 "interval's slice count"
             )
 
         d_trig = graph.terminal_distance_maps[j - 1][graph.index[path[trigger_idx]]]
         if d_trig == math.inf:
             raise GraphError(f"vertex {path[trigger_idx]} is not reachable from {t_j}")
-        qualifies = rev.round >= math.log(params.early_factor * d_trig) / math.log(ratio)
+        qualifies = rnd >= math.log(params.early_factor * d_trig) / math.log(ratio)
         steps.append(
             ChargeStep(
-                detour_id=det.ident, round=rev.round, step=j, terminal=t_j,
+                detour_id=det.ident, round=rnd, step=j, terminal=t_j,
                 a=a, b=b, trigger_vertex=trigger_idx, trigger_interval=qi,
                 q_step=q_step, q_trigger=q_trigger, q_slice=q_slice,
                 dist_trigger_terminal=d_trig, qualifies=qualifies,
@@ -402,7 +400,7 @@ def reconstruct_ledger(
                 slices_after=tuple(touched),
             )
         )
-        replay.claim(j, [ev.vertex for ev in events], ball)
+        replay.claim(j, claimed, ball)
 
     owner = replay.owner
     missing = {v for v in graph.vertices if v not in owner and v not in term_index}
@@ -429,12 +427,7 @@ class FailureRateResult:
     ci95: tuple[float, float] | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "qualifying_steps": self.qualifying_steps,
-            "failures": self.failures,
-            "fraction": self.fraction,
-            "ci95": list(self.ci95) if self.ci95 else None,
-        }
+        return {**asdict(self), "ci95": list(self.ci95) if self.ci95 else None}
 
 
 def failure_rate(ledgers: list[DetourLedger]) -> FailureRateResult:
@@ -464,15 +457,7 @@ class CostBoundResult:
     structural_ok: bool  # pair distance <= sum of external lengths <= twice that
 
     def to_json_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "exceedances": self.exceedances,
-            "rate": self.rate,
-            "ci95": list(self.ci95),
-            "pair_distance": self.pair_distance,
-            "sum_external": self.sum_external,
-            "structural_ok": self.structural_ok,
-        }
+        return {**asdict(self), "ci95": list(self.ci95)}
 
 
 def cost_bound_check(

@@ -77,17 +77,8 @@ def _minor_from_text(text: str) -> InducedMinor:
 
 
 def cmd_gen(args) -> int:
-    params = {}
-    for name in ("n", "k", "depth", "width", "height"):
-        val = getattr(args, name, None)
-        if val is not None:
-            params[name] = val
-    if args.edge_prob is not None:
-        params["edge_prob"] = args.edge_prob
-    if args.terminals is not None:
-        params["terminals"] = args.terminals
-    if args.weight is not None:
-        params["weight"] = args.weight
+    names = ("n", "k", "depth", "width", "height", "edge_prob", "terminals", "weight")
+    params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     graph = generate(args.family, params, seed=args.seed)
     text = format_graph_text(graph)
     if args.out:
@@ -269,14 +260,7 @@ def cmd_analyze(args) -> int:
     delta = args.delta if args.delta is not None else traces[0].delta
     params = SprParams(k=graph.k, delta=delta)
     pairs = _terminal_free_pairs(graph, t, t_prime)
-    segments = []
-    partitions = []
-    all_ledgers = []
-    for a, b in pairs:
-        doc, partition, ledgers = _analyze_segment(graph, a, b, traces, params)
-        segments.append(doc)
-        partitions.append(partition)
-        all_ledgers.append(ledgers)
+    results = [_analyze_segment(graph, a, b, traces, params) for a, b in pairs]
     checks = [check_covering(tr, graph, SprParams(k=graph.k, delta=delta, seed=tr.seed))
               for tr in traces]
     covering = summarize_covering(checks)
@@ -300,7 +284,7 @@ def cmd_analyze(args) -> int:
     doc = {
         "pair": [t, t_prime],
         "runs": len(traces),
-        "segments": segments,
+        "segments": [doc for doc, _, _ in results],
         "covering": covering.to_json_dict(),
         "checks": covering_checks,
     }
@@ -309,7 +293,7 @@ def cmd_analyze(args) -> int:
         base = out_path.with_suffix("") if out_path else Path("analysis")
         interval_lines = ["segment,interval,start,end,anchor,length_in,length_out,bound"]
         step_lines = ["segment,run,round,step,a,b,trigger,interval,q_step,q_trigger,q_slice,qualifies,success"]
-        for si, (partition, ledgers) in enumerate(zip(partitions, all_ledgers)):
+        for si, (_, partition, ledgers) in enumerate(results):
             for qi, q in enumerate(partition.intervals):
                 interval_lines.append(
                     f"{si},{qi},{q.start},{q.end},{q.anchor},"

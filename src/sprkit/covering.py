@@ -21,15 +21,19 @@ max d(t, v') <= (4 / early_factor) * min D(v) over the group.
 
 ``check_covering`` reads both distances of an event at the vertex's
 position: d(v, t) from terminal t's row of ``terminal_distance_maps`` and
-D(v) from the nearest-terminal row.  Each (terminal, round) group keeps only
-its running largest d(v, t) and smallest D(v).  A cover event that names a
+D(v) from the nearest-terminal row.  It walks the trace's runs of events
+with equal (round, step, terminal): each run looks up its terminal's row
+once and updates its (terminal, round) group once, which keeps only the
+running largest d(v, t) and smallest D(v).  A cover event that names a
 terminal vertex (D(v) = 0, so no deadline round exists) is an input error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import repeat
+from operator import gt, lt
 from typing import NamedTuple
 
 from .engine import DEADLINE_FACTOR, EARLY_FACTOR, RunTrace, SprParams
@@ -92,52 +96,57 @@ def check_covering(
         raise GraphError("params terminal count does not match graph")
     if graph.k < 2:
         return CoveringCheck(records=(), groups=())
-    events = trace.cover_events
+    vertex = trace.cover_vertex
     index = graph.index
-    unknown = {ev.vertex for ev in events}.difference(index)
+    unknown = set(vertex).difference(index)
     if unknown:
         raise GraphError(
             f"trace covers vertices not in this graph (e.g. {sorted(unknown)[:3]}); "
             "was the run preprocessed with subdivision? check against the "
             "subdivided graph"
         )
+    positions = list(map(index.__getitem__, vertex))
     row_of = dict(zip(graph.terminals, graph.terminal_distance_maps))
     nearest = graph._nearest_row
     log, floor, inf = math.log, math.floor, math.inf
-    new = tuple.__new__
     # round thresholds are floor(log_ratio(x)); x <= 0 cannot occur for
     # positive distances, and a tiny x gives a very negative round that no
     # round >= 0 can meet
     log_ratio = log(params.ratio)
     ef = params.early_factor
 
-    records = []
+    runs = [(rnd, *run) for (rnd, _), step_runs in trace.runs_by_step().items()
+            for run in step_runs]
+    # d(v, t) from the run's terminal row, math.inf where t is no terminal
+    d_cover = [inf] * len(vertex)
+    for _, start, stop, t in runs:
+        if t in row_of:
+            d_cover[start:stop] = map(row_of[t].__getitem__, positions[start:stop])
+    d_near = list(map(nearest.__getitem__, positions))
+    if inf in d_cover or 0.0 in d_near:
+        # the first unreachable vertex or covered terminal, in event order
+        for v, t, dc, dn in zip(vertex, trace.cover_terminal, d_cover, d_near):
+            if dc == inf:
+                raise GraphError(f"vertex {v} is not reachable from {t}")
+            if dn == 0.0:  # log(0): v is a terminal
+                raise GraphError(f"trace covers terminal {v}; terminals are never claimed")
+    deadline = [floor(log(DEADLINE_FACTOR * d) / log_ratio) for d in d_near]
+    early = [floor(log(ef * d) / log_ratio) for d in d_cover]
+    rounds = trace.cover_round
+    records = list(map(tuple.__new__, repeat(CoverRecord), zip(
+        vertex, trace.cover_terminal, rounds, d_cover, d_near, deadline, early,
+        map(gt, rounds, deadline), map(lt, rounds, early))))
+
     # (terminal, round) -> [largest d(v, t), smallest D(v)] over the group
     groups: dict[tuple[int, int], list[float]] = {}
-    for v, t, rnd, _, _ in events:
-        p = index[v]
-        try:
-            d_cover = row_of[t][p]
-        except KeyError:  # t is not a terminal
-            d_cover = inf
-        if d_cover == inf:
-            raise GraphError(f"vertex {v} is not reachable from {t}")
-        d_near = nearest[p]
-        try:
-            deadline = floor(log(DEADLINE_FACTOR * d_near) / log_ratio)
-        except ValueError:  # log(0): v is a terminal
-            raise GraphError(f"trace covers terminal {v}; terminals are never claimed") from None
-        early = floor(log(ef * d_cover) / log_ratio)
-        records.append(new(CoverRecord, (v, t, rnd, d_cover, d_near, deadline, early,
-                                         rnd > deadline, rnd < early)))
+    for rnd, start, stop, t in runs:
+        hi, lo = max(d_cover[start:stop]), min(d_near[start:stop])
         spread = groups.get((t, rnd))
         if spread is None:
-            groups[t, rnd] = [d_cover, d_near]
+            groups[t, rnd] = [hi, lo]
         else:
-            if d_cover > spread[0]:
-                spread[0] = d_cover
-            if d_near < spread[1]:
-                spread[1] = d_near
+            spread[0] = max(spread[0], hi)
+            spread[1] = min(spread[1], lo)
 
     group_rows = [
         GroupSpread(
@@ -164,16 +173,7 @@ class CoveringSummary:
     spread_violation_runs: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "late_run_rate": self.late_run_rate,
-            "early_run_rate": self.early_run_rate,
-            "late_run_rate_restricted": self.late_run_rate_restricted,
-            "d_floor": self.d_floor,
-            "late_vertex_rate": self.late_vertex_rate,
-            "early_vertex_rate": self.early_vertex_rate,
-            "spread_violation_runs": self.spread_violation_runs,
-        }
+        return asdict(self)
 
 
 def summarize_covering(

@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import compress, repeat
+from itertools import compress, groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -146,61 +146,104 @@ class CoverEvent(NamedTuple):
     dist: float     # distance from the terminal inside the allowed region
 
 
-# one JSON object per event type, fields in NamedTuple order
-_RADIUS_JSON = '{"type":"radius","round":%r,"step":%r,"q":%r,"R":%r}'
-_COVER_JSON = '{"type":"cover","vertex":%r,"terminal":%r,"round":%r,"step":%r,"dist":%r}'
+# event JSON, fields in NamedTuple order; str() writes numbers as json.dumps
+# does once ``_json_numbers`` has spelled the non-finite ones.  A cover event
+# is its vertex, the fields its run shares, and its dist.
+_RADIUS_JSON = '{"type":"radius","round":%s,"step":%s,"q":%s,"R":%s}'
+_COVER_HEAD = '{"type":"cover","vertex":'
+_COVER_SHARED = ',"terminal":%s,"round":%s,"step":%s,"dist":'
+_COVER_SEP = '},' + _COVER_HEAD
 
 
 @dataclass
 class RunTrace:
+    """The record of one run, held as one list per event field (entry i of
+    each ``radius_*`` or ``cover_*`` column belongs to event i).
+    ``radius_events`` and ``cover_events`` build the records on access."""
+
     delta: float
     seed: int
     k: int
     terminal_ids: tuple[int, ...]
-    radius_events: list[RadiusEvent]
-    cover_events: list[CoverEvent]
     rounds: int
+    radius_round: list[int] = field(default_factory=list)
+    radius_step: list[int] = field(default_factory=list)
+    radius_q: list[float] = field(default_factory=list)
+    radius_R: list[float] = field(default_factory=list)
+    cover_vertex: list[int] = field(default_factory=list)
+    cover_terminal: list[int] = field(default_factory=list)
+    cover_round: list[int] = field(default_factory=list)
+    cover_step: list[int] = field(default_factory=list)
+    cover_dist: list[float] = field(default_factory=list)
 
-    def events_by_step(self) -> dict[tuple[int, int], list[CoverEvent]]:
-        out: dict[tuple[int, int], list[CoverEvent]] = {}
-        for ev in self.cover_events:
-            out.setdefault((ev.round, ev.step), []).append(ev)
-        return out
+    @property
+    def radius_events(self) -> list[RadiusEvent]:
+        cols = zip(self.radius_round, self.radius_step, self.radius_q, self.radius_R)
+        return list(map(tuple.__new__, repeat(RadiusEvent), cols))
+
+    @property
+    def cover_events(self) -> list[CoverEvent]:
+        cols = zip(self.cover_vertex, self.cover_terminal, self.cover_round,
+                   self.cover_step, self.cover_dist)
+        return list(map(tuple.__new__, repeat(CoverEvent), cols))
+
+    def runs_by_step(self) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
+        """The cover events split into maximal runs of consecutive events with
+        equal (round, step, terminal), keyed by (round, step).  A run is
+        ``(start, stop, terminal)``, events start..stop-1; a step's runs are in
+        event order, and an engine trace has one run per claiming step."""
+        by_step: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        start = 0
+        for (rnd, step, t), group in groupby(
+                zip(self.cover_round, self.cover_step, self.cover_terminal)):
+            stop = start + len(list(group))
+            by_step.setdefault((rnd, step), []).append((start, stop, t))
+            start = stop
+        return by_step
 
     def to_json(self) -> str:
         """The trace as compact JSON, byte for byte what ``json.dumps`` with
         separators (",", ":") gives for the trace document: each radius event
         followed by the cover events of its step, or only the cover events
-        when there are no radius events."""
-        # %r writes ints and floats as json.dumps does, except that it spells
-        # non-finite floats inf, -inf and nan; no key contains "inf" or "nan",
-        # so plain replacements on the event text fix those up
-        cover = [_COVER_JSON % ev for ev in self.cover_events]
-        if self.radius_events:
-            by_step: dict[tuple[int, int], list[str]] = {}
-            for ev, text in zip(self.cover_events, cover):
-                by_step.setdefault((ev.round, ev.step), []).append(text)
-            events = []
-            for rev in self.radius_events:
-                events.append(_RADIUS_JSON % rev)
-                events += by_step.get((rev.round, rev.step), ())
-        else:
-            events = cover
+        when there are no radius events.  Each run of cover events formats
+        its shared terminal, round and step once."""
+        vertex = self.cover_vertex
+        dist = _json_numbers(self.cover_dist)
+
+        def runs_text(step, runs):
+            return ",".join(
+                _COVER_HEAD + _COVER_SEP.join(map(
+                    (_COVER_SHARED % (t, *step)).join,
+                    zip(map(str, vertex[start:stop]), map(str, dist[start:stop])))) + "}"
+                for start, stop, t in runs)
+
+        by_step = self.runs_by_step()
+        if self.radius_round:
+            steps = list(zip(self.radius_round, self.radius_step))
+            events = list(map(_RADIUS_JSON.__mod__, zip(
+                self.radius_round, self.radius_step,
+                _json_numbers(self.radius_q), _json_numbers(self.radius_R))))
+            # each radius event's text gains the cover events of its step
+            runs = list(map(by_step.get, steps))
+            for i in compress(range(len(events)), runs):
+                events[i] += "," + runs_text(steps[i], runs[i])
+        else:  # every run in event order
+            runs = sorted((run, step) for step, step_runs in by_step.items() for run in step_runs)
+            events = [runs_text(step, [run]) for run, step in runs]
         params = json.dumps(
             {"delta": self.delta, "seed": self.seed, "k": self.k,
              "terminals": list(self.terminal_ids)},
             separators=(",", ":"),
         )
-        body = ",".join(events).replace("inf", "Infinity").replace("nan", "NaN")
-        return '{"params":%s,"events":[%s],"rounds":%s}' % (params, body, json.dumps(self.rounds))
+        return '{"params":%s,"events":[%s],"rounds":%s}' % (
+            params, ",".join(events), json.dumps(self.rounds))
 
     @staticmethod
     def from_json(text: str) -> "RunTrace":
         """Parse trace JSON; any syntax or schema fault raises TraceFormatError.
 
-        Events are decoded by type, not one by one: one ``itemgetter`` reads
-        every field of an event, and ``tuple.__new__`` builds the record
-        without the argument handling of a NamedTuple call.
+        Events are split by type, and one ``itemgetter`` pass per field reads
+        each column.
         """
         try:
             doc = json.loads(text)
@@ -216,51 +259,45 @@ class RunTrace:
         if not isinstance(p, dict):
             raise TraceFormatError("malformed run trace: 'params' is not an object")
         try:
-            types = list(map(_EVENT_TYPE, events))
+            types = list(map(itemgetter("type"), events))
             unknown = [t for t in types if t != "radius" and t != "cover"]
             if unknown:
                 raise TraceFormatError(f"unknown trace event type {unknown[0]!r}")
-            radius = map(_RADIUS_FIELDS, compress(events, [t == "radius" for t in types]))
-            cover = map(_COVER_FIELDS, compress(events, [t == "cover" for t in types]))
-            radius_events = list(map(tuple.__new__, repeat(RadiusEvent), radius))
-            cover_events = list(map(tuple.__new__, repeat(CoverEvent), cover))
+            radius = list(compress(events, [t == "radius" for t in types]))
+            cover = list(compress(events, [t == "cover" for t in types]))
             if not isinstance(p["terminals"], list):
                 raise TraceFormatError("malformed run trace: 'terminals' is not a list")
-            trace = RunTrace(
-                delta=p["delta"],
-                seed=p["seed"],
-                k=p["k"],
-                terminal_ids=tuple(p["terminals"]),
-                radius_events=radius_events,
-                cover_events=cover_events,
-                rounds=doc["rounds"],
-            )
+            delta, seed, k, terminals, rounds = (
+                p["delta"], p["seed"], p["k"], tuple(p["terminals"]), doc["rounds"])
+            radius = [list(map(itemgetter(f), radius)) for f in ("round", "step", "q", "R")]
+            cover = [list(map(itemgetter(f), cover))
+                     for f in ("vertex", "terminal", "round", "step", "dist")]
         except KeyError as exc:
             raise TraceFormatError(f"malformed run trace: missing field {exc}") from None
         except TypeError as exc:
             raise TraceFormatError(f"malformed run trace: {exc}") from None
-        _check_field_types(trace)
-        return trace
+        # ids, counts, rounds and steps must be JSON integers; q, R, dist and
+        # delta JSON numbers
+        ints = [(seed, k, rounds), terminals, *radius[:2], *cover[:4]]
+        numbers = [(delta,), *radius[2:], cover[4]]
+        if any(set(map(type, col)) - {int} for col in ints) or any(
+            set(map(type, col)) - {int, float} for col in numbers
+        ):
+            raise TraceFormatError("malformed run trace: a field has the wrong type")
+        return RunTrace(delta, seed, k, terminals, rounds, *radius, *cover)
 
 
-_EVENT_TYPE = itemgetter("type")
-_RADIUS_FIELDS = itemgetter("round", "step", "q", "R")
-_COVER_FIELDS = itemgetter("vertex", "terminal", "round", "step", "dist")
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _check_field_types(trace: RunTrace) -> None:
-    """Ids, counts, rounds and steps must be JSON integers; q, R, dist and
-    delta JSON numbers.  Checked column by column, not event by event."""
-    radius, cover = trace.radius_events, trace.cover_events
-    ints = [(trace.seed, trace.k, trace.rounds), trace.terminal_ids]
-    ints += [map(itemgetter(i), radius) for i in (0, 1)]
-    ints += [map(itemgetter(i), cover) for i in (0, 1, 2, 3)]
-    numbers = [(trace.delta,), map(itemgetter(2), radius), map(itemgetter(3), radius),
-               map(itemgetter(4), cover)]
-    if any(set(map(type, col)) - {int} for col in ints) or any(
-        set(map(type, col)) - {int, float} for col in numbers
-    ):
-        raise TraceFormatError("malformed run trace: a field has the wrong type")
+def _json_numbers(col: list) -> list:
+    """``col``, or its text with non-finite floats spelled as json.dumps does."""
+    try:
+        if all(map(math.isfinite, col)):
+            return col
+    except OverflowError:  # an int beyond the float range, which is finite
+        pass
+    return [_NON_FINITE.get(x, x) for x in map(str, col)]
 
 
 def run_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -279,6 +316,14 @@ def sample_exponential(mean: float, rng) -> float:
     _check_mean(mean)
     u = rng.random()
     return -mean * math.log1p(-u)
+
+
+def round_increments(mean: float, rng, k: int) -> list[float]:
+    """One round's k increments from one ``rng.random(k)`` call: the same
+    doubles as k ``sample_exponential`` calls."""
+    _check_mean(mean)
+    log1p = math.log1p
+    return [-mean * log1p(-u) for u in rng.random(k).tolist()]
 
 
 @dataclass(frozen=True)
@@ -411,46 +456,45 @@ def run_spr(
     guard = params.max_rounds if params.max_rounds is not None else default_round_guard(graph, params)
 
     radii = [0.0] * k
-    new = tuple.__new__
-    radius_events: list[RadiusEvent] = []
-    cover_events: list[CoverEvent] = []
+    trace = RunTrace(params.delta, params.seed, k, terminals, 0)
+    cover_vertex, cover_dist = trace.cover_vertex, trace.cover_dist
+    steps = range(1, k + 1)
     rnd = 0
     while uncovered > 0:
         if rnd >= guard:
-            trace = RunTrace(
-                delta=params.delta, seed=params.seed, k=k,
-                terminal_ids=terminals,
-                radius_events=radius_events, cover_events=cover_events, rounds=rnd,
-            )
+            trace.rounds = rnd
             raise RoundsGuardError(guard, trace)
-        mean = base_mean * ratio**rnd
-        _check_mean(mean)
-        # one batched draw per round is bit-identical to k scalar draws
-        for j, u in enumerate(rng.random(k).tolist(), start=1):
-            q = -mean * math.log1p(-u)
+        increments = round_increments(base_mean * ratio**rnd, rng, k)
+        for j, q in zip(steps, increments):
             radii[j - 1] += q
             radius = radii[j - 1]
-            # tuple.__new__ skips the NamedTuple constructor's argument parsing
-            radius_events.append(new(RadiusEvent, (rnd, j, q, radius)))
             frontier = frontiers[j - 1]
-            t = terminals[j - 1]
+            before = len(cover_vertex)
             while frontier and frontier[0][0] <= radius:
                 d, p = heappop(frontier)
                 if owner[p]:
                     continue
                 owner[p] = j
-                uncovered -= 1
-                cover_events.append(new(CoverEvent, (vertices[p], t, rnd, j, d)))
+                cover_vertex.append(vertices[p])
+                cover_dist.append(d)
                 for q, w in adj[p]:
                     if not owner[q]:
                         heappush(frontier, (d + w, q))
+            claimed = len(cover_vertex) - before
+            if claimed:
+                uncovered -= claimed
+                trace.cover_terminal += repeat(terminals[j - 1], claimed)
+                trace.cover_round += repeat(rnd, claimed)
+                trace.cover_step += repeat(j, claimed)
+        # a round's radii after the round are the radii its steps recorded
+        trace.radius_round += repeat(rnd, k)
+        trace.radius_step += steps
+        trace.radius_q += increments
+        trace.radius_R += radii
         rnd += 1
 
+    trace.rounds = rnd
     partition = TerminalPartition(assignment=dict(zip(vertices, owner)))
-    trace = RunTrace(
-        delta=params.delta, seed=params.seed, k=k, terminal_ids=terminals,
-        radius_events=radius_events, cover_events=cover_events, rounds=rnd,
-    )
     return partition, trace
 
 
@@ -463,14 +507,14 @@ def _run_single_terminal(
     row = graph.terminal_distance_maps[0]
     if math.inf in row:
         raise GraphError("clustering requires a connected graph")
-    cover_events = [
-        CoverEvent(v, t, 0, 1, d) for v, d in zip(graph.vertices, row) if v != t
-    ]
-    assignment = {v: 1 for v in graph.vertices}
+    n = graph.n - 1
     trace = RunTrace(
-        delta=params.delta, seed=params.seed, k=1, terminal_ids=graph.terminals,
-        radius_events=[], cover_events=cover_events, rounds=0,
+        params.delta, params.seed, 1, graph.terminals, 0,
+        cover_vertex=[v for v in graph.vertices if v != t],
+        cover_terminal=[t] * n, cover_round=[0] * n, cover_step=[1] * n,
+        cover_dist=[d for v, d in zip(graph.vertices, row) if v != t],
     )
+    assignment = {v: 1 for v in graph.vertices}
     return TerminalPartition(assignment=assignment), trace
 
 
@@ -482,12 +526,3 @@ def run_and_contract(
     minor = contract(graph, partition)
     report = distortion(graph, minor)
     return minor, report, trace
-
-
-def partition_from_trace(graph: WeightedGraph, trace: RunTrace) -> TerminalPartition:
-    """Rebuild the final assignment recorded by a trace."""
-    assignment = {t: idx for idx, t in enumerate(graph.terminals, start=1)}
-    term_index = {t: idx for idx, t in enumerate(graph.terminals, start=1)}
-    for ev in trace.cover_events:
-        assignment[ev.vertex] = term_index[ev.terminal]
-    return TerminalPartition(assignment=assignment)

@@ -123,19 +123,7 @@ class ExperimentRow:
                 return repr(x)
             return str(x)
 
-        return [
-            self.family,
-            str(self.n),
-            str(self.k),
-            str(self.seed),
-            "1" if self.subdivided else "0",
-            self.status,
-            fmt(self.max_distortion),
-            fmt(self.mean_distortion),
-            fmt(self.rounds),
-            fmt(self.late_coverage),
-            fmt(self.early_coverage),
-        ]
+        return [fmt(getattr(self, name)) for name in CSV_COLUMNS]
 
 
 def derive_seed(base_seed: int, config_index: int, run_index: int) -> int:

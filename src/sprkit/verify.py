@@ -1,11 +1,13 @@
 """Independent replay checks for run traces.
 
-Replays a trace event by event against the graph and re-derives everything
-the engine claimed: radius accumulation, ball membership of every coverage
-event, uniqueness and monotonicity of coverage, cluster connectivity, and
-completeness.  The replay never calls back into the engine, so a bug in the
-hot loop cannot vouch for itself, and never reads the trace's recorded
-distances.
+Replays a trace step by step against the graph and re-derives everything
+the engine claimed: radius accumulation, the seeded increments (one
+``rng.random(k)`` draw per round, as the engine draws them), ball membership
+of every coverage event, uniqueness and monotonicity of coverage, cluster
+connectivity, and completeness.  A step's cover events are the trace's runs
+of events with equal (round, step, terminal).  The replay never calls back
+into the engine, so a bug in the hot loop cannot vouch for itself, and never
+reads the trace's recorded distances.
 
 Each step's ball comes from ``graph.ClusterReplay``: a search from the
 stepping cluster's boundary members over the unclaimed vertices, seeded with
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import RunTrace, SprParams, sample_exponential, run_rng
+from .engine import RunTrace, SprParams, round_increments, run_rng
 from .graph import ClusterReplay, WeightedGraph
 from .minor import TerminalPartition, validate_partition
 
@@ -49,53 +51,55 @@ def verify_trace(
     term_index = {t: j for j, t in enumerate(graph.terminals, start=1)}
 
     # coverage uniqueness and vertex validity
-    covered_at: dict[int, tuple[int, int]] = {}
-    for ev in trace.cover_events:
-        if ev.vertex not in graph.index:
-            violations.append(f"cover event for unknown vertex {ev.vertex}")
-        if ev.vertex in covered_at:
-            violations.append(f"vertex {ev.vertex} covered twice")
-        covered_at[ev.vertex] = (ev.round, ev.step)
-        if ev.vertex in term_index:
-            violations.append(f"terminal {ev.vertex} appears in a cover event")
+    vertex = trace.cover_vertex
+    covered: set[int] = set()
+    for v in vertex:
+        if v not in graph.index:
+            violations.append(f"cover event for unknown vertex {v}")
+        if v in covered:
+            violations.append(f"vertex {v} covered twice")
+        covered.add(v)
+        if v in term_index:
+            violations.append(f"terminal {v} appears in a cover event")
 
     # completeness: every non-terminal vertex covered exactly once
     for v in graph.vertices:
-        if v not in term_index and v not in covered_at:
+        if v not in term_index and v not in covered:
             violations.append(f"vertex {v} never covered")
 
     if trace.k == 1:
-        if trace.radius_events:
+        if trace.radius_round:
             violations.append("single-terminal trace must have no radius events")
         return VerifyResult(tuple(violations))
 
     # radius accumulation per terminal, and sampling stream agreement
-    radii = {j: 0.0 for j in range(1, k + 1)}
-    expected_step = []
-    for rnd in range(trace.rounds):
-        for j in range(1, k + 1):
-            expected_step.append((rnd, j))
-    actual_step = [(ev.round, ev.step) for ev in trace.radius_events]
-    if actual_step != expected_step:
+    radius_events = list(zip(trace.radius_round, trace.radius_step, trace.radius_q,
+                             trace.radius_R))
+    expected_step = [(rnd, j) for rnd in range(trace.rounds) for j in range(1, k + 1)]
+    if [ev[:2] for ev in radius_events] != expected_step:
         violations.append("radius events do not enumerate every (round, step) in order")
         return VerifyResult(tuple(violations))
-    for ev in trace.radius_events:
-        if ev.q < 0:
-            violations.append(f"negative increment at round {ev.round} step {ev.step}")
-        radii[ev.step] += ev.q
-        if ev.radius != radii[ev.step]:
+    radii = {j: 0.0 for j in range(1, k + 1)}
+    for rnd, j, q, radius in radius_events:
+        if q < 0:
+            violations.append(f"negative increment at round {rnd} step {j}")
+        radii[j] += q
+        if radius != radii[j]:
             violations.append(
-                f"radius mismatch at round {ev.round} step {ev.step}: "
-                f"recorded {ev.radius!r}, accumulated {radii[ev.step]!r}"
+                f"radius mismatch at round {rnd} step {j}: "
+                f"recorded {radius!r}, accumulated {radii[j]!r}"
             )
     if params is not None:
+        # the events enumerate the steps in order, so round l's increments
+        # are entries l*k .. l*k + k - 1 of the q column
         rng = run_rng(params.seed)
-        for ev in trace.radius_events:
-            mean = params.base_mean * params.ratio**ev.round
-            q = sample_exponential(mean, rng)
-            if q != ev.q:
+        for rnd in range(trace.rounds):
+            qs = round_increments(params.base_mean * params.ratio**rnd, rng, k)
+            bad = [j for j, q, got in zip(range(1, k + 1), qs, trace.radius_q[rnd * k:])
+                   if q != got]
+            if bad:
                 violations.append(
-                    f"increment at round {ev.round} step {ev.step} does not match "
+                    f"increment at round {rnd} step {bad[0]} does not match "
                     f"the seeded stream"
                 )
                 break
@@ -104,42 +108,43 @@ def verify_trace(
     # the newly recorded vertices within the radius
     replay = ClusterReplay(graph)
     owner = replay.owner
-    cover_by_step = trace.events_by_step()
+    runs_by_step = trace.runs_by_step()
+    recorded = trace.cover_dist
     radii = {j: 0.0 for j in range(1, k + 1)}
-    for ev in trace.radius_events:
-        j = ev.step
-        radii[j] += ev.q
+    for rnd, j, q, _ in radius_events:
+        radii[j] += q
         radius = radii[j]
-        new_events = cover_by_step.get((ev.round, ev.step), [])
+        runs = runs_by_step.get((rnd, j), ())
         t_j = graph.terminals[j - 1]
-        for cev in new_events:
-            if cev.terminal != t_j:
-                violations.append(
-                    f"cover event at step ({ev.round},{j}) names terminal "
-                    f"{cev.terminal}, expected {t_j}"
-                )
+        for start, stop, t in runs:
+            if t != t_j:
+                violations += [
+                    f"cover event at step ({rnd},{j}) names terminal {t}, expected {t_j}"
+                ] * (stop - start)
+        new_events = [i for start, stop, _ in runs for i in range(start, stop)]
 
         uncovered_exists = len(owner) < graph.n
         if new_events or uncovered_exists:
             dist, _ = replay.search(j, limit=radius)
-            got_new = {cev.vertex for cev in new_events}
+            got_new = {vertex[i] for i in new_events}
             if dist.keys() != got_new:
                 violations.append(
-                    f"step ({ev.round},{j}) claims {sorted(got_new)} but ball "
+                    f"step ({rnd},{j}) claims {sorted(got_new)} but ball "
                     f"replay gives {sorted(dist)}"
                 )
-            for cev in new_events:
-                d = dist.get(cev.vertex)
+            for i in new_events:
+                v = vertex[i]
+                d = dist.get(v)
                 if d is None:
                     continue
-                if not math.isclose(d, cev.dist, rel_tol=REL_TOL, abs_tol=1e-12):
+                if not math.isclose(d, recorded[i], rel_tol=REL_TOL, abs_tol=1e-12):
                     violations.append(
-                        f"recorded distance {cev.dist!r} for vertex {cev.vertex} "
+                        f"recorded distance {recorded[i]!r} for vertex {v} "
                         f"differs from replayed {d!r}"
                     )
                 if d > radius * (1 + REL_TOL):
                     violations.append(
-                        f"vertex {cev.vertex} covered at distance {d!r} beyond "
+                        f"vertex {v} covered at distance {d!r} beyond "
                         f"radius {radius!r}"
                     )
             # the replayed distances, never the recorded ones, seed later steps

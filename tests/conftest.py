@@ -12,8 +12,26 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from sprkit import SprParams, subdivide_edges
+from sprkit import RunTrace, SprParams, subdivide_edges
 from sprkit.graph import WeightedGraph
+
+
+def make_trace(delta, seed, k, terminal_ids, radius_events, cover_events, rounds) -> RunTrace:
+    """A trace holding the given event tuples, (round, step, q, R) and
+    (vertex, terminal, round, step, dist), as its columns."""
+    radius = [list(col) for col in zip(*radius_events)] or [[] for _ in range(4)]
+    cover = [list(col) for col in zip(*cover_events)] or [[] for _ in range(5)]
+    return RunTrace(delta, seed, k, tuple(terminal_ids), rounds, *radius, *cover)
+
+
+def trace_with_events(trace: RunTrace, radius_events=None, cover_events=None) -> RunTrace:
+    """``trace`` with its radius or cover events replaced by the given tuples."""
+    return make_trace(
+        trace.delta, trace.seed, trace.k, trace.terminal_ids,
+        trace.radius_events if radius_events is None else radius_events,
+        trace.cover_events if cover_events is None else cover_events,
+        trace.rounds,
+    )
 
 
 def all_pairs_relaxation(graph: WeightedGraph) -> dict[int, dict[int, float]]:

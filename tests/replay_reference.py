@@ -63,6 +63,14 @@ def region_search(
     return dist, stops
 
 
+def events_by_step(trace: RunTrace) -> dict[tuple[int, int], list]:
+    """The trace's cover events by (round, step), each step's in event order."""
+    out: dict[tuple[int, int], list] = {}
+    for ev in trace.cover_events:
+        out.setdefault((ev.round, ev.step), []).append(ev)
+    return out
+
+
 def reference_verify_trace(
     graph: WeightedGraph, trace: RunTrace, params: SprParams | None = None
 ) -> tuple[VerifyResult, int | None]:
@@ -134,7 +142,7 @@ def reference_verify_trace(
     # ball semantics per step: replayed region distances must cover exactly
     # the newly recorded vertices within the radius
     owner: dict[int, int] = {t: j for j, t in enumerate(graph.terminals, start=1)}
-    cover_by_step = trace.events_by_step()
+    cover_by_step = events_by_step(trace)
     radii = {j: 0.0 for j in range(1, k + 1)}
     for ev in trace.radius_events:
         j = ev.step

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fine_pair_graph, path_t_s_t
+from conftest import fine_pair_graph, make_trace, path_t_s_t
 from sprkit import (
     SprParams,
     build_interval_partition,
@@ -14,22 +14,13 @@ from sprkit import (
     run_spr,
 )
 from sprkit.charging import InteriorTerminalError, LedgerError
-from sprkit.engine import CoverEvent, RadiusEvent, RunTrace
 from sprkit.graph import WeightedGraph
 
 REL = 1e-9
 
 
 def _trace(graph, radius_events, cover_events, rounds):
-    return RunTrace(
-        delta=0.05,
-        seed=0,
-        k=graph.k,
-        terminal_ids=graph.terminals,
-        radius_events=[RadiusEvent(*r) for r in radius_events],
-        cover_events=[CoverEvent(*c) for c in cover_events],
-        rounds=rounds,
-    )
+    return make_trace(0.05, 0, graph.k, graph.terminals, radius_events, cover_events, rounds)
 
 
 # --- interval partition -----------------------------------------------------

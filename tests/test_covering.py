@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     coarse_subdivided_random,
+    make_trace,
     random_connected_graph,
     small_integer_weighted_graphs,
+    trace_with_events,
 )
 from covering_reference import reference_check_covering
 from sprkit import RunTrace, SprParams, check_covering, run_spr, summarize_covering
 from sprkit.covering import SPREAD_FACTOR, CoverRecord
-from sprkit.engine import CoverEvent
 from sprkit.graph import GraphError, WeightedGraph, subdivide_edges
 
 
@@ -22,15 +23,7 @@ def _unit_path(n_edges: int) -> WeightedGraph:
 
 
 def _trace(graph: WeightedGraph, covers, rounds: int) -> RunTrace:
-    return RunTrace(
-        delta=0.05,
-        seed=0,
-        k=graph.k,
-        terminal_ids=graph.terminals,
-        radius_events=[],
-        cover_events=[CoverEvent(*c) for c in covers],
-        rounds=rounds,
-    )
+    return make_trace(0.05, 0, graph.k, graph.terminals, [], covers, rounds)
 
 
 def test_terminal_only_graph_vacuously_clean():
@@ -177,11 +170,7 @@ def _tamper(g: WeightedGraph, trace: RunTrace, kind: str, data):
         lone = max(g.vertices) + 1
         g = WeightedGraph.build([*g.vertices, lone], g.edges, g.terminals)
         covers.insert(i, ev._replace(vertex=lone))
-    tampered = RunTrace(
-        delta=trace.delta, seed=trace.seed, k=trace.k, terminal_ids=trace.terminal_ids,
-        radius_events=trace.radius_events, cover_events=covers, rounds=trace.rounds,
-    )
-    return g, tampered
+    return g, trace_with_events(trace, cover_events=covers)
 
 
 def _outcome(check, trace, g, params):

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    make_trace,
     path_t_s_t,
     random_connected_graph,
     small_integer_weighted_graphs,
     star_3,
+    trace_with_events,
 )
 from sprkit import (
     CoverEvent,
@@ -22,7 +24,6 @@ from sprkit import (
     TraceFormatError,
     default_round_guard,
     min_terminal_pair_distance,
-    partition_from_trace,
     preprocess_subdivide,
     run_and_contract,
     run_rng,
@@ -31,7 +32,16 @@ from sprkit import (
     verify_trace,
 )
 from sprkit.graph import GraphError, WeightedGraph, shortest_paths
-from sprkit.minor import validate_partition
+from sprkit.minor import TerminalPartition, validate_partition
+
+
+def partition_from_trace(graph: WeightedGraph, trace: RunTrace) -> TerminalPartition:
+    """The final assignment a trace records."""
+    term_index = {t: idx for idx, t in enumerate(graph.terminals, start=1)}
+    assignment = dict(term_index)
+    for ev in trace.cover_events:
+        assignment[ev.vertex] = term_index[ev.terminal]
+    return TerminalPartition(assignment=assignment)
 
 
 class _FixedU:
@@ -336,8 +346,7 @@ def test_verify_flags_tampered_radius():
     g = random_connected_graph(15, 3, seed=70, extra_edges=6)
     p = SprParams.for_graph(g, seed=3)
     _, trace = run_spr(g, p)
-    ev = trace.radius_events[0]
-    trace.radius_events[0] = ev._replace(q=ev.q * 2)
+    trace.radius_q[0] *= 2
     assert not verify_trace(g, trace, p).ok
 
 
@@ -345,7 +354,7 @@ def test_verify_flags_missing_cover_event():
     g = random_connected_graph(15, 3, seed=71, extra_edges=6)
     p = SprParams.for_graph(g, seed=3)
     _, trace = run_spr(g, p)
-    trace.cover_events.pop()
+    trace = trace_with_events(trace, cover_events=trace.cover_events[:-1])
     assert not verify_trace(g, trace, p).ok
 
 
@@ -353,7 +362,8 @@ def test_verify_flags_double_coverage():
     g = random_connected_graph(15, 3, seed=72, extra_edges=6)
     p = SprParams.for_graph(g, seed=3)
     _, trace = run_spr(g, p)
-    trace.cover_events.append(trace.cover_events[0])
+    covers = trace.cover_events
+    trace = trace_with_events(trace, cover_events=[*covers, covers[0]])
     assert not verify_trace(g, trace, p).ok
 
 
@@ -471,7 +481,7 @@ _numbers = st.one_of(st.floats(), st.integers(min_value=-10**6, max_value=10**6)
 _rounds = st.integers(min_value=0, max_value=3)
 _steps = st.integers(min_value=1, max_value=3)
 _traces = st.builds(
-    RunTrace,
+    make_trace,
     delta=st.floats(min_value=1e-3, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**63),
     k=st.integers(min_value=1, max_value=3),
@@ -489,9 +499,7 @@ _traces = st.builds(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(_traces)
-def test_trace_json_matches_dict_encoder_and_roundtrips(trace):
+def _assert_encoder_matches_and_roundtrips(trace):
     events = _reference_event_dicts(trace)
     doc = {
         "params": {"delta": trace.delta, "seed": trace.seed, "k": trace.k,
@@ -510,6 +518,66 @@ def test_trace_json_matches_dict_encoder_and_roundtrips(trace):
     assert (back.delta, back.seed, back.k, back.terminal_ids, back.rounds) == (
         trace.delta, trace.seed, trace.k, trace.terminal_ids, trace.rounds
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_traces)
+def test_trace_json_matches_dict_encoder_and_roundtrips(trace):
+    _assert_encoder_matches_and_roundtrips(trace)
+
+
+# a step's cover events as one run, split into several runs, or with no
+# radius event: (k, radius events, cover events, runs per step); each layout
+# must encode as the dict encoder does
+_LAYOUTS = {
+    "two-terminals-one-step": (
+        2, [(0, 1, 0.5, 0.5), (0, 2, 0.25, 0.25)],
+        [(5, 10, 0, 1, 0.5), (6, 10, 0, 1, 0.5), (7, 11, 0, 1, 0.25), (8, 10, 0, 1, 0.5)],
+        {(0, 1): 3},
+    ),
+    "step-split-by-another": (
+        2, [(0, 1, 0.5, 0.5), (0, 2, 0.25, 0.25)],
+        [(5, 10, 0, 1, 0.5), (6, 11, 0, 2, 0.25), (7, 10, 0, 1, 0.125),
+         (8, 11, 0, 2, math.inf), (9, 10, 0, 1, math.nan)],
+        {(0, 1): 3, (0, 2): 2},
+    ),
+    "cover-without-radius": (
+        2, [(0, 1, 0.5, 0.5)],
+        [(5, 10, 0, 1, 0.5), (6, 11, 0, 2, 0.25), (7, 10, 3, 1, 1), (8, 10, 0, 1, -math.inf)],
+        {(0, 1): 2, (0, 2): 1, (3, 1): 1},
+    ),
+    "single-terminal": (
+        1, [], [(5, 10, 0, 1, 1.5), (6, 10, 0, 1, 2.0), (7, 10, 0, 1, 2)], {(0, 1): 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_trace_json_layouts(layout):
+    k, radius, covers, runs = _LAYOUTS[layout]
+    trace = make_trace(0.05, 1, k, (10, 11)[:k], radius, covers, 1)
+    assert {step: len(r) for step, r in trace.runs_by_step().items()} == runs
+    _assert_encoder_matches_and_roundtrips(trace)
+
+
+def test_event_views_equal_the_recorded_events():
+    # the views against records decoded from the trace document by field
+    # name, one dict per event
+    for seed, k in ((5, 4), (6, 1)):
+        g = random_connected_graph(30, k, seed=seed, extra_edges=12)
+        part, trace = run_spr(g, SprParams.for_graph(g, seed=seed))
+        events = json.loads(trace.to_json())["events"]
+        assert trace.radius_events == [
+            RadiusEvent(e["round"], e["step"], e["q"], e["R"])
+            for e in events if e["type"] == "radius"
+        ]
+        assert trace.cover_events == [
+            CoverEvent(e["vertex"], e["terminal"], e["round"], e["step"], e["dist"])
+            for e in events if e["type"] == "cover"
+        ]
+        assert {type(ev) for ev in trace.radius_events} <= {RadiusEvent}
+        assert {type(ev) for ev in trace.cover_events} == {CoverEvent}
+        assert partition_from_trace(g, trace).assignment == part.assignment
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,9 +6,14 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, small_integer_weighted_graphs
-from replay_reference import reference_verify_trace, region_search
-from sprkit import CoverEvent, RadiusEvent, RunTrace, SprParams, run_spr, verify_trace
+from conftest import (
+    make_trace,
+    random_connected_graph,
+    small_integer_weighted_graphs,
+    trace_with_events,
+)
+from replay_reference import events_by_step, reference_verify_trace, region_search
+from sprkit import RunTrace, SprParams, run_spr, verify_trace
 from sprkit.cli import main
 from sprkit.graph import ClusterReplay, WeightedGraph, format_graph_text, subdivide_edges
 
@@ -37,7 +42,7 @@ def test_search_matches_region_search_at_every_step(g, seed, rnd):
     _, trace = _engine_run(g, seed)
     replay = ClusterReplay(g)
     owner = replay.owner
-    cover_by_step = trace.events_by_step()
+    cover_by_step = events_by_step(trace)
     for ev in trace.radius_events:
         j, t_j = ev.step, g.terminals[ev.step - 1]
         claimed = [cev.vertex for cev in cover_by_step.get((ev.round, ev.step), [])]
@@ -95,10 +100,7 @@ def _mutate(g: WeightedGraph, trace: RunTrace, kind: str, data) -> RunTrace:
             else:
                 step = data.draw(st.sampled_from([j for j in range(1, g.k + 1) if j != ev.step]))
                 covers[i] = ev._replace(step=step, terminal=g.terminals[step - 1])
-    return RunTrace(
-        delta=trace.delta, seed=trace.seed, k=trace.k, terminal_ids=trace.terminal_ids,
-        radius_events=radius, cover_events=covers, rounds=trace.rounds,
-    )
+    return trace_with_events(trace, radius, covers)
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,12 +123,7 @@ def test_verify_matches_reference_on_mutated_traces(g, seed, kind, data):
 
 
 def _hand_trace(g, radius_events, cover_events, rounds):
-    return RunTrace(
-        delta=0.05, seed=0, k=g.k, terminal_ids=g.terminals,
-        radius_events=[RadiusEvent(*r) for r in radius_events],
-        cover_events=[CoverEvent(*c) for c in cover_events],
-        rounds=rounds,
-    )
+    return make_trace(0.05, 0, g.k, g.terminals, radius_events, cover_events, rounds)
 
 
 def _engine_trace(seed: int):
@@ -137,7 +134,7 @@ def _engine_trace(seed: int):
 
 def test_verify_reports_cover_event_for_unknown_vertex():
     g, params, trace = _engine_trace(73)
-    trace.cover_events[0] = trace.cover_events[0]._replace(vertex=10**6)
+    trace.cover_vertex[0] = 10**6
     result = verify_trace(g, trace, params)
     assert f"cover event for unknown vertex {10**6}" in result.violations
 
@@ -146,7 +143,9 @@ def test_verify_reports_vertex_covered_by_two_clusters():
     g, params, trace = _engine_trace(74)
     ev = trace.cover_events[0]
     step = ev.step % g.k + 1
-    trace.cover_events.append(ev._replace(step=step, terminal=g.terminals[step - 1]))
+    trace = trace_with_events(
+        trace, cover_events=[*trace.cover_events,
+                             ev._replace(step=step, terminal=g.terminals[step - 1])])
     result = verify_trace(g, trace, params)
     assert f"vertex {ev.vertex} covered twice" in result.violations
 
