@@ -235,6 +235,8 @@ def reconstruct_ledger(
     """
     if trace.terminal_ids != graph.terminals:
         raise LedgerError("trace terminals do not match graph terminals")
+    if trace.k != graph.k:
+        raise LedgerError(f"trace terminal count {trace.k} does not match the graph's {graph.k}")
     vertex = trace.cover_vertex
     unknown = set(vertex).difference(graph.index)
     if unknown:

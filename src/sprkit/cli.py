@@ -72,7 +72,10 @@ def _minor_from_text(text: str) -> InducedMinor:
     orig = []
     for i in g.terminals:
         label = g.labels.get(i, "")
-        orig.append(int(label.removeprefix("orig=")) if label.startswith("orig=") else i)
+        try:
+            orig.append(int(label.removeprefix("orig=")) if label.startswith("orig=") else i)
+        except ValueError:
+            raise GraphError(f"minor vertex {i}: label {label!r} is not orig=<integer>") from None
     return InducedMinor(k=g.k, terminal_ids=tuple(orig), edges=g.edges)
 
 

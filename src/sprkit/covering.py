@@ -22,8 +22,8 @@ max d(t, v') <= (4 / early_factor) * min D(v) over the group.
 ``check_covering`` reads both distances of an event at the vertex's
 position: d(v, t) from terminal t's row of ``terminal_distance_maps`` and
 D(v) from the nearest-terminal row.  It walks the trace's runs of events
-with equal (round, step, terminal): each run looks up its terminal's row
-once and updates its (terminal, round) group once, which keeps only the
+with equal (terminal, round) in one pass: each run looks up its terminal's
+row once and updates its (terminal, round) group once, which keeps only the
 running largest d(v, t) and smallest D(v).  A cover event that names a
 terminal vertex (D(v) = 0, so no deadline round exists) is an input error.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from itertools import groupby, repeat
 from operator import gt, lt
 from typing import NamedTuple
 
@@ -115,14 +115,26 @@ def check_covering(
     log_ratio = log(params.ratio)
     ef = params.early_factor
 
-    runs = [(rnd, *run) for (rnd, _), step_runs in trace.runs_by_step().items()
-            for run in step_runs]
-    # d(v, t) from the run's terminal row, math.inf where t is no terminal
-    d_cover = [inf] * len(vertex)
-    for _, start, stop, t in runs:
-        if t in row_of:
-            d_cover[start:stop] = map(row_of[t].__getitem__, positions[start:stop])
+    rounds = trace.cover_round
     d_near = list(map(nearest.__getitem__, positions))
+    # d(v, t) from the run's terminal row, math.inf where t is no terminal;
+    # (terminal, round) -> [largest d(v, t), smallest D(v)] over the group
+    d_cover = [inf] * len(vertex)
+    groups: dict[tuple[int, int], list[float]] = {}
+    start = 0
+    for key, run in groupby(zip(trace.cover_terminal, rounds)):
+        stop = start + len(list(run))
+        row = row_of.get(key[0])
+        if row is not None:
+            d_cover[start:stop] = map(row.__getitem__, positions[start:stop])
+        hi, lo = max(d_cover[start:stop]), min(d_near[start:stop])
+        spread = groups.get(key)
+        if spread is None:
+            groups[key] = [hi, lo]
+        else:
+            spread[0] = max(spread[0], hi)
+            spread[1] = min(spread[1], lo)
+        start = stop
     if inf in d_cover or 0.0 in d_near:
         # the first unreachable vertex or covered terminal, in event order
         for v, t, dc, dn in zip(vertex, trace.cover_terminal, d_cover, d_near):
@@ -132,21 +144,9 @@ def check_covering(
                 raise GraphError(f"trace covers terminal {v}; terminals are never claimed")
     deadline = [floor(log(DEADLINE_FACTOR * d) / log_ratio) for d in d_near]
     early = [floor(log(ef * d) / log_ratio) for d in d_cover]
-    rounds = trace.cover_round
     records = list(map(tuple.__new__, repeat(CoverRecord), zip(
         vertex, trace.cover_terminal, rounds, d_cover, d_near, deadline, early,
         map(gt, rounds, deadline), map(lt, rounds, early))))
-
-    # (terminal, round) -> [largest d(v, t), smallest D(v)] over the group
-    groups: dict[tuple[int, int], list[float]] = {}
-    for rnd, start, stop, t in runs:
-        hi, lo = max(d_cover[start:stop]), min(d_near[start:stop])
-        spread = groups.get((t, rnd))
-        if spread is None:
-            groups[t, rnd] = [hi, lo]
-        else:
-            spread[0] = max(spread[0], hi)
-            spread[1] = min(spread[1], lo)
 
     group_rows = [
         GroupSpread(

@@ -17,10 +17,11 @@ builds it.
 
 Every all-vertex distance computation (the k terminal rows, the multi-source
 nearest-terminal distances, the minor's all-pairs matrix) runs one exact
-kernel, ``_distance_columns``, on an adjacency indexed by vertex position and
-its CSR arrays (row starts, neighbour positions, float64 weights).  It takes
-the sources 16 at a time as the columns of a flat ``n x 16`` float64 label
-array and runs in two phases:
+kernel, ``_distance_columns``, on one path: a chain table (``_Chains``, below)
+holding an adjacency indexed by vertex position and its CSR arrays (row
+starts, neighbour positions, float64 weights).  It takes the sources 16 at a
+time as the columns of a flat ``n x 16`` float64 label array and runs in two
+phases:
 
 * Sweeps.  The kernel holds the (vertex, column) pairs improved in the last
   sweep.  A sweep expands their out-edges, keeps the candidates
@@ -34,9 +35,9 @@ array and runs in two phases:
 * Heap tail.  Once the active set has stopped growing and is narrow (16
   pairs, one per column of a full chunk), the columns with active pairs
   become lists of Python floats and ``_dijkstra`` finishes each, starting
-  from the column's labels with the column's active vertices on the heap.
-  A column without active pairs is already final and is copied straight
-  from the label array.
+  from the column's labels with the column's active vertices on the heap,
+  and writes them back.  A column without active pairs is already final.
+  The table then turns every column into one ``array('d')``.
 
 Chains of degree-two positions are where sweeps lose: a frontier of one pair
 per column pays a whole sweep per hop, and subdivided graphs are made of
@@ -44,19 +45,21 @@ little else.  A chain is a maximal path whose interior positions have
 exactly two neighbours and are not sources.  For the terminal rows and the
 nearest-terminal column, the kernel folds every chain of at least
 ``_FOLD_MIN`` interior positions into one edge between its two ends and runs
-both phases on the reduced graph of the other positions (``_Chains``, cached
-on the graph with the terminals as sources).  Relaxing a chain from a label
-x gives the left-to-right float sum x + w1 + w2 + ... of its weights: in a
-sweep, one ``np.add.accumulate`` over every candidate whose chain has that
-many weights; in the heap tail, ``reduce(add, weights, x)``.  Once the
-reduced labels are final, each interior position gets the smaller of the
-folds from the chain's two ends, one ``np.add.accumulate`` per interior
-length.  No interior position is ever active or a tail seed.  A chain whose
-two ends are one position is never relaxed, since it cannot shorten a path,
-but its interior is filled from both sides; a dead end (a degree-one end) is
-an end like any other; a cycle of degree-two positions without any end stays
-in the reduced graph, unreached, at ``math.inf``.  The minor's all-pairs
-matrix never folds: every minor vertex is a source.
+both phases on the reduced graph of the other positions (the chain table,
+cached on the graph with the terminals as sources).  Relaxing a chain from
+a label x gives the left-to-right float sum x + w1 + w2 + ... of its
+weights: in a sweep, one ``np.add.accumulate`` over every candidate whose
+chain has that many weights; in the heap tail, ``reduce(add, weights, x)``.
+Once the reduced labels are final, each interior position gets the smaller
+of the folds from the chain's two ends, one ``np.add.accumulate`` per
+interior length.  No interior position is ever active or a tail seed.  A
+chain whose two ends are one position is never relaxed, since it cannot
+shorten a path, but its interior is filled from both sides; a dead end (a
+degree-one end) is an end like any other; a cycle of degree-two positions
+without any end stays in the reduced graph, unreached, at ``math.inf``.  A
+graph without such a chain gets a table that folds nothing: the kernel runs
+on the graph's own rows and CSR arrays.  The minor's all-pairs matrix
+always does, since every minor vertex is a source.
 
 Its values are exact, not merely close.  Every label is always the
 left-to-right float sum of the weights of a real path.  At the switch every
@@ -211,19 +214,9 @@ class WeightedGraph:
         return tuple(map(tuple, adj))
 
     @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _csr_arrays(self._index_adjacency)
-
-    @cached_property
-    def _chains(self) -> _Chains | None:
+    def _chains(self) -> _Chains:
         """The kernel's chain table, with the terminals as sources."""
         return _fold_chains(self._index_adjacency, [self.index[t] for t in self.terminals])
-
-    def _terminal_columns(self, columns) -> list[array]:
-        # columns of terminal positions, on the chain table when there is one
-        chains = self._chains
-        csr = None if chains else self._csr
-        return list(_distance_columns(self._index_adjacency, columns, csr, chains))
 
     @cached_property
     def terminal_distance_maps(self) -> tuple[array, ...]:
@@ -235,7 +228,7 @@ class WeightedGraph:
         garbage collector, where a list of floats costs 32 and is.
         """
         index = self.index
-        return tuple(self._terminal_columns([(index[t],) for t in self.terminals]))
+        return tuple(_distance_columns(self._chains, [(index[t],) for t in self.terminals]))
 
     @cached_property
     def nearest_terminal_distance(self) -> dict[int, float]:
@@ -245,7 +238,7 @@ class WeightedGraph:
     @cached_property
     def _nearest_row(self) -> array:
         # the same distances by position, math.inf where no terminal is reachable
-        [dist] = self._terminal_columns([[self.index[t] for t in self.terminals]])
+        [dist] = _distance_columns(self._chains, [[self.index[t] for t in self.terminals]])
         return dist
 
     def is_connected(self) -> bool:
@@ -328,37 +321,41 @@ class _Chains:
     """Chains of degree-two positions, each folded to one edge between its ends.
 
     The kernel runs on the reduced graph of the positions outside folded
-    chains: ``kept`` lists them in ascending order, and ``compact`` maps a
-    position to its index there, or to -1 inside a chain.  ``adj`` and
-    ``csr`` hold the reduced graph's plain edges.  ``folds[i]`` lists
-    ``(end, weights)`` for every chain from reduced vertex i to another end,
-    the weights in walking order.  ``fold_csr`` holds the same as arrays:
+    chains, in ascending order: ``compact`` maps a position to its index
+    there, or to -1 inside a chain.  ``adj`` and ``csr`` hold the reduced
+    graph's plain edges.  ``folds[i]`` lists ``(end, weights)`` for every
+    chain from reduced vertex i to another end, the weights in walking
+    order.  ``fold_csr`` holds the same as arrays:
     row starts, ends, weight counts, and each chain's first weight in the
     flat float64 weights that follow.  ``groups`` holds, per interior length,
     the chains' reduced ends, interior positions and weights, for
-    ``unfold``.
+    ``unfold``.  A table that folds nothing keeps every position, its
+    ``adj`` and ``csr`` are the graph's own rows and arrays, ``folds`` and
+    ``fold_csr`` are None, and ``groups`` is empty.
     """
 
-    kept: np.ndarray
     compact: np.ndarray
-    adj: tuple
+    adj: Sequence
     csr: tuple
-    folds: tuple
-    fold_csr: tuple
+    folds: tuple | None
+    fold_csr: tuple | None
     groups: tuple
 
     def unfold(self, labels: np.ndarray):
         """One ``array('d')`` over every position per column of the final
         reduced labels (reduced vertex x column)."""
-        full = np.empty((labels.shape[1], self.compact.size))
-        full[:, self.kept] = labels.T
-        for a, b, inner, weight in self.groups:
-            # the fold from either end, position by position
-            left = _prefix_folds(labels[a], weight[:, :-1])
-            right = _prefix_folds(labels[b], weight[:, :0:-1])
-            full[:, inner] = np.minimum(left, right[..., ::-1])
-        for row in full:
-            yield array("d", row.tobytes())
+        # the fold from either end, position by position, for every column
+        folds = [
+            (inner, np.minimum(_prefix_folds(labels[a], weight[:, :-1]),
+                               _prefix_folds(labels[b], weight[:, :0:-1])[..., ::-1]))
+            for a, b, inner, weight in self.groups
+        ]
+        for j in range(labels.shape[1]):
+            # a chain interior (compact -1) takes a stand-in label, then its fold
+            column = labels[:, j].take(self.compact)
+            for inner, best in folds:
+                column[inner] = best[j]
+            yield array("d", column.tobytes())
 
 
 def _prefix_folds(start: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -373,9 +370,10 @@ def _prefix_folds(start: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return sums[..., 1:]
 
 
-def _fold_chains(adj, sources) -> _Chains | None:
-    """Fold every chain of ``adj`` with at least ``_FOLD_MIN`` interior
-    positions, the positions ``sources`` ending chains; None if there is none.
+def _fold_chains(adj, sources) -> _Chains:
+    """The chain table of ``adj``, the positions ``sources`` ending chains:
+    every chain with at least ``_FOLD_MIN`` interior positions is folded.
+    With no such chain the table folds nothing.
 
     A chain is a maximal path whose interior positions have exactly two
     neighbours and are not sources.  Its two ends may be one position (a
@@ -386,12 +384,9 @@ def _fold_chains(adj, sources) -> _Chains | None:
     is_end = bytearray(map((2).__ne__, map(len, adj)))
     for s in sources:
         is_end[s] = 1
-    inner = np.flatnonzero(np.frombuffer(is_end, dtype=np.uint8) == 0).tolist()
-    if len(inner) < _FOLD_MIN:
-        return None
     seen = bytearray(n)
     chains = []
-    for p in inner:
+    for p in np.flatnonzero(np.frombuffer(is_end, dtype=np.uint8) == 0).tolist():
         if seen[p]:
             continue
         # walk out both ways from p to the chain's ends
@@ -404,7 +399,8 @@ def _fold_chains(adj, sources) -> _Chains | None:
         if len(path) >= _FOLD_MIN:
             chains.append((a, b, path, back_weights[::-1] + weights))
     if not chains:
-        return None
+        return _Chains(compact=np.arange(n), adj=adj, csr=_csr_arrays(adj), folds=None,
+                       fold_csr=None, groups=())
     compact = np.zeros(n, dtype=np.intp)
     for _, _, path, _ in chains:
         compact[path] = -1
@@ -424,7 +420,6 @@ def _fold_chains(adj, sources) -> _Chains | None:
     flat = [fold for row in folds for fold in row]
     hops = np.fromiter((len(weights) for _, weights in flat), np.intp, len(flat))
     return _Chains(
-        kept=kept,
         compact=compact,
         adj=radj,
         csr=_csr_arrays(radj),
@@ -463,28 +458,25 @@ def _walk(adj, is_end, seen, start, p, w):
     return path, weights, p
 
 
-def _distance_columns(adj, columns, csr=None, chains=None):
+def _distance_columns(chains: _Chains, columns):
     """Distances from the nearest source of each column, column by column.
 
-    ``adj[i]`` lists ``(position, weight)`` pairs and each column is a
-    collection of source positions.  ``csr`` holds the same edges as arrays
-    and is built from ``adj`` when not given.  With a chain table
-    ``chains`` (whose sources must include every column's), the kernel runs
-    on its reduced graph instead, and ``csr`` is not used.  Yields one
-    ``array('d')`` per column, in column order; unreachable positions get
-    ``math.inf``.  ``_CHUNK`` columns share a label array, and the heap tail
-    takes over at ``_TAIL_WIDTH`` active pairs.  Exact: see the module docstring.
+    Each column is a collection of source positions of the graph that the
+    chain table ``chains`` was built from, and the table's sources must
+    include every column's.  The kernel runs on the table's reduced graph;
+    a table that folds nothing runs it on the graph's own rows.  Yields one
+    ``array('d')`` over every position per column, in column order;
+    unreachable positions get ``math.inf``.  ``_CHUNK`` columns share a label
+    array, and the heap tail takes over at ``_TAIL_WIDTH`` active pairs.
+    Exact: see the module docstring.
     """
-    if chains is not None:
-        adj, csr = chains.adj, chains.csr
-        columns = [chains.compact[list(col)].tolist() for col in columns]
-    elif csr is None:
-        csr = _csr_arrays(adj)
+    columns = [chains.compact[list(col)].tolist() for col in columns]
     for first in range(0, len(columns), _CHUNK):
-        yield from _sweep_chunk(adj, csr, columns[first:first + _CHUNK], chains)
+        yield from _sweep_chunk(chains, columns[first:first + _CHUNK])
 
 
-def _sweep_chunk(adj, csr, columns, chains):
+def _sweep_chunk(chains, columns):
+    adj, csr = chains.adj, chains.csr
     c = len(columns)
     size = len(adj) * c
     # the pair (vertex position v, column j) sits at v * c + j
@@ -503,7 +495,7 @@ def _sweep_chunk(adj, csr, columns, chains):
         for lo in range(0, last, _BLOCK):
             pairs, start = active[lo:lo + _BLOCK], base[lo:lo + _BLOCK]
             blocks.append(_expand(labels, csr, c, pairs, start))
-            if chains is not None:
+            if chains.folds is not None:
                 blocks.append(_expand_folds(labels, chains, c, pairs, start))
         target = np.concatenate(blocks)
         if target.size * _SORT_SHARE < size:
@@ -513,20 +505,11 @@ def _sweep_chunk(adj, csr, columns, chains):
             active = np.flatnonzero(mark)
             mark[active] = False
     vertex, col = np.divmod(active, c)
-    if chains is not None:
-        for j in range(c):
-            seeds = vertex[col == j].tolist()
-            if seeds:
-                labels[j::c] = _dijkstra(adj, labels[j::c].tolist(), seeds, chains.folds)
-        yield from chains.unfold(labels.reshape(-1, c))
-        return
     for j in range(c):
         seeds = vertex[col == j].tolist()
         if seeds:
-            yield array("d", _dijkstra(adj, labels[j::c].tolist(), seeds))
-        else:
-            # no active pair: the column is final
-            yield array("d", labels[j::c].tobytes())
+            labels[j::c] = _dijkstra(adj, labels[j::c].tolist(), seeds, chains.folds)
+    yield from chains.unfold(labels.reshape(-1, c))
 
 
 def _out_edges(indptr, vertex):
@@ -594,12 +577,13 @@ def _distinct(pairs: np.ndarray) -> np.ndarray:
 
 
 def _dijkstra(
-    adj: Sequence[Sequence[tuple[int, float]]], dist: list[float], seeds, folds=None
+    adj: Sequence[Sequence[tuple[int, float]]], dist: list[float], seeds, folds
 ) -> list[float]:
     """Finish the labels ``dist`` by Dijkstra from the positions ``seeds``.
 
-    ``adj[i]`` lists ``(position, weight)`` pairs, and ``folds[i]``, when
-    given, ``(position, weights)`` pairs relaxed as one left-to-right sum.
+    ``adj[i]`` lists ``(position, weight)`` pairs, and ``folds[i]``, unless
+    ``folds`` is None, ``(position, weights)`` pairs relaxed as one
+    left-to-right sum.
     Every label must be a path's float sum or ``math.inf``, and every
     position v outside ``seeds`` must already have relaxed its edges:
     ``dist[u] <= dist[v] + w`` for each ``(u, w)`` in ``adj[v]``, and the

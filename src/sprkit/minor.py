@@ -18,7 +18,7 @@ from math import inf
 from operator import truediv
 from typing import NamedTuple
 
-from .graph import GraphError, WeightedGraph, _distance_columns
+from .graph import GraphError, WeightedGraph, _distance_columns, _fold_chains
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,10 @@ class InducedMinor:
         for i, j, w in self.edges:
             adj[i - 1].append((j - 1, w))
             adj[j - 1].append((i - 1, w))
+        # every minor vertex is a source, so the table folds nothing
+        chains = _fold_chains(adj, range(self.k))
         columns = [(s,) for s in range(self.k)]
-        return tuple(tuple(row) for row in _distance_columns(adj, columns))
+        return tuple(tuple(row) for row in _distance_columns(chains, columns))
 
 
 def contract(graph: WeightedGraph, partition: TerminalPartition) -> InducedMinor:

@@ -48,6 +48,8 @@ def verify_trace(
     k = trace.k
     if trace.terminal_ids != graph.terminals:
         return VerifyResult(("trace terminals do not match graph terminals",))
+    if k != graph.k:
+        return VerifyResult((f"trace terminal count {k} does not match the graph's {graph.k}",))
     term_index = {t: j for j, t in enumerate(graph.terminals, start=1)}
 
     # coverage uniqueness and vertex validity
@@ -75,8 +77,9 @@ def verify_trace(
     # radius accumulation per terminal, and sampling stream agreement
     radius_events = list(zip(trace.radius_round, trace.radius_step, trace.radius_q,
                              trace.radius_R))
-    expected_step = [(rnd, j) for rnd in range(trace.rounds) for j in range(1, k + 1)]
-    if [ev[:2] for ev in radius_events] != expected_step:
+    # the count first: the rounds field alone must not size the expected list
+    if len(radius_events) != trace.rounds * k or [ev[:2] for ev in radius_events] != [
+            (rnd, j) for rnd in range(trace.rounds) for j in range(1, k + 1)]:
         violations.append("radius events do not enumerate every (round, step) in order")
         return VerifyResult(tuple(violations))
     radii = {j: 0.0 for j in range(1, k + 1)}

@@ -132,6 +132,47 @@ def test_distort_roundtrip(tmp_path, capsys):
     assert doc["max"]["ratio"] == pytest.approx(1.0)  # path distortion is 1
 
 
+def test_distort_non_integer_orig_label_is_usage_error(tmp_path, capsys):
+    gpath = _gen(tmp_path, n=4)
+    out = tmp_path / "trace.json"
+    assert main(["run", "--graph", str(gpath), "--seed", "3", "--out", str(out)]) == 0
+    minor = tmp_path / "trace.minor.txt"
+    minor.write_text(minor.read_text().replace("v 1 orig=0\n", "v 1 orig=abc\n"))
+    capsys.readouterr()
+    assert main(["distort", "--graph", str(gpath), "--minor", str(minor)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: minor vertex 1: label 'orig=abc' is not orig=<integer>"]
+
+
+@pytest.mark.parametrize("field", ["rounds", "k"])
+def test_verify_and_analyze_do_not_size_memory_by_trace_counts(tmp_path, capsys, field):
+    # a count field far beyond the events is reported at once, without
+    # building a list or dict of that size
+    gpath = _gen(tmp_path, n=8)
+    tdir = tmp_path / "traces"
+    tdir.mkdir()
+    out = tdir / "trace.json"
+    assert main(["run", "--graph", str(gpath), "--seed", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    if field == "rounds":
+        doc["rounds"] = 10**12
+    else:
+        doc["params"]["k"] = 10**12
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--graph", str(gpath), "--trace", str(out)]) == 1
+    expected = {
+        "rounds": "radius events do not enumerate every (round, step) in order",
+        "k": f"trace terminal count {10**12} does not match the graph's 2",
+    }[field]
+    assert capsys.readouterr().err.splitlines() == [f"violation: {expected}"]
+    if field == "k":
+        assert main([
+            "analyze", "--graph", str(gpath), "--pair", "0", "7", "--traces", str(tdir),
+        ]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
+
+
 def test_oracle_with_comparison(tmp_path):
     gpath = _gen(tmp_path, family="star", n=0)
 

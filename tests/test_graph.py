@@ -255,16 +255,24 @@ def canonical_column(g, sources):
     return [d.hex() for d in best]
 
 
+def all_source_table(g):
+    """The chain table with every position a source: it folds nothing."""
+    return graph_module._fold_chains(g._index_adjacency, range(g.n))
+
+
 def kernel_columns(g, columns, chains=None, chunk=graph_module._CHUNK,
                    width=graph_module._TAIL_WIDTH):
     """Run the private kernel on vertex-id columns, ``chunk`` columns to a
-    label array and the heap tail from ``width`` active pairs on; hex rows in
+    label array and the heap tail from ``width`` active pairs on, on the
+    chain table ``chains`` or else on one that folds nothing; hex rows in
     vertex order."""
     index = g.index
     pos = [[index[v] for v in col] for col in columns]
+    if chains is None:
+        chains = all_source_table(g)
     with mock.patch.object(graph_module, "_CHUNK", chunk), \
             mock.patch.object(graph_module, "_TAIL_WIDTH", width):
-        rows = _distance_columns(g._index_adjacency, pos, g._csr, chains)
+        rows = _distance_columns(chains, pos)
         return [[d.hex() for d in row] for row in rows]
 
 
@@ -288,7 +296,7 @@ def test_kernel_phases_equal_canonical_searches(g, phase, block):
 def test_kernel_phases_run():
     # width 0 never hands over, so no column reaches the heap tail; at a
     # hand-over only the columns that still have active pairs do, each with
-    # those pairs as seeds, and a seedless column is copied from the labels.
+    # those pairs as seeds, and a seedless column is already final.
     # Every block expands the labels its sweep started with, so blocks of 1
     # and 3 pairs hand the tail the same seeds as one expansion of the whole
     # set.
@@ -296,6 +304,7 @@ def test_kernel_phases_run():
     columns = [(t,) for t in g.terminals] + [g.terminals]
     pos = [[g.index[v] for v in col] for col in columns]
     expected = [canonical_column(g, col) for col in columns]
+    chains = all_source_table(g)
     tails, seeds = {}, {}
     real = graph_module._dijkstra
     for width in (0, 8, math.inf):
@@ -303,15 +312,15 @@ def test_kernel_phases_run():
         for block in (graph_module._BLOCK, 3, 1):
             calls = []
 
-            def spy(adj, dist, sources):
+            def spy(adj, dist, sources, folds):
                 calls.append(sorted(sources))
-                return real(adj, dist, sources)
+                return real(adj, dist, sources, folds)
 
             with mock.patch.object(graph_module, "_dijkstra", spy), \
                     mock.patch.object(graph_module, "_BLOCK", block), \
                     mock.patch.object(graph_module, "_CHUNK", 4), \
                     mock.patch.object(graph_module, "_TAIL_WIDTH", width):
-                rows = list(_distance_columns(g._index_adjacency, pos, g._csr))
+                rows = list(_distance_columns(chains, pos))
             assert all(type(row) is array and row.typecode == "d" for row in rows)
             assert [[d.hex() for d in row] for row in rows] == expected
             assert all(calls)
@@ -417,16 +426,16 @@ def test_folded_kernel_equals_canonical_searches(g, phase, fold_min):
     expected = [canonical_column(g, col) for col in columns]
     real = graph_module._dijkstra
 
-    def spy(adj, dist, seeds, folds=None):
-        if chains is not None:
-            assert adj is chains.adj and folds is chains.folds
-            assert len(dist) == len(chains.kept)
-            assert not interior.intersection(chains.kept[seeds].tolist())
+    def spy(adj, dist, seeds, folds):
+        assert adj is chains.adj and folds is chains.folds
+        assert len(dist) == len(kept)
+        assert not interior.intersection(kept[seeds].tolist())
         return real(adj, dist, seeds, folds)
 
-    if chains is not None:
-        interior = set(np.flatnonzero(chains.compact < 0).tolist())
-        assert interior and not interior.intersection(sources)
+    kept = np.flatnonzero(chains.compact >= 0)
+    interior = set(np.flatnonzero(chains.compact < 0).tolist())
+    assert bool(interior) == (chains.folds is not None)
+    assert not interior.intersection(sources)
     with mock.patch.object(graph_module, "_dijkstra", spy):
         assert kernel_columns(g, columns, chains=chains, chunk=chunk, width=width) == expected
     rows = [[d.hex() for d in row] for row in g.terminal_distance_maps]
@@ -446,14 +455,16 @@ def test_fold_chains_table():
     ]
     vertices = sorted({v for e in edges for v in e[:2]})
     g = WeightedGraph.build(vertices, edges, [0, 31])
-    assert g._chains is None  # every chain is shorter than _FOLD_MIN
+    assert g._chains.folds is None  # every chain is shorter than _FOLD_MIN
     index = g.index
     with mock.patch.object(graph_module, "_FOLD_MIN", 1):
         chains = graph_module._fold_chains(g._index_adjacency, [index[0], index[31]])
-    kept = [g.vertices[p] for p in chains.kept]
+    reduced = np.flatnonzero(chains.compact >= 0)
+    kept = [g.vertices[p] for p in reduced]
     assert kept == [0, 1, 22, 31, 40, 41, 42]
+    assert chains.compact[reduced].tolist() == list(range(len(kept)))
     ends = {
-        tuple(g.vertices[chains.kept[e]] for e in (a, b)): [g.vertices[p] for p in inner]
+        tuple(g.vertices[reduced[e]] for e in (a, b)): [g.vertices[p] for p in inner]
         for group in chains.groups
         for a, b, path, _ in zip(*group)
         for inner in [path]
@@ -481,7 +492,7 @@ def test_fold_is_a_left_to_right_sum():
     weights = [0.1, 0.2, 0.3] * 40
     edges = [(v, v + 1, w) for v, w in enumerate(weights)]
     g = WeightedGraph.build(range(len(weights) + 1), edges, [0, len(weights)])
-    assert g._chains is not None and len(g._chains.kept) == 2
+    assert g._chains.folds is not None and len(g._chains.adj) == 2
     far = 0.0
     for w in weights:
         far += w
@@ -490,6 +501,36 @@ def test_fold_is_a_left_to_right_sum():
     assert [[d.hex() for d in row] for row in g.terminal_distance_maps] == [
         canonical_column(g, (t,)) for t in g.terminals
     ]
+
+
+def test_chain_free_graphs_run_one_path():
+    # a sparse random graph (compress-cold's shape: a random tree plus
+    # uniform chords, average degree 6) has no chain to fold, and neither
+    # has a minor, whose every vertex is a source: both tables fold nothing,
+    # run on the graph's own rows and reach the heap tail without folds
+    g = random_connected_graph(1000, 64, seed=3, extra_edges=2000)
+    chains = g._chains
+    assert chains.folds is None and chains.fold_csr is None and chains.groups == ()
+    assert chains.adj is g._index_adjacency
+    assert chains.compact.tolist() == list(range(g.n))
+    minor, _, _ = sprkit.run_and_contract(g, sprkit.SprParams.for_graph(g, seed=0))
+    fresh = WeightedGraph.build(g.vertices, g.edges, g.terminals)
+    real = graph_module._dijkstra
+    for run in (
+        lambda: fresh.terminal_distance_maps,
+        lambda: InducedMinor(minor.k, minor.terminal_ids, minor.edges).distance_matrix,
+    ):
+        calls = []
+
+        def spy(adj, dist, seeds, folds):
+            calls.append(folds)
+            return real(adj, dist, seeds, folds)
+
+        with mock.patch.object(graph_module, "_dijkstra", spy):
+            run()
+        assert calls and all(folds is None for folds in calls)
+    expected = [canonical_column(g, (t,)) for t in g.terminals]
+    assert [[d.hex() for d in row] for row in g.terminal_distance_maps] == expected
 
 
 def test_distance_layer_does_not_import_scipy():
