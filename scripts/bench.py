@@ -10,15 +10,18 @@ For each size (n=2k k=16, n=20k k=64, n=50k k=256) a fresh child process
 builds the sparse graph of ``perfbench/inputs.sparse_graph_text`` (graph
 seed 0) and runs the traced ``compress-cold`` unit of
 ``perfbench/workloads.py`` on it with run seed 0, then the covering check,
-three times.  One more child builds the ``analyze-pair`` graph and one trace
-(run seed 0) with that workload's set-up, then verifies the trace, checks
-its covering and replays its charging ledger, the workload's unit, three
-times.  Each layer is timed in wall seconds under the benchmark's span
-name, the set-up's under ``setup.``.  The file keeps the median per layer,
-the exact work counts and the child's peak RSS.  The run also records the
-machine, the host speed from the benchmark's calibration kernel
-(``perfbench/calibrate.py``) before and after the sizes, and the wall time
-of the checkout's tier-1 tests.
+three times.  The traced unit warms every terminal row and the covering
+check reads them, so a second child per size runs the untraced unit
+(``workloads.compress_unit``, which keeps only the terminal block) once and
+records its peak RSS as ``run_peak_rss_mb``.  One more child builds the
+``analyze-pair`` graph and one trace (run seed 0) with that workload's
+set-up, then verifies the trace, checks its covering and replays its
+charging ledger, the workload's unit, three times.  Each layer is timed in
+wall seconds under the benchmark's span name, the set-up's under
+``setup.``.  The file keeps the median per layer, the exact work counts and
+the child's peak RSS.  The run also records the machine, the host speed
+from the benchmark's calibration kernel (``perfbench/calibrate.py``) before
+and after the sizes, and the wall time of the checkout's tier-1 tests.
 
 ``--src`` names the ``src`` directory of the checkout to time, so the same
 script times a parent commit; the tier-1 tests are those beside it.  The
@@ -102,6 +105,17 @@ def time_size(n: int, k: int) -> dict:
         "counts": counts,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
+
+
+def run_size(n: int, k: int) -> dict:
+    """One untraced ``compress-cold`` unit, as ``sprkit run`` runs, in this
+    process: its peak RSS."""
+    import workloads
+    from inputs import sparse_graph_text
+
+    state = {"texts": [sparse_graph_text(n, k, GRAPH_SEED)], "seeds": [RUN_SEED]}
+    workloads.compress_unit(state, 0)
+    return {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
 def time_pair() -> dict:
@@ -221,6 +235,8 @@ def main() -> int:
             result = host_speed()
         elif what == "pair":
             result = time_pair()
+        elif what == "run":
+            result = run_size(int(n), int(k))
         else:
             result = time_size(int(n), int(k))
         print(json.dumps(result))
@@ -236,9 +252,11 @@ def main() -> int:
     for n, k in SIZES:
         print(f"bench: n={n} k={k}, {REPEATS} repeats", file=sys.stderr, flush=True)
         results.append(child(src, "size", str(n), str(k)))
+        untraced = child(src, "run", str(n), str(k))
+        results[-1]["run_peak_rss_mb"] = untraced["peak_rss_mb"]
         layers = results[-1]["layers_s"]
-        print("  " + "  ".join(f"{name}={s:.3f}" for name, s in layers.items()),
-              file=sys.stderr, flush=True)
+        print("  " + "  ".join(f"{name}={s:.3f}" for name, s in layers.items())
+              + f"  run_peak_rss_mb={untraced['peak_rss_mb']:.1f}", file=sys.stderr, flush=True)
     print(f"bench: analyze-pair, {REPEATS} repeats", file=sys.stderr, flush=True)
     pair = child(src, "pair", "0", "0")
     print("  " + "  ".join(f"{name}={s:.3f}" for name, s in pair["layers_s"].items()),

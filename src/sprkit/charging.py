@@ -237,6 +237,11 @@ def reconstruct_ledger(
         raise LedgerError("trace terminals do not match graph terminals")
     if trace.k != graph.k:
         raise LedgerError(f"trace terminal count {trace.k} does not match the graph's {graph.k}")
+    if len(trace.radius_round) != trace.rounds * trace.k:
+        raise LedgerError(
+            f"trace has {len(trace.radius_round)} radius events for {trace.rounds} rounds "
+            f"of {trace.k} steps"
+        )
     vertex = trace.cover_vertex
     unknown = set(vertex).difference(graph.index)
     if unknown:

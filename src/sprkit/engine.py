@@ -401,7 +401,9 @@ def min_terminal_pair_distance(graph: WeightedGraph) -> float:
 
 def default_round_guard(graph: WeightedGraph, params: SprParams) -> int:
     """Guard = ceil(log_ratio(4 * max_v D(v))) + 10 * ceil(ln k)."""
-    max_d = max(graph.nearest_terminal_distance.values(), default=0.0)
+    nearest = np.frombuffer(graph._nearest_row)
+    reachable = nearest[nearest != math.inf]
+    max_d = float(reachable.max()) if reachable.size else 0.0
     extra = 10 * math.ceil(math.log(params.k))
     if max_d <= 0:
         return max(extra, 1)

@@ -15,13 +15,22 @@ the closest-terminal-pair search.  The dict ``adjacency`` keyed by id serves
 ``shortest_paths`` and ``ClusterReplay`` only, so ``sprkit run`` never
 builds it.
 
-Every all-vertex distance computation (the k terminal rows, the multi-source
-nearest-terminal distances, the minor's all-pairs matrix) runs one exact
-kernel, ``_distance_columns``, on one path: a chain table (``_Chains``, below)
-holding an adjacency indexed by vertex position and its CSR arrays (row
-starts, neighbour positions, float64 weights).  It takes the sources 16 at a
-time as the columns of a flat ``n x 16`` float64 label array and runs in two
-phases:
+Who reads which distances.  The k x k ``terminal_block``, d(t_i, t_j), serves
+contraction and distortion, and the nearest-terminal row by position serves
+the engine's round guard: that is all ``sprkit run`` computes.  The k
+``terminal_distance_maps`` rows, n entries each, serve the covering check,
+the charging ledger's trigger distances and the single-terminal engine path;
+an experiment sweep warms them before a config's first seed, and the block
+is then sliced from them.  Without cached rows the block keeps only the
+terminal entries of each kernel column.
+
+Every distance computation (the k terminal rows or their block, the
+multi-source nearest-terminal distances, the minor's all-pairs matrix) runs
+one exact kernel, ``_distance_columns``, on one path: a chain table
+(``_Chains``, below) holding an adjacency indexed by vertex position and its
+CSR arrays (row starts, neighbour positions, float64 weights).  It takes the
+sources 16 at a time as the columns of a flat ``n x 16`` float64 label array
+and runs in two phases:
 
 * Sweeps.  The kernel holds the (vertex, column) pairs improved in the last
   sweep.  A sweep expands their out-edges, keeps the candidates
@@ -37,7 +46,8 @@ phases:
   become lists of Python floats and ``_dijkstra`` finishes each, starting
   from the column's labels with the column's active vertices on the heap,
   and writes them back.  A column without active pairs is already final.
-  The table then turns every column into one ``array('d')``.
+  The table then turns every column into one ``array('d')``, or, for the
+  block, reads the sources' labels, which need no unfolding.
 
 Chains of degree-two positions are where sweeps lose: a frontier of one pair
 per column pays a whole sweep per hop, and subdivided graphs are made of
@@ -96,6 +106,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from operator import add
 
 import numpy as np
@@ -231,6 +242,21 @@ class WeightedGraph:
         return tuple(_distance_columns(self._chains, [(index[t],) for t in self.terminals]))
 
     @cached_property
+    def terminal_block(self) -> tuple[array, ...]:
+        """d(t_i, t_j) at ``[i-1][j-1]``: the terminal entries of
+        ``terminal_distance_maps``, as k ``array('d')`` rows of k entries.
+
+        Sliced from the rows when they are cached.  Otherwise the kernel
+        keeps only the terminal entries of each column, and no n-entry row
+        is built.  Bit for bit the rows' entries either way.
+        """
+        positions = [self.index[t] for t in self.terminals]
+        rows = self.__dict__.get("terminal_distance_maps")
+        if rows is None:
+            return tuple(_distance_columns(self._chains, [(p,) for p in positions], positions))
+        return tuple(array("d", map(row.__getitem__, positions)) for row in rows)
+
+    @cached_property
     def nearest_terminal_distance(self) -> dict[int, float]:
         """Distance from every reachable vertex to its closest terminal."""
         return {v: d for v, d in zip(self.vertices, self._nearest_row) if d != math.inf}
@@ -301,13 +327,15 @@ _SORT_SHARE = 32   # dedupe by sorting below 1/32 of the label array
 _FOLD_MIN = 8
 
 
+_ENTRY = np.dtype([("nbr", np.intp), ("weight", np.float64)])
+
+
 def _csr_arrays(adj: Sequence[Sequence[tuple[int, float]]]):
     """Row starts, neighbour positions and float64 weights of ``adj``."""
     indptr = _row_starts(adj)
-    m = int(indptr[-1])
-    nbr = np.fromiter((u for row in adj for u, _ in row), np.intp, m)
-    weight = np.fromiter((w for row in adj for _, w in row), np.float64, m)
-    return indptr, nbr, weight
+    # numpy reads the (position, weight) tuples as records, row after row
+    entries = np.fromiter(chain.from_iterable(adj), _ENTRY, int(indptr[-1]))
+    return indptr, entries["nbr"].copy(), entries["weight"].copy()
 
 
 def _row_starts(rows) -> np.ndarray:
@@ -458,24 +486,27 @@ def _walk(adj, is_end, seen, start, p, w):
     return path, weights, p
 
 
-def _distance_columns(chains: _Chains, columns):
+def _distance_columns(chains: _Chains, columns, at=None):
     """Distances from the nearest source of each column, column by column.
 
     Each column is a collection of source positions of the graph that the
     chain table ``chains`` was built from, and the table's sources must
     include every column's.  The kernel runs on the table's reduced graph;
     a table that folds nothing runs it on the graph's own rows.  Yields one
-    ``array('d')`` over every position per column, in column order;
-    unreachable positions get ``math.inf``.  ``_CHUNK`` columns share a label
-    array, and the heap tail takes over at ``_TAIL_WIDTH`` active pairs.
-    Exact: see the module docstring.
+    ``array('d')`` per column, in column order: over every position, or,
+    given ``at``, over the positions ``at`` in that order, each of which must
+    be a source of the table too.  Unreachable positions get ``math.inf``.
+    ``_CHUNK`` columns share a label array, and the heap tail takes over at
+    ``_TAIL_WIDTH`` active pairs.  Exact: see the module docstring.
     """
     columns = [chains.compact[list(col)].tolist() for col in columns]
+    if at is not None:
+        at = chains.compact[list(at)]
     for first in range(0, len(columns), _CHUNK):
-        yield from _sweep_chunk(chains, columns[first:first + _CHUNK])
+        yield from _sweep_chunk(chains, columns[first:first + _CHUNK], at)
 
 
-def _sweep_chunk(chains, columns):
+def _sweep_chunk(chains, columns, at):
     adj, csr = chains.adj, chains.csr
     c = len(columns)
     size = len(adj) * c
@@ -509,7 +540,14 @@ def _sweep_chunk(chains, columns):
         seeds = vertex[col == j].tolist()
         if seeds:
             labels[j::c] = _dijkstra(adj, labels[j::c].tolist(), seeds, chains.folds)
-    yield from chains.unfold(labels.reshape(-1, c))
+    labels = labels.reshape(-1, c)
+    if at is None:
+        yield from chains.unfold(labels)
+        return
+    # sources are never chain interiors: their reduced labels are final
+    block = labels[at]
+    for j in range(c):
+        yield array("d", block[:, j].tobytes())
 
 
 def _out_edges(indptr, vertex):

@@ -11,6 +11,7 @@ distances can only exceed graph distances, so every distortion ratio is >= 1.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -173,14 +174,14 @@ def contract(graph: WeightedGraph, partition: TerminalPartition) -> InducedMinor
             j = label[q]
             if i < j:
                 crossing.add((i, j))
-    rows, index = graph.terminal_distance_maps, graph.index
+    block = graph.terminal_block
     edges = []
     for i, j in sorted(crossing):
-        tj = graph.terminals[j - 1]
-        d = rows[i - 1][index[tj]]
+        d = block[i - 1][j - 1]
         if d == inf:
             raise GraphError(
-                f"terminals {graph.terminals[i - 1]} and {tj} are disconnected"
+                f"terminals {graph.terminals[i - 1]} and {graph.terminals[j - 1]} "
+                "are disconnected"
             )
         edges.append((i, j, d))
     return InducedMinor(k=graph.k, terminal_ids=graph.terminals, edges=tuple(edges))
@@ -196,21 +197,35 @@ class PairDistortion(NamedTuple):
 
 @dataclass(frozen=True)
 class DistortionReport:
-    pairs: tuple[PairDistortion, ...]
+    """Every terminal pair's distortion, held as one column per
+    ``PairDistortion`` field: entry p of each column belongs to pair p, in
+    (i, j) order.  ``pairs`` builds the records on access."""
+
+    i: list[int]
+    j: list[int]
+    d_graph: array
+    d_minor: array
+    ratio: array
     max_ratio: float
     argmax: tuple[int, int] | None
 
     @property
+    def pairs(self) -> tuple[PairDistortion, ...]:
+        cols = zip(self.i, self.j, self.d_graph, self.d_minor, self.ratio)
+        return tuple(map(PairDistortion._make, cols))
+
+    @property
     def mean_ratio(self) -> float:
-        if not self.pairs:
+        if not self.ratio:
             return 1.0
-        return sum(p.ratio for p in self.pairs) / len(self.pairs)
+        return sum(self.ratio) / len(self.ratio)
 
     def to_json_dict(self) -> dict:
+        cols = zip(self.i, self.j, self.d_graph, self.d_minor, self.ratio)
         return {
             "pairs": [
-                {"i": p.i, "j": p.j, "dG": p.d_graph, "dM": p.d_minor, "ratio": p.ratio}
-                for p in self.pairs
+                {"i": i, "j": j, "dG": d_graph, "dM": d_minor, "ratio": ratio}
+                for i, j, d_graph, d_minor, ratio in cols
             ],
             "max": {
                 "i": self.argmax[0] if self.argmax else None,
@@ -233,27 +248,28 @@ def distortion(graph: WeightedGraph, minor: InducedMinor) -> DistortionReport:
     if minor.terminal_ids != graph.terminals:
         raise GraphError("minor terminals do not match graph terminals")
     terminals, k = graph.terminals, graph.k
+    i_col: list[int] = []
+    j_col: list[int] = []
+    d_graph, d_minor, ratio = array("d"), array("d"), array("d")
     if k < 2:
-        return DistortionReport(pairs=(), max_ratio=1.0, argmax=None)
-    index = graph.index
-    positions = [index[t] for t in terminals]
-    pairs: list[PairDistortion] = []
+        return DistortionReport(i_col, j_col, d_graph, d_minor, ratio, max_ratio=1.0, argmax=None)
     best, argmax = -inf, None
-    for i, row in enumerate(graph.terminal_distance_maps[:k - 1], start=1):
-        d_graph = list(map(row.__getitem__, positions[i:]))
-        if inf in d_graph:
-            tj = terminals[i + d_graph.index(inf)]
+    rows = zip(graph.terminal_block[:k - 1], minor.distance_matrix)
+    for i, (graph_row, minor_row) in enumerate(rows, start=1):
+        dg, dm = graph_row[i:], minor_row[i:]
+        if inf in dg:
+            tj = terminals[i + dg.index(inf)]
             raise GraphError(
                 f"terminal pair ({terminals[i - 1]},{tj}) unreachable; "
                 "graph must be connected"
             )
-        d_minor = minor.distance_matrix[i - 1][i:]
-        ratios = list(map(truediv, d_minor, d_graph))
-        pairs += map(
-            PairDistortion._make,
-            zip(repeat(i), range(i + 1, k + 1), d_graph, d_minor, ratios),
-        )
+        ratios = list(map(truediv, dm, dg))
+        i_col += repeat(i, k - i)
+        j_col += range(i + 1, k + 1)
+        d_graph += dg
+        d_minor.extend(dm)
+        ratio.extend(ratios)
         top = max(ratios)
         if top > best:
             best, argmax = top, (i, i + 1 + ratios.index(top))
-    return DistortionReport(pairs=tuple(pairs), max_ratio=best, argmax=argmax)
+    return DistortionReport(i_col, j_col, d_graph, d_minor, ratio, max_ratio=best, argmax=argmax)

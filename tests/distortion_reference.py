@@ -34,6 +34,7 @@ def reference_distortion(graph: WeightedGraph, minor: InducedMinor) -> Distortio
             pairs.append(PairDistortion(i, j, dg, dm, ratio))
             if best is None or ratio > best[0]:
                 best = (ratio, (i, j))
+    columns = [list(column) for column in zip(*pairs)] or [[] for _ in PairDistortion._fields]
     if not pairs:
-        return DistortionReport(pairs=(), max_ratio=1.0, argmax=None)
-    return DistortionReport(pairs=tuple(pairs), max_ratio=best[0], argmax=best[1])
+        return DistortionReport(*columns, max_ratio=1.0, argmax=None)
+    return DistortionReport(*columns, max_ratio=best[0], argmax=best[1])

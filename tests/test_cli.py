@@ -147,7 +147,8 @@ def test_distort_non_integer_orig_label_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("field", ["rounds", "k"])
 def test_verify_and_analyze_do_not_size_memory_by_trace_counts(tmp_path, capsys, field):
     # a count field far beyond the events is reported at once, without
-    # building a list or dict of that size
+    # building a list or dict of that size: verify finds a violation, and the
+    # charging ledger of analyze refuses the trace
     gpath = _gen(tmp_path, n=8)
     tdir = tmp_path / "traces"
     tdir.mkdir()
@@ -166,11 +167,13 @@ def test_verify_and_analyze_do_not_size_memory_by_trace_counts(tmp_path, capsys,
         "k": f"trace terminal count {10**12} does not match the graph's 2",
     }[field]
     assert capsys.readouterr().err.splitlines() == [f"violation: {expected}"]
-    if field == "k":
-        assert main([
-            "analyze", "--graph", str(gpath), "--pair", "0", "7", "--traces", str(tdir),
-        ]) == 2
-        assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
+    if field == "rounds":
+        events = sum(ev["type"] == "radius" for ev in doc["events"])
+        expected = f"trace has {events} radius events for {10**12} rounds of 2 steps"
+    assert main([
+        "analyze", "--graph", str(gpath), "--pair", "0", "7", "--traces", str(tdir),
+    ]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
 
 
 def test_oracle_with_comparison(tmp_path):

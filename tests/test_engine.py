@@ -31,7 +31,7 @@ from sprkit import (
     sample_exponential,
     verify_trace,
 )
-from sprkit.graph import GraphError, WeightedGraph, shortest_paths
+from sprkit.graph import GraphError, WeightedGraph, shortest_paths, subdivide_edges
 from sprkit.minor import TerminalPartition, validate_partition
 
 
@@ -242,13 +242,33 @@ def test_rounds_guard_raises_with_partial_trace():
 
 
 def test_default_round_guard_formula():
-    g = random_connected_graph(20, 3, seed=6, extra_edges=8)
-    p = SprParams.for_graph(g)
-    max_d = max(g.nearest_terminal_distance.values())
-    expected = math.ceil(math.log(4 * max_d) / math.log(p.ratio)) + 10 * math.ceil(
-        math.log(g.k)
+    # in the second graph vertices 2 and 3 reach no terminal, and the max
+    # over the reachable ones is taken at vertex 4
+    unreachable = WeightedGraph.build(
+        range(5), [(0, 1, 3.0), (1, 4, 2.5), (2, 3, 1.0)], [0, 1]
     )
-    assert default_round_guard(g, p) == expected
+    assert math.inf in unreachable._nearest_row
+    for g in (random_connected_graph(20, 3, seed=6, extra_edges=8), unreachable):
+        p = SprParams.for_graph(g)
+        max_d = max(g.nearest_terminal_distance.values())
+        expected = math.ceil(math.log(4 * max_d) / math.log(p.ratio)) + 10 * math.ceil(
+            math.log(g.k)
+        )
+        assert default_round_guard(g, p) == expected
+
+
+@pytest.mark.parametrize("subdivided", [False, True])
+def test_run_path_builds_neither_rows_nor_id_keyed_nearest_map(subdivided):
+    # run_and_contract reads the terminal block and the nearest row by
+    # position: no n-entry terminal rows, no dict keyed by vertex id
+    g = random_connected_graph(60, 5, seed=2, extra_edges=40)
+    if subdivided:
+        g = subdivide_edges(g, 0.05).graph
+        assert g._chains.folds is not None
+    run_and_contract(g, SprParams.for_graph(g, seed=1))
+    assert "terminal_block" in g.__dict__ and "_nearest_row" in g.__dict__
+    assert "terminal_distance_maps" not in g.__dict__
+    assert "nearest_terminal_distance" not in g.__dict__
 
 
 def test_run_rejects_mismatched_params():

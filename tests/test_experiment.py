@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 
 from sprkit import engine, experiment
+from sprkit import graph as graph_module
 from sprkit.cli import main
 from sprkit.experiment import (
     CSV_COLUMNS,
@@ -335,6 +336,26 @@ def test_analysis_covers_only_ok_rows(tmp_path):
     assert statuses == ["ok" if n <= guard else "error:RoundsGuardError" for n in rounds]
     [summary] = json.loads((out / "analysis.json").read_text())
     assert summary["covering"]["runs"] == statuses.count("ok") < len(rounds)
+
+
+def test_config_computes_its_terminal_distances_once():
+    # the rows are warmed before the first seed, so every seed's terminal
+    # block is sliced from them, not computed a second time
+    real = graph_module._distance_columns
+    calls = []
+
+    def spy(chains, columns, at=None):
+        columns = list(columns)
+        calls.append((len(columns), at is None))
+        return real(chains, columns, at)
+
+    spec = _spec()
+    with mock.patch.object(graph_module, "_distance_columns", spy):
+        rows, _ = experiment._run_config(spec, 0)
+    assert [r.status for r in rows] == ["ok"] * spec.seeds_per_config
+    k = rows[0].k
+    # the k terminal rows once, and the nearest-terminal column once
+    assert sorted(calls) == sorted([(k, True), (1, True)])
 
 
 def test_pool_capped_at_config_count():

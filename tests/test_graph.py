@@ -533,6 +533,82 @@ def test_chain_free_graphs_run_one_path():
     assert [[d.hex() for d in row] for row in g.terminal_distance_maps] == expected
 
 
+# --- the terminal block and the CSR arrays -----------------------------------
+
+
+def _block_graph(edges, n, terminals):
+    # subdividing the weight-10 and weight-12 edges at 1.0 leaves chains of 9
+    # and 11 interior positions, both folded
+    return subdivide_edges(WeightedGraph.build(range(n), edges, terminals), 1.0).graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(kernel_graphs(), chain_graphs()), st.booleans())
+@example(_block_graph([(0, 1, 10.0), (1, 2, 0.5)], 4, [0, 3]), False)  # folded, unreachable
+@example(_block_graph([(0, 1, 10.0), (1, 2, 0.5)], 4, [0, 3]), True)
+@example(_block_graph([(0, 1, 10.0), (1, 2, 12.0)], 3, [1]), False)   # k = 1
+@example(_block_graph([(0, 1, 10.0), (1, 2, 12.0)], 3, [2, 0]), False)  # k = 2, reachable
+def test_terminal_block_equals_the_rows_terminal_entries(g, rows_first):
+    # bit for bit, whether the block is sliced from cached rows or computed
+    # by the kernel first, keeping only the terminal entries
+    if rows_first:
+        rows = g.terminal_distance_maps
+        block = g.terminal_block
+    else:
+        block = g.terminal_block
+        assert "terminal_distance_maps" not in g.__dict__
+        rows = g.terminal_distance_maps
+    positions = [g.index[t] for t in g.terminals]
+    assert [[d.hex() for d in row] for row in block] == [
+        [row[p].hex() for p in positions] for row in rows
+    ]
+    assert all(type(row) is array and row.typecode == "d" for row in block)
+
+
+def test_terminal_block_examples_cover_folds_and_unreachable_pairs():
+    g = _block_graph([(0, 1, 10.0), (1, 2, 0.5)], 4, [0, 3])
+    assert g._chains.folds is not None
+    assert g.terminal_block[0][1] == math.inf and g.terminal_block[0][0] == 0.0
+
+
+def generator_csr_arrays(adj):
+    """The CSR arrays as ``_csr_arrays`` built them before: one
+    ``np.fromiter`` over a per-entry generator for each array."""
+    indptr = graph_module._row_starts(adj)
+    m = int(indptr[-1])
+    nbr = np.fromiter((u for row in adj for u, _ in row), np.intp, m)
+    weight = np.fromiter((w for row in adj for _, w in row), np.float64, m)
+    return indptr, nbr, weight
+
+
+def assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(kernel_graphs(), chain_graphs()))
+def test_csr_arrays_equal_the_generator_build(g):
+    # the graph's own rows, and the reduced rows of a table that folds chains
+    for adj in (g._index_adjacency, g._chains.adj):
+        assert_same_arrays(graph_module._csr_arrays(adj), generator_csr_arrays(adj))
+
+
+def test_minor_csr_arrays_equal_the_generator_build():
+    g = random_connected_graph(300, 40, seed=5, extra_edges=600)
+    minor, _, _ = sprkit.run_and_contract(g, sprkit.SprParams.for_graph(g, seed=2))
+    adj = [[] for _ in range(minor.k)]
+    for i, j, w in minor.edges:
+        adj[i - 1].append((j - 1, w))
+        adj[j - 1].append((i - 1, w))
+    chains = graph_module._fold_chains(adj, range(minor.k))
+    assert_same_arrays(chains.csr, generator_csr_arrays(adj))
+    for empty in ([], [()], [(), ()]):
+        assert_same_arrays(graph_module._csr_arrays(empty), generator_csr_arrays(empty))
+
+
 def test_distance_layer_does_not_import_scipy():
     # importing scipy.sparse.csgraph doubles the process's peak RSS, so the
     # distance layer runs on numpy alone

@@ -311,7 +311,10 @@ def outcome(fn, g, minor):
     except GraphError as exc:
         return str(exc)
     text = json.dumps(report.to_json_dict(), indent=2)
-    return report.pairs, report.max_ratio, report.argmax, text
+    # the mean as it was taken from the records, before the columns
+    pairs = report.pairs
+    assert report.mean_ratio == (sum(p.ratio for p in pairs) / len(pairs) if pairs else 1.0)
+    return pairs, report.max_ratio, report.argmax, report.mean_ratio, text
 
 
 @settings(max_examples=100, deadline=None)
