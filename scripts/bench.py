@@ -29,7 +29,9 @@ counts read the trace's columns (``radius_round``, ``cover_vertex``), so a
 checkout whose ``RunTrace`` holds per-event records is timed with that
 checkout's own copy of this script.  Each run replaces the entry ``--label``
 in ``--out`` and keeps the others, so the parent and change figures sit in
-one file.
+one file.  The entry names the checkout's commit only when ``--src`` is
+unchanged from it; otherwise ``git_commit`` is null and ``source_sha256``
+alone names the timed sources.
 """
 
 from __future__ import annotations
@@ -209,9 +211,15 @@ def machine() -> dict:
 
 
 def git_commit(src: Path) -> str | None:
-    out = subprocess.run(["git", "-C", str(src), "rev-parse", "HEAD"],
-                         capture_output=True, text=True)
-    return out.stdout.strip() if out.returncode == 0 else None
+    """The checkout's HEAD, or None when ``src`` differs from it: then only
+    ``source_sha256`` names the timed tree."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True)
+
+    head, dirty = git("rev-parse", "HEAD"), git("status", "--porcelain", "--", ".")
+    if head.returncode or dirty.returncode or dirty.stdout.strip():
+        return None
+    return head.stdout.strip()
 
 
 def source_digest(src: Path) -> str:

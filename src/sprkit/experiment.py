@@ -154,8 +154,8 @@ def _run_config(
         graph = config_graph(spec, config_index)
         n, k = graph.n, graph.k
         if k >= 2:
-            # the covering check reads the rows; warmed first, they also
-            # give every seed's terminal block without a second computation
+            # the covering check reads the rows: read before the terminal
+            # block, they give it too, and the kernel runs once
             graph.terminal_distance_maps
     except Exception as exc:  # bad config: one error row per planned run
         graph, n, k, status = None, 0, 0, f"error:{type(exc).__name__}"

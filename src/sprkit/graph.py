@@ -21,8 +21,8 @@ the engine's round guard: that is all ``sprkit run`` computes.  The k
 ``terminal_distance_maps`` rows, n entries each, serve the covering check,
 the charging ledger's trigger distances and the single-terminal engine path;
 an experiment sweep warms them before a config's first seed, and the block
-is then sliced from them.  Without cached rows the block keeps only the
-terminal entries of each kernel column.
+is then sliced from them.  Without cached rows the block slices each row as
+the kernel yields it and keeps none.
 
 Every distance computation (the k terminal rows or their block, the
 multi-source nearest-terminal distances, the minor's all-pairs matrix) runs
@@ -46,8 +46,7 @@ and runs in two phases:
   become lists of Python floats and ``_dijkstra`` finishes each, starting
   from the column's labels with the column's active vertices on the heap,
   and writes them back.  A column without active pairs is already final.
-  The table then turns every column into one ``array('d')``, or, for the
-  block, reads the sources' labels, which need no unfolding.
+  The table then turns every column into one ``array('d')``.
 
 Chains of degree-two positions are where sweeps lose: a frontier of one pair
 per column pays a whole sweep per hop, and subdivided graphs are made of
@@ -246,15 +245,17 @@ class WeightedGraph:
         """d(t_i, t_j) at ``[i-1][j-1]``: the terminal entries of
         ``terminal_distance_maps``, as k ``array('d')`` rows of k entries.
 
-        Sliced from the rows when they are cached.  Otherwise the kernel
-        keeps only the terminal entries of each column, and no n-entry row
-        is built.  Bit for bit the rows' entries either way.
+        Sliced from the rows when they are cached.  Otherwise it slices each
+        row as the kernel yields it, so one n-entry row is alive at a time
+        and none is kept.  The rows are not cached then: a caller that will
+        also read ``terminal_distance_maps`` reads it first, or the kernel
+        runs twice (the experiment sweep does so for its covering check).
         """
-        positions = [self.index[t] for t in self.terminals]
-        rows = self.__dict__.get("terminal_distance_maps")
-        if rows is None:
-            return tuple(_distance_columns(self._chains, [(p,) for p in positions], positions))
-        return tuple(array("d", map(row.__getitem__, positions)) for row in rows)
+        positions = np.array([self.index[t] for t in self.terminals], dtype=np.intp)
+        rows = self.__dict__.get("terminal_distance_maps") or _distance_columns(
+            self._chains, positions.reshape(-1, 1)
+        )
+        return tuple(array("d", np.frombuffer(row)[positions].tobytes()) for row in rows)
 
     @cached_property
     def nearest_terminal_distance(self) -> dict[int, float]:
@@ -486,27 +487,24 @@ def _walk(adj, is_end, seen, start, p, w):
     return path, weights, p
 
 
-def _distance_columns(chains: _Chains, columns, at=None):
+def _distance_columns(chains: _Chains, columns):
     """Distances from the nearest source of each column, column by column.
 
     Each column is a collection of source positions of the graph that the
     chain table ``chains`` was built from, and the table's sources must
     include every column's.  The kernel runs on the table's reduced graph;
     a table that folds nothing runs it on the graph's own rows.  Yields one
-    ``array('d')`` per column, in column order: over every position, or,
-    given ``at``, over the positions ``at`` in that order, each of which must
-    be a source of the table too.  Unreachable positions get ``math.inf``.
-    ``_CHUNK`` columns share a label array, and the heap tail takes over at
-    ``_TAIL_WIDTH`` active pairs.  Exact: see the module docstring.
+    ``array('d')`` over every position per column, in column order;
+    unreachable positions get ``math.inf``.  ``_CHUNK`` columns share a label
+    array, and the heap tail takes over at ``_TAIL_WIDTH`` active pairs.
+    Exact: see the module docstring.
     """
     columns = [chains.compact[list(col)].tolist() for col in columns]
-    if at is not None:
-        at = chains.compact[list(at)]
     for first in range(0, len(columns), _CHUNK):
-        yield from _sweep_chunk(chains, columns[first:first + _CHUNK], at)
+        yield from _sweep_chunk(chains, columns[first:first + _CHUNK])
 
 
-def _sweep_chunk(chains, columns, at):
+def _sweep_chunk(chains, columns):
     adj, csr = chains.adj, chains.csr
     c = len(columns)
     size = len(adj) * c
@@ -540,14 +538,7 @@ def _sweep_chunk(chains, columns, at):
         seeds = vertex[col == j].tolist()
         if seeds:
             labels[j::c] = _dijkstra(adj, labels[j::c].tolist(), seeds, chains.folds)
-    labels = labels.reshape(-1, c)
-    if at is None:
-        yield from chains.unfold(labels)
-        return
-    # sources are never chain interiors: their reduced labels are final
-    block = labels[at]
-    for j in range(c):
-        yield array("d", block[:, j].tobytes())
+    yield from chains.unfold(labels.reshape(-1, c))
 
 
 def _out_edges(indptr, vertex):

@@ -344,10 +344,10 @@ def test_config_computes_its_terminal_distances_once():
     real = graph_module._distance_columns
     calls = []
 
-    def spy(chains, columns, at=None):
+    def spy(chains, columns):
         columns = list(columns)
-        calls.append((len(columns), at is None))
-        return real(chains, columns, at)
+        calls.append(len(columns))
+        return real(chains, columns)
 
     spec = _spec()
     with mock.patch.object(graph_module, "_distance_columns", spy):
@@ -355,7 +355,7 @@ def test_config_computes_its_terminal_distances_once():
     assert [r.status for r in rows] == ["ok"] * spec.seeds_per_config
     k = rows[0].k
     # the k terminal rows once, and the nearest-terminal column once
-    assert sorted(calls) == sorted([(k, True), (1, True)])
+    assert sorted(calls) == sorted([k, 1])
 
 
 def test_pool_capped_at_config_count():
