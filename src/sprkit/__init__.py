@@ -12,7 +12,6 @@ from .bounds import (
     TailBound,
     chernoff_bound,
     coin_box_batch,
-    coin_box_process,
     exp_tail_bounds,
     validate_tail_bounds,
 )

@@ -112,46 +112,15 @@ def validate_tail_bounds(
     )
 
 
-def coin_box_process(
-    p: float,
-    boxes: int,
-    rng: np.random.Generator,
-    max_tosses: int = 10**7,
-) -> list[int]:
-    """Final inactive-coin counts, one per box.
-
-    Each box starts with one active coin.  Tossing deactivates the coin;
-    with probability p the toss is a failure and two fresh active coins are
-    added.  The per-box process stops when no active coin remains, which is
-    almost sure for p < 1/2; the toss guard turns a p-too-close-to-1/2
-    stall into an error.
-    """
-    if not (0.0 < p < 1.0):
-        raise GraphError(f"failure probability must be in (0, 1), got {p}")
-    if boxes < 1:
-        raise GraphError("need at least one box")
-    out = []
-    for _ in range(boxes):
-        active = 1
-        inactive = 0
-        while active > 0:
-            if inactive >= max_tosses:
-                raise GraphError(
-                    f"coin-box process exceeded {max_tosses} tosses; "
-                    "failure probability too close to 1/2"
-                )
-            active -= 1
-            inactive += 1
-            if rng.random() < p:
-                active += 2
-        out.append(inactive)
-    return out
-
-
 def coin_box_batch(
     p: float, trials: int, rng: np.random.Generator, max_tosses: int = 10**7
 ) -> np.ndarray:
-    """Vectorized single-box process repeated ``trials`` times."""
+    """Final inactive-coin counts of ``trials`` boxes, tossed together.
+
+    Each box runs until no active coin remains, which is almost sure for
+    p < 1/2; more than ``max_tosses`` tosses per box, summed over the boxes,
+    turn a p-too-close-to-1/2 stall into an error.
+    """
     if not (0.0 < p < 1.0):
         raise GraphError(f"failure probability must be in (0, 1), got {p}")
     active = np.ones(trials, dtype=np.int64)

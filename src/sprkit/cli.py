@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .charging import (
@@ -56,19 +56,12 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text)
 
 
-def _minor_to_text(minor: InducedMinor) -> str:
-    lines = []
-    for i in range(1, minor.k + 1):
-        lines.append(f"v {i} orig={minor.terminal_ids[i - 1]}")
-    for i in range(1, minor.k + 1):
-        lines.append(f"t {i}")
-    for i, j, w in minor.edges:
-        lines.append(f"e {i} {j} {w!r}")
-    return "\n".join(lines) + "\n"
-
-
 def _minor_from_text(text: str) -> InducedMinor:
+    """The minor that ``format_graph_text(minor.graph)`` wrote: vertices
+    1..k, every one a terminal, listed in order."""
     g = parse_graph_text(text)
+    if g.vertices != tuple(range(1, g.n + 1)) or g.terminals != g.vertices:
+        raise GraphError("a minor's vertices must be 1..k, listed as terminals in order")
     orig = []
     for i in g.terminals:
         label = g.labels.get(i, "")
@@ -109,7 +102,7 @@ def cmd_run(args) -> int:
         print(f"error: {exc}; partial trace written to {out}", file=sys.stderr)
         return 4
     _write(str(out), trace.to_json())
-    _write(f"{stem}.minor.txt", _minor_to_text(minor))
+    _write(f"{stem}.minor.txt", format_graph_text(minor.graph))
     _write(f"{stem}.report.json", json.dumps(report.to_json_dict(), indent=2))
     print(
         f"run complete: n={graph.n} k={graph.k} rounds={trace.rounds} "
@@ -153,15 +146,7 @@ def cmd_oracle(args) -> int:
     }
     if args.seeds:
         rows = compare_to_spr(graph, range(args.seeds), delta=args.delta, cap=args.cap)
-        doc["comparison"] = [
-            {
-                "seed": r.seed,
-                "spr_distortion": r.spr_distortion,
-                "oracle_distortion": r.oracle_distortion,
-                "ratio": r.ratio,
-            }
-            for r in rows
-        ]
+        doc["comparison"] = [asdict(r) for r in rows]
     text = json.dumps(doc, indent=2)
     if args.out:
         _write(args.out, text)
@@ -260,7 +245,10 @@ def cmd_analyze(args) -> int:
     if not paths:
         raise GraphError(f"no trace files under {args.traces}")
     traces = [RunTrace.from_json(p.read_text()) for p in paths]
-    delta = args.delta if args.delta is not None else traces[0].delta
+    deltas = sorted({tr.delta for tr in traces})
+    if len(deltas) > 1:
+        raise GraphError(f"traces were run with different deltas {deltas}; analyze one at a time")
+    [delta] = deltas
     params = SprParams(k=graph.k, delta=delta)
     pairs = _terminal_free_pairs(graph, t, t_prime)
     results = [_analyze_segment(graph, a, b, traces, params) for a, b in pairs]
@@ -391,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--pair", nargs=2, type=int, required=True, metavar=("T", "T2"))
     p.add_argument("--traces", required=True, help="trace file or directory of *.json")
-    p.add_argument("--delta", type=float)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)

@@ -25,12 +25,12 @@ is then sliced from them.  Without cached rows the block slices each row as
 the kernel yields it and keeps none.
 
 Every distance computation (the k terminal rows or their block, the
-multi-source nearest-terminal distances, the minor's all-pairs matrix) runs
-one exact kernel, ``_distance_columns``, on one path: a chain table
-(``_Chains``, below) holding an adjacency indexed by vertex position and its
-CSR arrays (row starts, neighbour positions, float64 weights).  It takes the
-sources 16 at a time as the columns of a flat ``n x 16`` float64 label array
-and runs in two phases:
+multi-source nearest-terminal distances) runs one exact kernel,
+``_distance_columns``, on one path: a chain table (``_Chains``, below)
+holding an adjacency indexed by vertex position and its CSR arrays (row
+starts, neighbour positions, float64 weights).  It takes the sources 16 at a
+time as the columns of a flat ``n x 16`` float64 label array and runs in two
+phases:
 
 * Sweeps.  The kernel holds the (vertex, column) pairs improved in the last
   sweep.  A sweep expands their out-edges, keeps the candidates
@@ -67,8 +67,10 @@ shorten a path, but its interior is filled from both sides; a dead end (a
 degree-one end) is an end like any other; a cycle of degree-two positions
 without any end stays in the reduced graph, unreached, at ``math.inf``.  A
 graph without such a chain gets a table that folds nothing: the kernel runs
-on the graph's own rows and CSR arrays.  The minor's all-pairs matrix
-always does, since every minor vertex is a source.
+on the graph's own rows and CSR arrays.  A minor's distances come from its
+own graph (``InducedMinor.graph``, vertices 1..k, every one a terminal), so
+its ``distance_matrix`` is that graph's k terminal rows, ``array('d')`` rows
+of k entries, and its table always folds nothing.
 
 Its values are exact, not merely close.  Every label is always the
 left-to-right float sum of the weights of a real path.  At the switch every

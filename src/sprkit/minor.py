@@ -19,7 +19,7 @@ from math import inf
 from operator import truediv
 from typing import NamedTuple
 
-from .graph import GraphError, WeightedGraph, _distance_columns, _fold_chains
+from .graph import GraphError, WeightedGraph
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,18 @@ class InducedMinor:
         return self.distance_matrix[i - 1][j - 1]
 
     @cached_property
-    def distance_matrix(self) -> tuple[tuple[float, ...], ...]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.k)]
-        for i, j, w in self.edges:
-            adj[i - 1].append((j - 1, w))
-            adj[j - 1].append((i - 1, w))
-        # every minor vertex is a source, so the table folds nothing
-        chains = _fold_chains(adj, range(self.k))
-        columns = [(s,) for s in range(self.k)]
-        return tuple(tuple(row) for row in _distance_columns(chains, columns))
+    def graph(self) -> WeightedGraph:
+        """The minor as a graph on vertices 1..k, every one a terminal in
+        order, vertex i labelled ``orig=<terminal_ids[i-1]>``."""
+        ids = range(1, self.k + 1)
+        labels = {i: f"orig={t}" for i, t in zip(ids, self.terminal_ids)}
+        return WeightedGraph(vertices=tuple(ids), edges=self.edges, terminals=tuple(ids),
+                             labels=labels)
+
+    @property
+    def distance_matrix(self) -> tuple[array, ...]:
+        """d(i, j) at ``[i-1][j-1]``: the minor graph's terminal rows."""
+        return self.graph.terminal_distance_maps
 
 
 def contract(graph: WeightedGraph, partition: TerminalPartition) -> InducedMinor:

@@ -15,7 +15,7 @@ from itertools import product
 
 from .engine import SprParams, run_and_contract
 from .graph import GraphError, WeightedGraph
-from .minor import TerminalPartition, contract, distortion, validate_partition
+from .minor import InvalidPartitionError, TerminalPartition, contract, distortion
 
 DEFAULT_CAP = 12
 
@@ -53,10 +53,12 @@ def best_partition(graph: WeightedGraph, cap: int = DEFAULT_CAP) -> OracleResult
         for v, j in zip(steiner, combo):
             assignment[v] = j
         partition = TerminalPartition(assignment=assignment)
-        if validate_partition(graph, partition):
+        try:
+            minor = contract(graph, partition)
+        except InvalidPartitionError:
             continue
         valid += 1
-        report = distortion(graph, contract(graph, partition))
+        report = distortion(graph, minor)
         if best is None or report.max_ratio < best[0]:
             best = (report.max_ratio, partition)
     if best is None:

@@ -6,7 +6,6 @@ import pytest
 from sprkit.bounds import (
     chernoff_bound,
     coin_box_batch,
-    coin_box_process,
     exp_tail_bounds,
     validate_tail_bounds,
 )
@@ -78,15 +77,15 @@ def test_validate_lower_tail():
 
 def test_first_toss_success_gives_one():
     class _Never:
-        def random(self):
-            return 0.99  # never below p
+        def random(self, n):
+            return np.full(n, 0.99)  # never below p
 
-    assert coin_box_process(0.2, 3, _Never()) == [1, 1, 1]
+    assert coin_box_batch(0.2, 3, _Never()).tolist() == [1, 1, 1]
 
 
 def test_counts_are_odd_and_match_failures():
     rng = np.random.default_rng(4)
-    counts = coin_box_process(0.3, 500, rng)
+    counts = coin_box_batch(0.3, 500, rng)
     for c in counts:
         assert c % 2 == 1
         assert (c - 1) % 2 == 0  # failures = (count - 1) / 2 exactly
@@ -105,14 +104,14 @@ def test_batch_matches_process_distribution():
 def test_guard_trips_near_half():
     rng = np.random.default_rng(6)
     with pytest.raises(GraphError):
-        coin_box_process(0.499, 50, rng, max_tosses=20)
+        coin_box_batch(0.499, 50, rng, max_tosses=20)
 
 
 def test_bad_probability_rejected():
     rng = np.random.default_rng(7)
     for p in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(GraphError):
-            coin_box_process(p, 1, rng)
+            coin_box_batch(p, 1, rng)
 
 
 def test_tail_below_geometric_envelope():

@@ -144,6 +144,32 @@ def test_distort_non_integer_orig_label_is_usage_error(tmp_path, capsys):
     assert err.splitlines() == ["error: minor vertex 1: label 'orig=abc' is not orig=<integer>"]
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # ids 0..k-1
+        ["v 0 orig=1", "v 1 orig=2", "v 2 orig=3", "t 0", "t 1", "t 2",
+         "e 0 1 2.0", "e 0 2 2.0"],
+        # an id above k
+        ["v 1 orig=1", "v 2 orig=2", "v 4 orig=3", "t 1", "t 2", "t 4",
+         "e 1 2 2.0", "e 1 4 2.0"],
+        # terminals listed out of order
+        ["v 1 orig=1", "v 2 orig=2", "v 3 orig=3", "t 2", "t 1", "t 3",
+         "e 1 2 2.0", "e 1 3 2.0"],
+    ],
+    ids=["zero-based", "id-above-k", "terminals-out-of-order"],
+)
+def test_distort_minor_with_wrong_ids_is_usage_error(tmp_path, capsys, lines):
+    gpath = tmp_path / "star.txt"
+    assert main(["gen", "--family", "star", "--k", "3", "--out", str(gpath)]) == 0
+    minor = tmp_path / "bad.minor.txt"
+    minor.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["distort", "--graph", str(gpath), "--minor", str(minor)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: a minor's vertices must be 1..k, listed as terminals in order"]
+
+
 @pytest.mark.parametrize("field", ["rounds", "k"])
 def test_verify_and_analyze_do_not_size_memory_by_trace_counts(tmp_path, capsys, field):
     # a count field far beyond the events is reported at once, without
@@ -215,6 +241,25 @@ def test_analyze_over_trace_directory(tmp_path):
     for entry in seg["checks"] + doc["checks"]:
         assert {"name", "statistic", "bound", "slack", "pass", "n_trials", "seed"} == set(entry)
     assert all(e["pass"] for e in seg["checks"])
+
+
+def test_analyze_refuses_traces_of_different_deltas(tmp_path, capsys):
+    gpath = tmp_path / "grid.txt"
+    assert main(["gen", "--family", "grid", "--width", "6", "--height", "6",
+                 "--out", str(gpath)]) == 0
+    tdir = tmp_path / "traces"
+    tdir.mkdir()
+    for delta in ("0.05", "0.5"):
+        assert main(["run", "--graph", str(gpath), "--seed", "1", "--delta", delta,
+                     "--out", str(tdir / f"d{delta}.json")]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--graph", str(gpath), "--pair", "0", "35",
+                 "--traces", str(tdir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: traces were run with different deltas [0.05, 0.5]; analyze one at a time"
+    ]
 
 
 def test_analyze_splits_interior_terminal_pairs(tmp_path):

@@ -341,16 +341,23 @@ def test_analysis_covers_only_ok_rows(tmp_path):
 def test_config_computes_its_terminal_distances_once():
     # the rows are warmed before the first seed, so every seed's terminal
     # block is sliced from them, not computed a second time
-    real = graph_module._distance_columns
-    calls = []
+    real_kernel, real_graph = graph_module._distance_columns, experiment.config_graph
+    graphs, calls = [], []
+
+    def graph_spy(spec, config_index):
+        graphs.append(real_graph(spec, config_index))
+        return graphs[-1]
 
     def spy(chains, columns):
         columns = list(columns)
-        calls.append(len(columns))
-        return real(chains, columns)
+        # each seed's minor runs its own all-pairs columns on its own graph
+        if chains is graphs[0].__dict__.get("_chains"):
+            calls.append(len(columns))
+        return real_kernel(chains, columns)
 
     spec = _spec()
-    with mock.patch.object(graph_module, "_distance_columns", spy):
+    with mock.patch.object(graph_module, "_distance_columns", spy), \
+            mock.patch.object(experiment, "config_graph", graph_spy):
         rows, _ = experiment._run_config(spec, 0)
     assert [r.status for r in rows] == ["ok"] * spec.seeds_per_config
     k = rows[0].k

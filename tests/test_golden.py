@@ -31,8 +31,8 @@ from sprkit import (
     run_and_contract,
     run_spr,
 )
-from sprkit.cli import _minor_to_text
 from sprkit.generators import generate
+from sprkit.graph import format_graph_text
 
 HASHES_PATH = Path(__file__).resolve().parent / "golden" / "hashes.json"
 
@@ -101,7 +101,7 @@ def artefact_hashes(case_id: str) -> dict[str, str]:
     minor, report, trace = run_and_contract(graph, params)
     out = {
         "trace": _sha(trace.to_json()),
-        "minor": _sha(_minor_to_text(minor)),
+        "minor": _sha(format_graph_text(minor.graph)),
         "report": _sha(json.dumps(report.to_json_dict(), indent=2)),
     }
     if graph.k >= 2:

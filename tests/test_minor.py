@@ -9,7 +9,14 @@ from conftest import path_t_s_t, random_connected_graph, small_integer_weighted_
 from distortion_reference import reference_distortion
 from partition_reference import reference_crossing_pairs, reference_validate_partition
 from sprkit import SprParams, run_and_contract, run_spr
-from sprkit.graph import GraphError, WeightedGraph, induced_subgraph, subdivide_edges
+from sprkit.cli import _minor_from_text
+from sprkit.graph import (
+    GraphError,
+    WeightedGraph,
+    format_graph_text,
+    induced_subgraph,
+    subdivide_edges,
+)
 from sprkit.minor import (
     InducedMinor,
     InvalidPartitionError,
@@ -339,6 +346,31 @@ def test_distortion_equals_pair_loop_on_any_minor(g, seed):
     )
     minor = InducedMinor(k=g.k, terminal_ids=g.terminals, edges=edges)
     assert outcome(distortion, g, minor) == outcome(reference_distortion, g, minor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    small_graphs(max_n=12),
+    st.integers(min_value=0, max_value=2**16),
+    st.sampled_from([None, 0.0, 0.5, 1.0]),
+)
+def test_minor_text_round_trips(g, seed, density):
+    # a run minor (density None), or a hand-built one whose pairs are edges
+    # with probability ``density``: k = 1 and density 0.0 have no edges
+    if density is None:
+        minor = contract(g, run_spr(g, SprParams.for_graph(g, seed=seed))[0])
+    else:
+        rng = np.random.default_rng(seed)
+        edges = tuple(
+            (i, j, float(rng.uniform(0.5, 4.0)))
+            for i in range(1, g.k + 1)
+            for j in range(i + 1, g.k + 1)
+            if rng.random() < density
+        )
+        minor = InducedMinor(k=g.k, terminal_ids=g.terminals, edges=edges)
+    back = _minor_from_text(format_graph_text(minor.graph))
+    assert (back.k, back.terminal_ids, back.edges) == (minor.k, minor.terminal_ids, minor.edges)
+    assert outcome(distortion, g, back) == outcome(distortion, g, minor)
 
 
 @pytest.mark.parametrize("k", [1, 2])
