@@ -5,17 +5,21 @@ Each case generates a graph, runs the clustering and hashes the three files
 covering check's flags when the case has at least two terminals.  The guard
 case hashes the partial trace carried by ``RoundsGuardError``.  The ledger
 entries hash the charging ledgers of one terminal-free pair per graph, at
-two run seeds each.  The expected
-digests live in ``tests/golden/hashes.json``; see the README there before
+two run seeds each, and the interval partition they replay against.  The
+analyze entry hashes the three files ``sprkit analyze --format csv`` writes
+for a pair that splits at an interior terminal.  The expected digests live in ``tests/golden/hashes.json``; see the README there before
 touching them.  Run this file as a script to print the digests of the
 current build.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -31,6 +35,7 @@ from sprkit import (
     run_and_contract,
     run_spr,
 )
+from sprkit.cli import main
 from sprkit.generators import generate
 from sprkit.graph import format_graph_text
 
@@ -78,6 +83,10 @@ LEDGER_CASES = {
     ),
 }
 
+# the chain of test_cli.test_analyze_splits_interior_terminal_pairs: terminals
+# 0, 7 and 3 on one unit-weight path, so the pair (0, 7) splits at 3
+ANALYZE_CASE = "analyze-split-chain-csv"
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -116,11 +125,12 @@ def artefact_hashes(case_id: str) -> dict[str, str]:
 
 def ledger_hashes(case_id: str) -> dict[str, str]:
     """Steps, final charges and cost of each replayed ledger, as the benchmark
-    hashes them."""
+    hashes them, and the path, positions and intervals of the partition."""
     build, (t, t_prime), seeds = LEDGER_CASES[case_id]
     graph = build()
     partition = build_interval_partition(graph, t, t_prime, SprParams.for_graph(graph))
-    out = {}
+    out = {"partition": _sha("\n".join(
+        map(repr, (partition.path, partition.positions, partition.intervals))))}
     for seed in seeds:
         params = SprParams.for_graph(graph, seed=seed)
         _, trace = run_spr(graph, params)
@@ -129,6 +139,25 @@ def ledger_hashes(case_id: str) -> dict[str, str]:
         lines += [repr(led.final_charges), repr(led.cost)]
         out[f"seed{seed}"] = _sha("\n".join(lines))
     return out
+
+
+def analyze_csv_hashes(work: Path) -> dict[str, str]:
+    """The report JSON and the interval and step tables of ``sprkit analyze
+    --format csv`` on the split chain, over two run seeds; ``work`` is an
+    empty scratch directory."""
+    gpath = work / "chain.txt"
+    gpath.write_text("\n".join([*(f"v {i}" for i in range(8)), "t 0", "t 7", "t 3",
+                                *(f"e {i} {i + 1} 1.0" for i in range(7))]) + "\n")
+    tdir = work / "traces"
+    tdir.mkdir()
+    with contextlib.redirect_stdout(io.StringIO()):  # the runs' one-line summaries
+        for seed in range(2):
+            assert main(["run", "--graph", str(gpath), "--seed", str(seed),
+                         "--out", str(tdir / f"t{seed}.json")]) == 0
+    assert main(["analyze", "--graph", str(gpath), "--pair", "0", "7", "--traces", str(tdir),
+                 "--format", "csv", "--out", str(work / "report.json")]) == 0
+    return {name: _sha((work / f"report.{name}").read_text())
+            for name in ("json", "intervals.csv", "steps.csv")}
 
 
 @pytest.mark.parametrize("case_id", sorted(CASES))
@@ -143,12 +172,20 @@ def test_golden_ledger_unchanged():
         assert ledger_hashes(case_id) == expected[case_id], case_id
 
 
+def test_golden_analyze_csv_unchanged(tmp_path):
+    expected = json.loads(HASHES_PATH.read_text())
+    assert analyze_csv_hashes(tmp_path) == expected[ANALYZE_CASE]
+
+
 def test_golden_file_covers_every_case():
-    assert sorted(json.loads(HASHES_PATH.read_text())) == sorted([*CASES, *LEDGER_CASES])
+    assert sorted(json.loads(HASHES_PATH.read_text())) == sorted(
+        [*CASES, *LEDGER_CASES, ANALYZE_CASE])
 
 
 if __name__ == "__main__":
     doc = {case_id: artefact_hashes(case_id) for case_id in sorted(CASES)}
     doc.update((case_id, ledger_hashes(case_id)) for case_id in sorted(LEDGER_CASES))
+    with tempfile.TemporaryDirectory() as work:
+        doc[ANALYZE_CASE] = analyze_csv_hashes(Path(work))
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
