@@ -289,6 +289,24 @@ def test_analyze_splits_interior_terminal_pairs(tmp_path):
     assert all(seg["cost_bound"]["structural_ok"] for seg in doc["segments"])
 
 
+@pytest.mark.parametrize("pair", [("0", "2"), ("0", "99"), ("99", "7"), ("3", "3")])
+def test_analyze_bad_pair_is_usage_error(tmp_path, capsys, pair):
+    # a non-terminal vertex, an id not in the graph (either end), the same
+    # terminal twice: the chain of the test above, terminals 0, 7 and 3
+    gpath = tmp_path / "chain.txt"
+    gpath.write_text("\n".join([*(f"v {i}" for i in range(8)), "t 0", "t 7", "t 3",
+                                *(f"e {i} {i + 1} 1.0" for i in range(7))]) + "\n")
+    tpath = tmp_path / "t.json"
+    assert main(["run", "--graph", str(gpath), "--seed", "0", "--out", str(tpath)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--graph", str(gpath), "--pair", *pair,
+                 "--traces", str(tpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
 def test_analyze_csv_tables(tmp_path):
     gpath = _gen(tmp_path, n=8)
     tdir = tmp_path / "traces"

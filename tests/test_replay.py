@@ -139,6 +139,19 @@ def test_verify_reports_cover_event_for_unknown_vertex():
     assert f"cover event for unknown vertex {10**6}" in result.violations
 
 
+@settings(max_examples=60, deadline=None)
+@given(replay_graphs(), st.integers(0, 2**32), st.data())
+def test_verify_matches_reference_on_foreign_cover_vertex(g, seed, data):
+    # a claim of an id outside the graph still counts towards "every vertex
+    # claimed", and the real vertex it displaced stays unclaimed
+    params, trace = _engine_run(g, seed)
+    assume(trace.cover_vertex)
+    i = data.draw(st.integers(0, len(trace.cover_vertex) - 1))
+    trace.cover_vertex[i] = data.draw(st.sampled_from([max(g.vertices) + 1, 10**6]))
+    ref, _ = reference_verify_trace(g, trace, params)
+    assert verify_trace(g, trace, params) == ref
+
+
 def test_verify_reports_vertex_covered_by_two_clusters():
     g, params, trace = _engine_trace(74)
     ev = trace.cover_events[0]
