@@ -59,15 +59,14 @@ from .experiment import (
 )
 from .generators import generate, normalized_to_unit_nearest, scaled
 from .graph import (
-    DistanceMap,
     GraphError,
     ParseError,
     SubdivideResult,
     WeightedGraph,
+    canonical_path,
     format_graph_text,
     induced_subgraph,
     parse_graph_text,
-    shortest_paths,
     subdivide_edges,
 )
 from .minor import (

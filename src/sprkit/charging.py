@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .engine import RunTrace, SprParams
-from .graph import ClusterReplay, GraphError, WeightedGraph, shortest_paths
+from .graph import ClusterReplay, GraphError, WeightedGraph, canonical_path
 
 COST_BOUND_FACTOR = 43.0  # exceedance threshold for the final cost, in units of d(t, t')
 
@@ -116,24 +116,20 @@ def build_interval_partition(
             raise GraphError(f"vertex {v} is not a terminal")
     if params.k != graph.k or graph.k < 2:
         raise GraphError("params must match a graph with at least two terminals")
-    dist_map = shortest_paths(graph, t)
-    path = dist_map.path_to(t_prime)
+    path, positions = canonical_path(graph, t, t_prime)
     terminal_set = set(graph.terminals)
     for v in path[1:-1]:
         if v in terminal_set:
             raise InteriorTerminalError((t, t_prime), v)
 
-    positions = [0.0]
-    for v in path[1:]:
-        positions.append(dist_map.distance(v))
-    nearest = graph.nearest_terminal_distance
+    index, nearest = graph.index, graph._nearest_row
     coef = params.interval_factor * params.delta / math.log(graph.k)
 
     intervals: list[Interval] = []
     last = len(path) - 1  # index of t'
     h = 1
     while h <= last - 1:
-        bound = coef * nearest[path[h]]
+        bound = coef * nearest[index[path[h]]]
         s = 0
         # minimal s with positions[h+s+1] - positions[h-1] >= bound; the
         # full remainder always qualifies because it reaches past t'.
@@ -242,21 +238,25 @@ def reconstruct_ledger(
             f"trace has {len(trace.radius_round)} radius events for {trace.rounds} rounds "
             f"of {trace.k} steps"
         )
-    vertex = trace.cover_vertex
-    unknown = set(vertex).difference(graph.index)
+    vertex, index = trace.cover_vertex, graph.index
+    unknown = set(vertex).difference(index)
     if unknown:
         raise LedgerError(
             f"trace covers vertices not in this graph (e.g. {sorted(unknown)[:3]}); "
             "was the run preprocessed with subdivision? analyze against the "
             "subdivided graph"
         )
-    term_index = {t: i for i, t in enumerate(graph.terminals)}
+    # the replay runs on positions; ids come back only in messages
+    pos = [index[v] for v in vertex]
 
     path = partition.path
-    path_index = {v: i for i, v in enumerate(path)}
+    # a path vertex outside the graph (a partition of another graph) has no
+    # position and is never claimed
+    path_pos = list(map(index.get, path))
+    path_index = {p: i for i, p in enumerate(path_pos)}
     last = len(path) - 1
     active = [False] + [True] * (last - 1) + [False]  # indexed like path
-    active_vertices = set(path[1:-1])  # path[i] for every active i
+    active_vertices = set(path_pos[1:-1])  # the position of path[i] for every active i
     interval_of = partition.interval_of_index
     n_intervals = partition.phi
 
@@ -283,7 +283,7 @@ def reconstruct_ledger(
                 running = False
         return count
 
-    seen_cover: set[int] = set()
+    seen_cover = bytearray(graph.n)
     live_span_total = 0
     for rnd, j, q_step in zip(trace.radius_round, trace.radius_step, trace.radius_q):
         pre_radius = radii[j]
@@ -291,14 +291,14 @@ def reconstruct_ledger(
         runs = runs_by_step.get((rnd, j))
         if not runs:
             continue
-        claimed = [v for start, stop, _ in runs for v in vertex[start:stop]]
-        for v in claimed:
-            if v in seen_cover:
-                raise LedgerError(f"vertex {v} covered twice in trace")
-            seen_cover.add(v)
+        claimed = [p for start, stop, _ in runs for p in pos[start:stop]]
+        for p in claimed:
+            if seen_cover[p]:
+                raise LedgerError(f"vertex {graph.vertices[p]} covered twice in trace")
+            seen_cover[p] = 1
         # the claims' distances, which seed later steps' searches
         ball, _ = replay.search(j, limit=radii[j])
-        newly_active = [path_index[v] for v in claimed if v in active_vertices]
+        newly_active = [path_index[p] for p in claimed if p in active_vertices]
         if not newly_active:
             replay.claim(j, claimed, ball)
             continue
@@ -312,7 +312,7 @@ def reconstruct_ledger(
                 "is reachable in the replayed pre-step state"
             )
         first = stops[0][1]
-        stop_at = [(path_index[v], d) for v, d in stops]
+        stop_at = [(path_index[p], d) for p, d in stops]
         trigger_idx = min(i for i, d in stop_at if d == first)
         q_trigger = first - pre_radius
         if q_trigger < -1e-9:
@@ -352,7 +352,7 @@ def reconstruct_ledger(
         live = [d for d in live if not d.erased]
         for idx in range(a, b + 1):
             active[idx] = False
-            active_vertices.discard(path[idx])
+            active_vertices.discard(path_pos[idx])
         det = Detour(
             ident=len(detours), a=a, b=b, round=rnd, step=j, terminal=t_j,
             trigger_vertex=trigger_idx, trigger_interval=qi,
@@ -393,7 +393,7 @@ def reconstruct_ledger(
                 "interval's slice count"
             )
 
-        d_trig = graph.terminal_distance_maps[j - 1][graph.index[path[trigger_idx]]]
+        d_trig = graph.terminal_distance_maps[j - 1][path_pos[trigger_idx]]
         if d_trig == math.inf:
             raise GraphError(f"vertex {path[trigger_idx]} is not reachable from {t_j}")
         qualifies = rnd >= math.log(params.early_factor * d_trig) / math.log(ratio)
@@ -409,10 +409,9 @@ def reconstruct_ledger(
         )
         replay.claim(j, claimed, ball)
 
-    owner = replay.owner
-    missing = {v for v in graph.vertices if v not in owner and v not in term_index}
+    missing = [v for v, j in zip(graph.vertices, replay.owner) if not j]
     if missing:
-        raise LedgerError(f"trace is incomplete; vertices never covered: {sorted(missing)[:5]}")
+        raise LedgerError(f"trace is incomplete; vertices never covered: {missing[:5]}")
 
     cost = sum(
         c * q.length_out for c, q in zip(charges, partition.intervals)

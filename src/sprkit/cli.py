@@ -37,7 +37,7 @@ from .experiment import (
     rows_to_json,
 )
 from .generators import FAMILIES, generate
-from .graph import GraphError, WeightedGraph, format_graph_text, parse_graph_text, shortest_paths
+from .graph import GraphError, WeightedGraph, canonical_path, format_graph_text, parse_graph_text
 from .minor import InducedMinor, distortion
 from .oracle import best_partition, compare_to_spr
 from .verify import verify_trace
@@ -171,7 +171,7 @@ def _terminal_free_pairs(graph: WeightedGraph, t: int, t_prime: int) -> list[tup
     terms = set(graph.terminals)
 
     def split(a: int, b: int) -> list[tuple[int, int]]:
-        interior = shortest_paths(graph, a).path_to(b)[1:-1]
+        interior = canonical_path(graph, a, b)[0][1:-1]
         stops = [a, *(v for v in interior if v in terms), b]
         if len(stops) == 2:
             return [(a, b)]

@@ -196,9 +196,9 @@ def normalized_to_unit_nearest(graph: WeightedGraph) -> WeightedGraph:
     """Rescale so the closest non-terminal vertex sits at distance 1 from
     the terminal set; the growth schedule's absolute round-0 mean makes
     analysis sensitive to this scale."""
-    dists = [
-        d for v, d in graph.nearest_terminal_distance.items() if v not in graph.terminals
-    ]
+    terminals = set(graph.terminals)
+    dists = [d for v, d in zip(graph.vertices, graph._nearest_row)
+             if v not in terminals and d != math.inf]
     if not dists:
         return graph
     d_min = min(dists)

@@ -8,12 +8,14 @@ Vertex ids are nonnegative integers.  Loaders and generators hand out dense
 ids 0..n-1; operations such as ``induced_subgraph`` keep the original ids.
 ``WeightedGraph.index`` maps each id to its position in ``vertices``, and
 ``vertices`` is sorted, so position order is id order.  The position
-adjacency (``(position, weight)`` rows, built once from ``edges``) serves
-the distance kernel below, the connectivity check, the clustering engine,
-the partition check and contraction (``minor``), the covering check and
-the closest-terminal-pair search.  The dict ``adjacency`` keyed by id serves
-``shortest_paths`` and ``ClusterReplay`` only, so ``sprkit run`` never
-builds it.
+adjacency (``(position, weight)`` rows, built once from ``edges``) is the
+only adjacency the package reads: it serves the distance kernel below, the
+connectivity check, the clustering engine, the partition check and
+contraction (``minor``), the covering check, the closest-terminal-pair
+search, ``canonical_path`` and ``ClusterReplay``.  Their callers map ids to
+positions once and go back to ids only for results and messages.  The
+id-keyed ``adjacency`` and ``nearest_terminal_distance`` have no reader in
+the package.
 
 Who reads which distances.  The k x k ``terminal_block``, d(t_i, t_j), serves
 contraction and distortion, and the nearest-terminal row by position serves
@@ -80,7 +82,7 @@ For a positive weight w, ``fl(a + w)`` is never below ``a`` and is monotone
 in ``a``, so any fixed point of label correction is, for every vertex, the
 minimum over all paths of the left-to-right float sum of the path's weights,
 whatever order the relaxations ran in; a minimum is exact in any order.
-Any correct Dijkstra, ``shortest_paths`` included, returns the same doubles.
+Any correct Dijkstra, ``canonical_path`` included, returns the same doubles.
 A fold makes the additions hop-by-hop relaxation would make, in the same
 order, so the reduced labels reach that fixed point; an interior position
 is entered from one end or the other, and a path that turns back inside the
@@ -90,13 +92,17 @@ built-in ``sum()`` compensates float sums from Python 3.12 on;
 sums is not the sum along the path.
 
 The kernel stays on numpy, which the package already loads: importing
-scipy's graph routines would double a small run's peak memory.  Canonical
-paths (``shortest_paths`` and its ``DistanceMap``) are computed only for a
-pair under analysis: one search from one terminal.
+scipy's graph routines would double a small run's peak memory.  A canonical
+path (``canonical_path``) is computed only for a pair under analysis: one
+search from one terminal, stopped once the other is settled.  It is not
+read off the kernel's rows by a local predecessor rule: where a weight is
+below half an ulp of a distance (``fl(d + w) == d``), equal distances do not
+settle in (distance, id) order, and such a walk can find no predecessor.
 
 ``ClusterReplay`` replays a run trace's claims for ``verify`` and the charging
-ledger.  Its searches start at a cluster's boundary and cover only unclaimed
-vertices, and give the same doubles as a search from the cluster's terminal.
+ledger, on positions.  Its searches start at a cluster's boundary and cover
+only unclaimed positions, and give the same doubles as a search from the
+cluster's terminal.
 """
 
 from __future__ import annotations
@@ -196,6 +202,11 @@ class WeightedGraph:
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, float], ...]]:
+        """``(neighbour id, weight)`` of every neighbour, per vertex id, sorted.
+
+        No reader in the package: every layer reads ``_index_adjacency``.
+        Kept only while the benchmark (``perfbench/workloads.py``) warms it.
+        """
         adj: dict[int, list[tuple[int, float]]] = {v: [] for v in self.vertices}
         for u, v, w in self.edges:
             adj[u].append((v, w))
@@ -213,7 +224,7 @@ class WeightedGraph:
 
         ``edges`` are sorted with ``u < v``, so each row receives its lower
         neighbours, then its higher ones, each in ascending order: rows come
-        out sorted, in the neighbour order of ``adjacency``.
+        out sorted, in id order.
         """
         index = self.index
         adj: list[list[tuple[int, float]]] = [[] for _ in self.vertices]
@@ -261,7 +272,11 @@ class WeightedGraph:
 
     @cached_property
     def nearest_terminal_distance(self) -> dict[int, float]:
-        """Distance from every reachable vertex to its closest terminal."""
+        """Distance from every reachable vertex to its closest terminal.
+
+        No reader in the package: every layer reads ``_nearest_row``.  Kept
+        only while the benchmark (``perfbench/workloads.py``) warms it.
+        """
         return {v: d for v, d in zip(self.vertices, self._nearest_row) if d != math.inf}
 
     @cached_property
@@ -288,35 +303,6 @@ class WeightedGraph:
                     seen[q] = 1
                     stack.append(q)
         return 0 not in seen
-
-
-@dataclass(frozen=True)
-class DistanceMap:
-    """Single-source shortest distances plus one canonical path per target.
-
-    Unreachable vertices are simply absent from ``dist``; there is no
-    infinity sentinel.  Canonical paths break ties toward the predecessor
-    with the lowest vertex id, so equal inputs give identical paths.
-    """
-
-    source: int
-    dist: dict[int, float]
-    pred: dict[int, int]
-
-    def distance(self, v: int) -> float:
-        if v not in self.dist:
-            raise GraphError(f"vertex {v} is not reachable from {self.source}")
-        return self.dist[v]
-
-    def path_to(self, v: int) -> list[int]:
-        """Canonical shortest path from the source to ``v`` (inclusive)."""
-        if v not in self.dist:
-            raise GraphError(f"vertex {v} is not reachable from {self.source}")
-        path = [v]
-        while path[-1] != self.source:
-            path.append(self.pred[path[-1]])
-        path.reverse()
-        return path
 
 
 _CHUNK = 16        # sources per label array, one column each
@@ -641,48 +627,73 @@ def _dijkstra(
     return dist
 
 
-def shortest_paths(graph: WeightedGraph, source: int) -> DistanceMap:
-    """Exact Dijkstra distances from ``source`` with canonical predecessors."""
-    if source not in graph.index:
+def canonical_path(
+    graph: WeightedGraph, source: int, target: int
+) -> tuple[list[int], list[float]]:
+    """The canonical shortest path from ``source`` to ``target`` (inclusive)
+    and the distance from ``source`` of every vertex on it.
+
+    A Dijkstra over positions that breaks ties toward the predecessor with
+    the lowest vertex id, so equal inputs give identical paths.  It stops
+    once ``target`` is settled: a settled vertex's predecessor is final, and
+    every vertex on its path was settled before it.  A target whose distance
+    is not finite is unreachable, as in the distance kernel.
+    """
+    index = graph.index
+    if source not in index:
         raise GraphError(f"unknown source vertex {source}")
-    dist: dict[int, float] = {}
-    pred: dict[int, int] = {}
-    best: dict[int, float] = {source: 0.0}
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    adj = graph.adjacency
+    if target not in index:
+        raise GraphError(f"unknown target vertex {target}")
+    s, t = index[source], index[target]
+    adj = graph._index_adjacency
+    best = [math.inf] * graph.n
+    pred = [-1] * graph.n
+    done = bytearray(graph.n)
+    best[s] = 0.0
+    heap = [(0.0, s)]
     while heap:
         d, v = heappop(heap)
-        if v in dist:
+        if done[v]:
             continue
-        dist[v] = d
-        for nbr, w in adj[v]:
-            if nbr in dist:
+        done[v] = 1
+        if v == t:
+            break
+        for u, w in adj[v]:
+            if done[u]:
                 continue
             nd = d + w
-            old = best.get(nbr)
-            if old is None or nd < old:
-                best[nbr] = nd
-                pred[nbr] = v
-                heappush(heap, (nd, nbr))
-            elif nd == old and v < pred[nbr]:
+            if nd < best[u]:
+                best[u] = nd
+                pred[u] = v
+                heappush(heap, (nd, u))
+            elif nd == best[u] and v < pred[u]:
                 # equal-length alternative through a lower-id predecessor
-                pred[nbr] = v
-    return DistanceMap(source=source, dist=dist, pred=pred)
+                pred[u] = v
+    else:
+        raise GraphError(f"vertex {target} is not reachable from {source}")
+    path = [t]
+    while path[-1] != s:
+        path.append(pred[path[-1]])
+    path.reverse()
+    return [graph.vertices[p] for p in path], [best[p] for p in path]
 
 
 class ClusterReplay:
-    """The claims of a ball-growing run, replayed step by step.
+    """The claims of a ball-growing run, replayed step by step, on vertex
+    positions.
 
-    Holds the owner (1-based cluster index) of every claimed vertex, the
-    distance of every claim the replay itself reproduced, and per cluster its
-    boundary: the members with a distance that may still have an unclaimed
-    neighbour.  A search reads every boundary member's neighbours anyway, and
-    drops the members it finds with none left.  Terminals start claimed by
-    their own clusters at distance 0.
+    Holds the owner (1-based cluster index, 0 while unclaimed) of every
+    position, the distance of every claim the replay itself reproduced, and
+    per cluster its boundary: the member positions with a distance that may
+    still have an unclaimed neighbour.  A search reads every boundary
+    member's neighbours anyway, and drops the members it finds with none
+    left.  Terminals start claimed by their own clusters at distance 0.
+    ``claimed`` counts the claimed positions.  Callers map vertex ids to
+    positions once (``graph.index``) and back only for messages and records.
 
     ``search`` starts from a cluster's boundary, pushing d(y) + w for every
     unclaimed neighbour of a boundary member y, and settles unclaimed
-    vertices only.  It gives exactly the doubles of a fresh search from the
+    positions only.  It gives exactly the doubles of a fresh search from the
     cluster's terminal through its members and the unclaimed vertices,
     provided every member's distance came from ``search`` at its claiming
     step.  A member's region distance never changes after its claim: the
@@ -691,34 +702,41 @@ class ClusterReplay:
     path to an unclaimed vertex, the last member is a boundary member and the
     path's float sum there is at least that member's distance; since
     ``fl(a + w)`` is monotone in ``a``, continuing from the member's distance
-    gives the same sums.  Stop vertices settle in (distance, id) order, as in
-    the fresh search.
+    gives the same sums.  Stop positions settle in (distance, position)
+    order, which is (distance, id) order, as in the fresh search.
     """
 
     def __init__(self, graph: WeightedGraph):
-        self.adjacency = graph.adjacency
-        self.owner: dict[int, int] = {t: j for j, t in enumerate(graph.terminals, start=1)}
-        self.dist: dict[int, float] = dict.fromkeys(graph.terminals, 0.0)
-        self.boundary: list[set[int]] = [set(), *({t} for t in graph.terminals)]
+        self.adj = graph._index_adjacency
+        self.owner = [0] * graph.n
+        self.dist = [math.inf] * graph.n
+        self.boundary: list[set[int]] = [set()]
+        for j, t in enumerate(graph.terminals, start=1):
+            p = graph.index[t]
+            self.owner[p] = j
+            self.dist[p] = 0.0
+            self.boundary.append({p})
+        self.claimed = graph.k
 
-    def claim(self, cluster: int, vertices, found: dict[int, float]) -> None:
-        """Record that ``cluster`` claims ``vertices``, each at its distance
+    def claim(self, cluster: int, positions, found: dict[int, float]) -> None:
+        """Record that ``cluster`` claims ``positions``, each at its distance
         in ``found``.
 
-        A vertex absent from ``found`` (a claim the replay did not reproduce)
-        becomes claimed but is never a search seed.  A vertex stays with its
-        first claim, and need not be a vertex of the graph.
+        A position absent from ``found`` (a claim the replay did not
+        reproduce) becomes claimed but is never a search seed.  A position
+        stays with its first claim.
         """
         owner, dist = self.owner, self.dist
         boundary = self.boundary[cluster]
-        for v in vertices:
-            if v in owner:
+        for p in positions:
+            if owner[p]:
                 continue
-            owner[v] = cluster
-            d = found.get(v)
+            owner[p] = cluster
+            self.claimed += 1
+            d = found.get(p)
             if d is not None:
-                dist[v] = d
-                boundary.add(v)
+                dist[p] = d
+                boundary.add(p)
 
     def search(
         self,
@@ -728,14 +746,14 @@ class ClusterReplay:
         extra: float = 0.0,
     ) -> tuple[dict[int, float], list[tuple[int, float]]]:
         """Distances from ``cluster``'s terminal through its members and the
-        unclaimed vertices, for every unclaimed vertex within ``limit``.
+        unclaimed positions, for every unclaimed position within ``limit``.
 
-        Once the first vertex of ``stop`` is settled at distance d, the limit
-        drops to d + ``extra``.  Returns the distances of the settled
-        unclaimed vertices and the stop vertices settled, with their
-        distances, in settling order (ties in vertex-id order).
+        Once the first position of ``stop`` is settled at distance d, the
+        limit drops to d + ``extra``.  Returns the distances of the settled
+        unclaimed positions and the stop positions settled, with their
+        distances, in settling order (ties in position order).
         """
-        owner, adj, dist = self.owner, self.adjacency, self.dist
+        owner, adj, dist = self.owner, self.adj, self.dist
         boundary = self.boundary[cluster]
         inf = math.inf
         best: dict[int, float] = {}
@@ -744,14 +762,14 @@ class ClusterReplay:
             dy = dist[y]
             has_unclaimed = False
             for u, w in adj[y]:
-                if u not in owner:
+                if not owner[u]:
                     has_unclaimed = True
                     nd = dy + w
                     if nd <= limit and nd < best.get(u, inf):
                         best[u] = nd
             if not has_unclaimed:
                 inner.append(y)
-        # claimed vertices stay claimed, so a member without an unclaimed
+        # claimed positions stay claimed, so a member without an unclaimed
         # neighbour never seeds a search again
         boundary.difference_update(inner)
         heap = [(d, u) for u, d in best.items()]
@@ -770,7 +788,7 @@ class ClusterReplay:
                     limit = d + extra
                 stops.append((v, d))
             for u, w in adj[v]:
-                if u in owner:
+                if owner[u]:
                     continue
                 nd = d + w
                 # a settled u has best[u] <= d <= nd, so it is never pushed

@@ -108,9 +108,12 @@ def verify_trace(
                 break
 
     # ball semantics per step: replayed region distances must cover exactly
-    # the newly recorded vertices within the radius
+    # the newly recorded vertices within the radius.  The replay runs on
+    # positions; a claim of an id outside the graph (reported above) is
+    # kept in ``foreign`` and still counts towards every vertex claimed.
     replay = ClusterReplay(graph)
-    owner = replay.owner
+    pos = list(map(graph.index.get, vertex))
+    foreign: dict[int, int] = {}
     runs_by_step = trace.runs_by_step()
     recorded = trace.cover_dist
     radii = {j: 0.0 for j in range(1, k + 1)}
@@ -126,20 +129,21 @@ def verify_trace(
                 ] * (stop - start)
         new_events = [i for start, stop, _ in runs for i in range(start, stop)]
 
-        uncovered_exists = len(owner) < graph.n
+        uncovered_exists = replay.claimed + len(foreign) < graph.n
         if new_events or uncovered_exists:
             dist, _ = replay.search(j, limit=radius)
-            got_new = {vertex[i] for i in new_events}
+            # a foreign claim maps to None, which no ball holds
+            got_new = {pos[i] for i in new_events}
             if dist.keys() != got_new:
                 violations.append(
-                    f"step ({rnd},{j}) claims {sorted(got_new)} but ball "
-                    f"replay gives {sorted(dist)}"
+                    f"step ({rnd},{j}) claims {sorted({vertex[i] for i in new_events})} "
+                    f"but ball replay gives {[graph.vertices[p] for p in sorted(dist)]}"
                 )
             for i in new_events:
-                v = vertex[i]
-                d = dist.get(v)
+                d = dist.get(pos[i])
                 if d is None:
                     continue
+                v = vertex[i]
                 if not math.isclose(d, recorded[i], rel_tol=REL_TOL, abs_tol=1e-12):
                     violations.append(
                         f"recorded distance {recorded[i]!r} for vertex {v} "
@@ -150,12 +154,18 @@ def verify_trace(
                         f"vertex {v} covered at distance {d!r} beyond "
                         f"radius {radius!r}"
                     )
+            if None in got_new:
+                got_new.discard(None)
+                for i in new_events:
+                    if pos[i] is None:
+                        foreign.setdefault(vertex[i], j)
             # the replayed distances, never the recorded ones, seed later steps
             replay.claim(j, got_new, dist)
 
     # final partition must be a valid terminal partition
-    if len(owner) == graph.n:
-        partition = TerminalPartition(assignment=dict(owner))
+    if replay.claimed + len(foreign) == graph.n:
+        assignment = {v: j for v, j in zip(graph.vertices, replay.owner) if j}
+        partition = TerminalPartition(assignment=assignment | foreign)
         for viol in validate_partition(graph, partition):
             violations.append(f"final partition invalid: {viol}")
 

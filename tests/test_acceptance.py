@@ -21,6 +21,7 @@ from conftest import (
     random_connected_graph,
     star_3,
 )
+from paths_reference import shortest_paths
 from sprkit import (
     SprParams,
     build_interval_partition,
@@ -40,7 +41,6 @@ from sprkit import (
 from sprkit.bounds import chernoff_bound
 from sprkit.experiment import ExperimentSpec, rows_to_csv, run_experiment
 from sprkit.generators import generate
-from sprkit.graph import shortest_paths
 from sprkit.minor import contract, distortion, validate_partition
 from sprkit.oracle import best_partition, compare_to_spr
 

@@ -4,17 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fine_pair_graph, make_trace, path_t_s_t
+from conftest import coarse_subdivided_random, fine_pair_graph, make_trace, path_t_s_t
+from paths_reference import shortest_paths
 from sprkit import (
     SprParams,
     build_interval_partition,
+    check_covering,
     cost_bound_check,
     failure_rate,
+    normalized_to_unit_nearest,
     reconstruct_ledger,
     run_spr,
+    verify_trace,
 )
 from sprkit.charging import InteriorTerminalError, LedgerError
-from sprkit.graph import WeightedGraph
+from sprkit.graph import WeightedGraph, canonical_path
 
 REL = 1e-9
 
@@ -24,6 +28,38 @@ def _trace(graph, radius_events, cover_events, rounds):
 
 
 # --- interval partition -----------------------------------------------------
+
+
+@pytest.mark.parametrize("build, pair", [
+    (lambda: fine_pair_graph(8, seed=5, fineness=0.6), (0, 8)),
+    (lambda: coarse_subdivided_random(6, seed=3, threshold=0.05)[0], (2, 5)),
+])
+def test_analysis_builds_no_id_keyed_view(build, pair):
+    # verify, covering, the canonical path, the partition, the ledger and the
+    # unit rescaling all read positions, like the run path
+    g = build()
+    params = SprParams.for_graph(g, seed=1)
+    _, trace = run_spr(g, params)
+    assert verify_trace(g, trace, params).ok
+    check_covering(trace, g, params)
+    canonical_path(g, *pair)
+    partition = build_interval_partition(g, *pair, params)
+    reconstruct_ledger(trace, g, partition, params)
+    normalized_to_unit_nearest(g)
+    assert "adjacency" not in g.__dict__
+    assert "nearest_terminal_distance" not in g.__dict__
+
+
+@pytest.mark.parametrize("build, pair", [
+    *((lambda seed=seed: fine_pair_graph(8, seed=seed), (0, 8)) for seed in (3, 5, 7)),
+    (lambda: coarse_subdivided_random(6, seed=3, threshold=0.05)[0], (2, 5)),
+])
+def test_partition_path_is_reference_canonical_path(build, pair):
+    g = build()
+    part = build_interval_partition(g, *pair, SprParams.for_graph(g))
+    ref = shortest_paths(g, pair[0])
+    assert part.path == tuple(ref.path_to(pair[1]))
+    assert part.positions == tuple(ref.dist[v] for v in part.path)
 
 
 def test_single_interior_vertex_single_interval():

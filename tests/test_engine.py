@@ -15,6 +15,7 @@ from conftest import (
     star_3,
     trace_with_events,
 )
+from paths_reference import shortest_paths
 from sprkit import (
     CoverEvent,
     RadiusEvent,
@@ -31,7 +32,7 @@ from sprkit import (
     sample_exponential,
     verify_trace,
 )
-from sprkit.graph import GraphError, WeightedGraph, shortest_paths, subdivide_edges
+from sprkit.graph import GraphError, WeightedGraph, subdivide_edges
 from sprkit.minor import TerminalPartition, validate_partition
 
 

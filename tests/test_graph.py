@@ -13,16 +13,17 @@ from hypothesis import strategies as st
 
 import sprkit
 from conftest import all_pairs_relaxation, edge_filter_oracle, random_connected_graph
+from paths_reference import shortest_paths
 from sprkit import graph as graph_module
 from sprkit.graph import (
     GraphError,
     ParseError,
     WeightedGraph,
     _distance_columns,
+    canonical_path,
     format_graph_text,
     induced_subgraph,
     parse_graph_text,
-    shortest_paths,
     subdivide_edges,
 )
 from sprkit.minor import InducedMinor
@@ -47,30 +48,32 @@ def test_build_rejects_bad_edges():
 
 def test_single_edge_distance():
     g = WeightedGraph.build([0, 1], [(0, 1, 2.5)], [0])
-    dm = shortest_paths(g, 0)
-    assert dm.distance(1) == 2.5
-    assert dm.distance(0) == 0.0
+    assert canonical_path(g, 0, 1) == ([0, 1], [0.0, 2.5])
+    assert canonical_path(g, 1, 0) == ([1, 0], [0.0, 2.5])
 
 
 def test_source_distance_is_zero():
     g = random_connected_graph(15, 3, seed=1, extra_edges=5)
     for v in g.vertices:
-        assert shortest_paths(g, v).distance(v) == 0.0
+        assert canonical_path(g, v, v) == ([v], [0.0])
 
 
 def test_unknown_source_raises():
     g = WeightedGraph.build([0, 1], [(0, 1, 1.0)], [0])
-    with pytest.raises(GraphError):
-        shortest_paths(g, 9)
+    with pytest.raises(GraphError, match="unknown source vertex 9"):
+        canonical_path(g, 9, 0)
+    with pytest.raises(GraphError, match="unknown target vertex 9"):
+        canonical_path(g, 0, 9)
 
 
 def test_distances_match_relaxation_oracle():
     g = random_connected_graph(20, 4, seed=7, extra_edges=15)
     oracle = all_pairs_relaxation(g)
     for src in g.vertices:
-        dm = shortest_paths(g, src)
         for v in g.vertices:
-            assert dm.distance(v) == pytest.approx(oracle[src][v], rel=REL)
+            path, dist = canonical_path(g, src, v)
+            assert (path[0], path[-1], dist[0]) == (src, v, 0.0)
+            assert dist[-1] == pytest.approx(oracle[src][v], rel=REL)
 
 
 def test_canonical_paths_deterministic_and_tie_broken():
@@ -80,17 +83,14 @@ def test_canonical_paths_deterministic_and_tie_broken():
         [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)],
         [0, 3],
     )
-    dm = shortest_paths(g, 0)
-    assert dm.path_to(3) == [0, 1, 3]
-    assert dm.path_to(3) == shortest_paths(g, 0).path_to(3)
+    assert canonical_path(g, 0, 3) == ([0, 1, 3], [0.0, 1.0, 2.0])
+    assert canonical_path(g, 3, 0) == ([3, 1, 0], [0.0, 1.0, 2.0])
 
 
 def test_unreachable_is_flagged_not_infinite():
     g = WeightedGraph.build([0, 1, 2], [(0, 1, 1.0)], [0])
-    dm = shortest_paths(g, 0)
-    assert 2 not in dm.dist
-    with pytest.raises(GraphError):
-        dm.distance(2)
+    with pytest.raises(GraphError, match="vertex 2 is not reachable from 0"):
+        canonical_path(g, 0, 2)
 
 
 def test_induced_subgraph_identity():
@@ -185,10 +185,45 @@ def test_determinism_bit_for_bit():
     g1 = random_connected_graph(16, 3, seed=21, extra_edges=8)
     g2 = random_connected_graph(16, 3, seed=21, extra_edges=8)
     assert g1.edges == g2.edges
-    d1 = shortest_paths(g1, 0)
-    d2 = shortest_paths(g2, 0)
-    assert d1.dist == d2.dist
-    assert d1.pred == d2.pred
+    for v in g1.vertices:
+        assert canonical_path(g1, 0, v) == canonical_path(g2, 0, v)
+
+
+@st.composite
+def path_graphs(draw):
+    """Graphs on increasing but non-dense ids, sometimes with an isolated
+    vertex, of three kinds: tied integer weights; the same subdivided into
+    chains of equal segments; and weights 1e6, 1.0 and 1e-12, so that
+    ``fl(d + w) == d`` for a small w beside a large d."""
+    kind = draw(st.sampled_from(["tied", "chains", "sub-ulp"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=2, max_value=12))
+    ids = [int(v) for v in np.sort(rng.choice(10 * n, size=n + 1, replace=False))]
+    pairs = {(int(rng.integers(v)), v) for v in range(1, n)}
+    for _ in range(draw(st.integers(min_value=0, max_value=2 * n))):
+        u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        pairs.add((u, v))
+    choices = [1e6, 1.0, 1e-12, 2e-12] if kind == "sub-ulp" else [1.0, 2.0, 3.0]
+    edges = [(ids[u], ids[v], float(rng.choice(choices))) for u, v in sorted(pairs)]
+    vertices = ids if draw(st.booleans()) else ids[:n]  # ids[n] stays isolated
+    g = WeightedGraph.build(vertices, edges, [ids[0]])
+    if kind == "chains":
+        g = subdivide_edges(g, draw(st.sampled_from([0.5, 1.0, 1.5]))).graph
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(path_graphs())
+def test_canonical_path_equals_reference_path_to(g):
+    for s in g.vertices:
+        ref = shortest_paths(g, s)
+        for t in g.vertices:
+            if t not in ref.dist:
+                with pytest.raises(GraphError, match=f"vertex {t} is not reachable from {s}"):
+                    canonical_path(g, s, t)
+                continue
+            path = ref.path_to(t)
+            assert canonical_path(g, s, t) == (path, [ref.dist[v] for v in path])
 
 
 # --- the distance kernel against canonical searches -----------------------

@@ -38,13 +38,15 @@ def _engine_run(g: WeightedGraph, seed: int) -> tuple[SprParams, RunTrace]:
 @given(replay_graphs(), st.integers(0, 2**32), st.randoms(use_true_random=False))
 def test_search_matches_region_search_at_every_step(g, seed, rnd):
     # both ways the ledger searches: up to the radius at every step, and, at
-    # claiming steps, unbounded with a stop set and an extra allowance
+    # claiming steps, unbounded with a stop set and an extra allowance.  The
+    # replay holds owners and answers by position, the reference by id.
     _, trace = _engine_run(g, seed)
     replay = ClusterReplay(g)
-    owner = replay.owner
+    ids, index = g.vertices, g.index
     cover_by_step = events_by_step(trace)
     for ev in trace.radius_events:
         j, t_j = ev.step, g.terminals[ev.step - 1]
+        owner = {v: c for v, c in zip(ids, replay.owner) if c}
         claimed = [cev.vertex for cev in cover_by_step.get((ev.round, ev.step), [])]
         searches = [(ev.radius, frozenset(), 0.0)]
         if claimed:
@@ -53,13 +55,15 @@ def test_search_matches_region_search_at_every_step(g, seed, rnd):
             stop = {rnd.choice(claimed), *rnd.sample(unclaimed, min(len(unclaimed), 3))}
             searches.append((math.inf, stop, rnd.choice([0.0, 0.5, 1.0, 2.5])))
         for limit, stop, extra in searches:
-            found, stops = replay.search(j, limit=limit, stop=stop, extra=extra)
+            found, stops = replay.search(j, limit=limit, stop={index[v] for v in stop},
+                                         extra=extra)
             ref, ref_stops = region_search(g, owner, j, t_j, limit=limit, stop=stop, extra=extra)
-            assert found == {v: d for v, d in ref.items() if v not in owner}
-            assert stops == ref_stops
+            assert {ids[p]: d for p, d in found.items()} == {
+                v: d for v, d in ref.items() if v not in owner}
+            assert [(ids[p], d) for p, d in stops] == ref_stops
         ball, _ = replay.search(j, limit=ev.radius)
-        assert set(claimed) == ball.keys()
-        replay.claim(j, claimed, ball)
+        assert {index[v] for v in claimed} == ball.keys()
+        replay.claim(j, [index[v] for v in claimed], ball)
 
 
 @settings(max_examples=80, deadline=None)
