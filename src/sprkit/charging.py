@@ -135,9 +135,7 @@ def build_interval_partition(
         # full remainder always qualifies because it reaches past t'.
         while h + s <= last - 1 and positions[h + s + 1] - positions[h - 1] < bound:
             s += 1
-        if h + s > last - 1:
-            s = last - 1 - h
-        end = h + s
+        end = min(h + s, last - 1)
         intervals.append(
             Interval(
                 start=h,
@@ -246,12 +244,9 @@ def reconstruct_ledger(
             "was the run preprocessed with subdivision? analyze against the "
             "subdivided graph"
         )
-    # the replay runs on positions; ids come back only in messages
     pos = [index[v] for v in vertex]
-
     path = partition.path
-    # a path vertex outside the graph (a partition of another graph) has no
-    # position and is never claimed
+    # a path vertex outside the graph (a partition of another graph) is None
     path_pos = list(map(index.get, path))
     path_index = {p: i for i, p in enumerate(path_pos)}
     last = len(path) - 1
@@ -272,16 +267,10 @@ def reconstruct_ledger(
     extra = partition.max_length_in * (1 + 1e-9) + 1e-15
 
     def slice_count(qi: int) -> int:
+        # the maximal active runs inside interval qi
         q = partition.intervals[qi]
-        count = 0
-        running = False
-        for idx in range(q.start, q.end + 1):
-            if active[idx] and not running:
-                count += 1
-                running = True
-            elif not active[idx]:
-                running = False
-        return count
+        run = active[q.start:q.end + 1]
+        return sum(on and not before for on, before in zip(run, [False, *run]))
 
     seen_cover = bytearray(graph.n)
     live_span_total = 0

@@ -52,8 +52,12 @@ def _read_graph(path: str) -> WeightedGraph:
     return parse_graph_text(Path(path).read_text())
 
 
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or print it when there is no path."""
+    if path:
+        Path(path).write_text(text)
+    else:
+        print(text)
 
 
 def _minor_from_text(text: str) -> InducedMinor:
@@ -116,10 +120,7 @@ def cmd_distort(args) -> int:
     minor = _minor_from_text(Path(args.minor).read_text())
     report = distortion(graph, minor)
     text = json.dumps(report.to_json_dict(), indent=2)
-    if args.out:
-        _write(args.out, text)
-    else:
-        print(text)
+    _write(args.out, text)
     return 0
 
 
@@ -148,10 +149,7 @@ def cmd_oracle(args) -> int:
         rows = compare_to_spr(graph, range(args.seeds), delta=args.delta, cap=args.cap)
         doc["comparison"] = [asdict(r) for r in rows]
     text = json.dumps(doc, indent=2)
-    if args.out:
-        _write(args.out, text)
-    else:
-        print(text)
+    _write(args.out, text)
     return 0
 
 
@@ -279,9 +277,8 @@ def cmd_analyze(args) -> int:
         "covering": covering.to_json_dict(),
         "checks": covering_checks,
     }
-    out_path = Path(args.out) if args.out else None
     if args.format == "csv":
-        base = out_path.with_suffix("") if out_path else Path("analysis")
+        base = Path(args.out).with_suffix("") if args.out else Path("analysis")
         interval_lines = ["segment,interval,start,end,anchor,length_in,length_out,bound"]
         step_lines = ["segment,run,round,step,a,b,trigger,interval,q_step,q_trigger,q_slice,qualifies,success"]
         for si, (_, partition, ledgers) in enumerate(results):
@@ -300,10 +297,7 @@ def cmd_analyze(args) -> int:
         _write(f"{base}.intervals.csv", "\n".join(interval_lines) + "\n")
         _write(f"{base}.steps.csv", "\n".join(step_lines) + "\n")
     text = json.dumps(doc, indent=2)
-    if out_path:
-        _write(str(out_path), text)
-    else:
-        print(text)
+    _write(args.out, text)
     return 0
 
 

@@ -9,13 +9,11 @@ ids 0..n-1; operations such as ``induced_subgraph`` keep the original ids.
 ``WeightedGraph.index`` maps each id to its position in ``vertices``, and
 ``vertices`` is sorted, so position order is id order.  The position
 adjacency (``(position, weight)`` rows, built once from ``edges``) is the
-only adjacency the package reads: it serves the distance kernel below, the
-connectivity check, the clustering engine, the partition check and
-contraction (``minor``), the covering check, the closest-terminal-pair
-search, ``canonical_path`` and ``ClusterReplay``.  Their callers map ids to
-positions once and go back to ids only for results and messages.  The
-id-keyed ``adjacency`` and ``nearest_terminal_distance`` have no reader in
-the package.
+only one the package reads: the distance kernel below, the connectivity
+check, the clustering engine, the partition check and contraction
+(``minor``), the covering check, the closest-terminal-pair search,
+``canonical_path`` and ``ClusterReplay`` all run on positions, and give ids
+back only in what they return.
 
 Who reads which distances.  The k x k ``terminal_block``, d(t_i, t_j), serves
 contraction and distortion, and the nearest-terminal row by position serves
@@ -92,17 +90,14 @@ built-in ``sum()`` compensates float sums from Python 3.12 on;
 sums is not the sum along the path.
 
 The kernel stays on numpy, which the package already loads: importing
-scipy's graph routines would double a small run's peak memory.  A canonical
-path (``canonical_path``) is computed only for a pair under analysis: one
-search from one terminal, stopped once the other is settled.  It is not
-read off the kernel's rows by a local predecessor rule: where a weight is
-below half an ulp of a distance (``fl(d + w) == d``), equal distances do not
-settle in (distance, id) order, and such a walk can find no predecessor.
+scipy's graph routines would double a small run's peak memory.  A
+``canonical_path`` is its own search, never a predecessor walk over the
+kernel's rows: where ``fl(d + w) == d``, equal distances do not settle in
+(distance, id) order, and such a walk can find no predecessor.
 
 ``ClusterReplay`` replays a run trace's claims for ``verify`` and the charging
-ledger, on positions.  Its searches start at a cluster's boundary and cover
-only unclaimed positions, and give the same doubles as a search from the
-cluster's terminal.
+ledger.  Its searches start at a cluster's boundary and cover only unclaimed
+vertices, and give the same doubles as a search from the cluster's terminal.
 """
 
 from __future__ import annotations
@@ -202,16 +197,10 @@ class WeightedGraph:
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        """``(neighbour id, weight)`` of every neighbour, per vertex id, sorted.
-
-        No reader in the package: every layer reads ``_index_adjacency``.
-        Kept only while the benchmark (``perfbench/workloads.py``) warms it.
-        """
-        adj: dict[int, list[tuple[int, float]]] = {v: [] for v in self.vertices}
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        """``_index_adjacency`` keyed by id.  No reader in the package; kept
+        only while the benchmark (``perfbench/workloads.py``) warms it."""
+        ids = self.vertices
+        return {v: tuple((ids[q], w) for q, w in row) for v, row in zip(ids, self._index_adjacency)}
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -272,11 +261,8 @@ class WeightedGraph:
 
     @cached_property
     def nearest_terminal_distance(self) -> dict[int, float]:
-        """Distance from every reachable vertex to its closest terminal.
-
-        No reader in the package: every layer reads ``_nearest_row``.  Kept
-        only while the benchmark (``perfbench/workloads.py``) warms it.
-        """
+        """``_nearest_row`` keyed by id, reachable vertices only.  No reader in
+        the package; kept only while the benchmark warms it."""
         return {v: d for v, d in zip(self.vertices, self._nearest_row) if d != math.inf}
 
     @cached_property
@@ -630,25 +616,20 @@ def _dijkstra(
 def canonical_path(
     graph: WeightedGraph, source: int, target: int
 ) -> tuple[list[int], list[float]]:
-    """The canonical shortest path from ``source`` to ``target`` (inclusive)
-    and the distance from ``source`` of every vertex on it.
+    """The shortest path from ``source`` to ``target``, both included, and
+    the distance from ``source`` of each of its vertices.
 
-    A Dijkstra over positions that breaks ties toward the predecessor with
-    the lowest vertex id, so equal inputs give identical paths.  It stops
-    once ``target`` is settled: a settled vertex's predecessor is final, and
-    every vertex on its path was settled before it.  A target whose distance
-    is not finite is unreachable, as in the distance kernel.
+    Dijkstra on positions, ties broken toward the lowest-id predecessor, so
+    equal inputs give identical paths.  It stops once ``target`` is settled,
+    when the predecessors along its path are final.
     """
     index = graph.index
-    if source not in index:
-        raise GraphError(f"unknown source vertex {source}")
-    if target not in index:
-        raise GraphError(f"unknown target vertex {target}")
+    for v in (source, target):
+        if v not in index:
+            raise GraphError(f"unknown vertex {v}")
     s, t = index[source], index[target]
-    adj = graph._index_adjacency
-    best = [math.inf] * graph.n
-    pred = [-1] * graph.n
-    done = bytearray(graph.n)
+    adj, n = graph._index_adjacency, graph.n
+    best, pred, done = [math.inf] * n, [-1] * n, bytearray(n)
     best[s] = 0.0
     heap = [(0.0, s)]
     while heap:
@@ -659,16 +640,13 @@ def canonical_path(
         if v == t:
             break
         for u, w in adj[v]:
-            if done[u]:
-                continue
             nd = d + w
+            # a settled u has best[u] <= d <= nd: only a tie reaches it
             if nd < best[u]:
-                best[u] = nd
-                pred[u] = v
+                best[u], pred[u] = nd, v
                 heappush(heap, (nd, u))
-            elif nd == best[u] and v < pred[u]:
-                # equal-length alternative through a lower-id predecessor
-                pred[u] = v
+            elif nd == best[u] and v < pred[u] and not done[u]:
+                pred[u] = v  # an equal-length path through a lower id
     else:
         raise GraphError(f"vertex {target} is not reachable from {source}")
     path = [t]
@@ -679,17 +657,15 @@ def canonical_path(
 
 
 class ClusterReplay:
-    """The claims of a ball-growing run, replayed step by step, on vertex
-    positions.
+    """The claims of a ball-growing run, replayed step by step on positions.
 
     Holds the owner (1-based cluster index, 0 while unclaimed) of every
     position, the distance of every claim the replay itself reproduced, and
-    per cluster its boundary: the member positions with a distance that may
-    still have an unclaimed neighbour.  A search reads every boundary
-    member's neighbours anyway, and drops the members it finds with none
-    left.  Terminals start claimed by their own clusters at distance 0.
-    ``claimed`` counts the claimed positions.  Callers map vertex ids to
-    positions once (``graph.index``) and back only for messages and records.
+    per cluster its boundary: the members with a distance that may still have
+    an unclaimed neighbour.  A search reads every boundary member's
+    neighbours anyway, and drops the members it finds with none left.
+    Terminals start claimed by their own clusters at distance 0; ``claimed``
+    counts the claimed positions.
 
     ``search`` starts from a cluster's boundary, pushing d(y) + w for every
     unclaimed neighbour of a boundary member y, and settles unclaimed
@@ -713,8 +689,7 @@ class ClusterReplay:
         self.boundary: list[set[int]] = [set()]
         for j, t in enumerate(graph.terminals, start=1):
             p = graph.index[t]
-            self.owner[p] = j
-            self.dist[p] = 0.0
+            self.owner[p], self.dist[p] = j, 0.0
             self.boundary.append({p})
         self.claimed = graph.k
 

@@ -140,9 +140,8 @@ class InducedMinor:
 
     Edges carry the exact original terminal distance.  Each terminal's
     implicit zero-length self-distance is modeled as d(i, i) = 0, never as a
-    stored edge.  Construction raises ``GraphError`` for an edge with an
-    index outside 1..k, with i >= j, repeating a pair, or with a weight that
-    is not positive and finite.
+    stored edge.  Construction raises ``GraphError`` unless every edge has
+    1 <= i < j <= k and a positive finite weight, and no pair repeats.
     """
 
     k: int
@@ -150,17 +149,12 @@ class InducedMinor:
     edges: tuple[tuple[int, int, float], ...]  # (i, j, weight) with i < j
 
     def __post_init__(self):
-        pairs = set()
         for i, j, w in self.edges:
-            if not (1 <= i <= self.k and 1 <= j <= self.k):
-                raise GraphError(f"minor edge ({i},{j}) has an index outside 1..{self.k}")
-            if i >= j:
-                raise GraphError(f"minor edge ({i},{j}) must have i < j")
-            if (i, j) in pairs:
-                raise GraphError(f"duplicate minor edge ({i},{j})")
-            pairs.add((i, j))
-            if not (isfinite(w) and w > 0.0):
-                raise GraphError(f"minor edge ({i},{j}) has weight {w}, not positive and finite")
+            if not (1 <= i < j <= self.k and isfinite(w) and w > 0.0):
+                raise GraphError(f"minor edge ({i},{j}) of weight {w} needs "
+                                 f"1 <= i < j <= {self.k} and a positive finite weight")
+        if len({(i, j) for i, j, _ in self.edges}) < len(self.edges):
+            raise GraphError("minor edges repeat a pair")
 
     def distance(self, i: int, j: int) -> float:
         return self.distance_matrix[i - 1][j - 1]

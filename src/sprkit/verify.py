@@ -109,8 +109,8 @@ def verify_trace(
 
     # ball semantics per step: replayed region distances must cover exactly
     # the newly recorded vertices within the radius.  The replay runs on
-    # positions; a claim of an id outside the graph (reported above) is
-    # kept in ``foreign`` and still counts towards every vertex claimed.
+    # positions; a claimed id outside the graph (reported above) has none,
+    # and goes to ``foreign``, which counts towards every vertex claimed.
     replay = ClusterReplay(graph)
     pos = list(map(graph.index.get, vertex))
     foreign: dict[int, int] = {}
@@ -129,11 +129,9 @@ def verify_trace(
                 ] * (stop - start)
         new_events = [i for start, stop, _ in runs for i in range(start, stop)]
 
-        uncovered_exists = replay.claimed + len(foreign) < graph.n
-        if new_events or uncovered_exists:
+        if new_events or replay.claimed + len(foreign) < graph.n:
             dist, _ = replay.search(j, limit=radius)
-            # a foreign claim maps to None, which no ball holds
-            got_new = {pos[i] for i in new_events}
+            got_new = {pos[i] for i in new_events}  # None, for a foreign id, in no ball
             if dist.keys() != got_new:
                 violations.append(
                     f"step ({rnd},{j}) claims {sorted({vertex[i] for i in new_events})} "
@@ -154,11 +152,10 @@ def verify_trace(
                         f"vertex {v} covered at distance {d!r} beyond "
                         f"radius {radius!r}"
                     )
-            if None in got_new:
-                got_new.discard(None)
-                for i in new_events:
-                    if pos[i] is None:
-                        foreign.setdefault(vertex[i], j)
+            for i in new_events:
+                if pos[i] is None:
+                    foreign.setdefault(vertex[i], j)
+            got_new.discard(None)
             # the replayed distances, never the recorded ones, seed later steps
             replay.claim(j, got_new, dist)
 

