@@ -131,7 +131,7 @@ def verify_trace(
 
         if new_events or replay.claimed + len(foreign) < graph.n:
             dist, _ = replay.search(j, limit=radius)
-            got_new = {pos[i] for i in new_events}  # None, for a foreign id, in no ball
+            got_new = {pos[i] for i in new_events}  # a foreign id maps to None, in no ball
             if dist.keys() != got_new:
                 violations.append(
                     f"step ({rnd},{j}) claims {sorted({vertex[i] for i in new_events})} "
