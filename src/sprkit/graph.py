@@ -197,10 +197,14 @@ class WeightedGraph:
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        """``_index_adjacency`` keyed by id.  No reader in the package; kept
-        only while the benchmark (``perfbench/workloads.py``) warms it."""
-        ids = self.vertices
-        return {v: tuple((ids[q], w) for q, w in row) for v, row in zip(ids, self._index_adjacency)}
+        """``(neighbour id, weight)`` rows keyed by id.  No reader in the
+        package; kept only while the benchmark (``perfbench/workloads.py``)
+        warms it."""
+        adj: dict[int, list[tuple[int, float]]] = {v: [] for v in self.vertices}
+        for u, v, w in self.edges:
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
     @cached_property
     def index(self) -> dict[int, int]:
