@@ -144,7 +144,7 @@ def ledger_hashes(case_id: str) -> dict[str, str]:
 def analyze_csv_hashes(work: Path) -> dict[str, str]:
     """The report JSON and the interval and step tables of ``sprkit analyze
     --format csv`` on the split chain, over two run seeds; ``work`` is an
-    empty scratch directory."""
+    empty working directory."""
     gpath = work / "chain.txt"
     gpath.write_text("\n".join([*(f"v {i}" for i in range(8)), "t 0", "t 7", "t 3",
                                 *(f"e {i} {i + 1} 1.0" for i in range(7))]) + "\n")
