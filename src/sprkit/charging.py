@@ -37,13 +37,13 @@ class InteriorTerminalError(GraphError):
     path (triangle inequality), not by analyzing the pair directly.
     """
 
-    def __init__(self, pair: tuple[int, int], terminal: int):
+    def __init__(self, pair: tuple[int, int], terminals: tuple[int, ...]):
         super().__init__(
-            f"path {pair[0]} -> {pair[1]} passes through terminal {terminal}; "
-            "analyze consecutive terminal-free pairs instead"
+            f"path {pair[0]} -> {pair[1]} passes through terminals "
+            f"{', '.join(map(str, terminals))}; analyze consecutive terminal-free pairs instead"
         )
         self.pair = pair
-        self.terminal = terminal
+        self.terminals = terminals  # every interior terminal, in path order
 
 
 class LedgerError(GraphError):
@@ -118,9 +118,9 @@ def build_interval_partition(
         raise GraphError("params must match a graph with at least two terminals")
     path, positions = canonical_path(graph, t, t_prime)
     terminal_set = set(graph.terminals)
-    for v in path[1:-1]:
-        if v in terminal_set:
-            raise InteriorTerminalError((t, t_prime), v)
+    interior = tuple(v for v in path[1:-1] if v in terminal_set)
+    if interior:
+        raise InteriorTerminalError((t, t_prime), interior)
 
     index, nearest = graph.index, graph._nearest_row
     coef = params.interval_factor * params.delta / math.log(graph.k)
@@ -225,7 +225,9 @@ def reconstruct_ledger(
     the trigger vertex break toward the lowest path index.  Region distances
     come from ``graph.ClusterReplay``; every claiming step runs a ball search
     to the radius so that each claim carries the ledger's own distance, never
-    the trace's, into later searches.
+    the trace's, into later searches.  A trace whose radius events are not
+    every (round, step) in order, or whose claims name another terminal than
+    their step's, is refused with ``LedgerError``.
     """
     if trace.terminal_ids != graph.terminals:
         raise LedgerError("trace terminals do not match graph terminals")
@@ -236,6 +238,8 @@ def reconstruct_ledger(
             f"trace has {len(trace.radius_round)} radius events for {trace.rounds} rounds "
             f"of {trace.k} steps"
         )
+    if not trace.radius_steps_in_order():
+        raise LedgerError("radius events do not enumerate every (round, step) in order")
     vertex, index = trace.cover_vertex, graph.index
     unknown = set(vertex).difference(index)
     if unknown:
@@ -280,6 +284,11 @@ def reconstruct_ledger(
         runs = runs_by_step.get((rnd, j))
         if not runs:
             continue
+        t_j = graph.terminals[j - 1]
+        for _, _, t in runs:
+            if t != t_j:
+                raise LedgerError(f"cover event at step ({rnd},{j}) names terminal {t}, "
+                                  f"expected {t_j}")
         claimed = [p for start, stop, _ in runs for p in pos[start:stop]]
         for p in claimed:
             if seen_cover[p]:
@@ -293,7 +302,6 @@ def reconstruct_ledger(
             continue
 
         # charging step: find the trigger vertex from the pre-step state
-        t_j = graph.terminals[j - 1]
         _, stops = replay.search(j, stop=active_vertices, extra=extra)
         if not stops:
             raise LedgerError(

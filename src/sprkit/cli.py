@@ -17,6 +17,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .charging import (
+    InteriorTerminalError,
+    IntervalPartition,
     build_interval_partition,
     cost_bound_check,
     failure_rate,
@@ -37,7 +39,7 @@ from .experiment import (
     rows_to_json,
 )
 from .generators import FAMILIES, generate
-from .graph import GraphError, WeightedGraph, canonical_path, format_graph_text, parse_graph_text
+from .graph import GraphError, WeightedGraph, format_graph_text, parse_graph_text
 from .minor import InducedMinor, distortion
 from .oracle import best_partition, compare_to_spr
 from .verify import verify_trace
@@ -146,7 +148,7 @@ def cmd_oracle(args) -> int:
         "assignment": {str(v): j for v, j in sorted(result.best_partition.assignment.items())},
     }
     if args.seeds:
-        rows = compare_to_spr(graph, range(args.seeds), delta=args.delta, cap=args.cap)
+        rows = compare_to_spr(graph, result, range(args.seeds), delta=args.delta)
         doc["comparison"] = [asdict(r) for r in rows]
     text = json.dumps(doc, indent=2)
     _write(args.out, text)
@@ -162,20 +164,18 @@ def _trace_paths(arg: str) -> list[Path]:
     return [p]
 
 
-def _terminal_free_pairs(graph: WeightedGraph, t: int, t_prime: int) -> list[tuple[int, int]]:
-    """Split a pair at the terminals inside its canonical path, recursively,
-    into consecutive terminal-free pairs; distances chain by the triangle
-    inequality."""
-    terms = set(graph.terminals)
-
-    def split(a: int, b: int) -> list[tuple[int, int]]:
-        interior = canonical_path(graph, a, b)[0][1:-1]
-        stops = [a, *(v for v in interior if v in terms), b]
-        if len(stops) == 2:
-            return [(a, b)]
-        return [pair for x, y in zip(stops, stops[1:]) for pair in split(x, y)]
-
-    return split(t, t_prime)
+def _terminal_free_partitions(
+    graph: WeightedGraph, t: int, t_prime: int, params: SprParams
+) -> list[IntervalPartition]:
+    """The interval partitions of a pair, split at the terminals inside its
+    canonical path, recursively, into consecutive terminal-free pairs;
+    distances chain by the triangle inequality."""
+    try:
+        return [build_interval_partition(graph, t, t_prime, params)]
+    except InteriorTerminalError as exc:
+        stops = [t, *exc.terminals, t_prime]
+        return [part for a, b in zip(stops, stops[1:])
+                for part in _terminal_free_partitions(graph, a, b, params)]
 
 
 def _check_entry(name, statistic, bound, slack, n_trials, seed=None):
@@ -193,10 +193,9 @@ def _check_entry(name, statistic, bound, slack, n_trials, seed=None):
     }
 
 
-def _analyze_segment(graph, t, t_prime, traces, params):
+def _analyze_segment(graph, partition, traces, params):
     import math
 
-    partition = build_interval_partition(graph, t, t_prime, params)
     ledgers = [reconstruct_ledger(tr, graph, partition, params) for tr in traces]
     fail = failure_rate(ledgers)
     cost = cost_bound_check(ledgers)
@@ -225,7 +224,7 @@ def _analyze_segment(graph, t, t_prime, traces, params):
         ),
     ]
     doc = {
-        "pair": [t, t_prime],
+        "pair": list(partition.pair),
         "path_vertices": len(partition.path),
         "intervals": partition.phi,
         "pair_distance": partition.total_length,
@@ -248,10 +247,11 @@ def cmd_analyze(args) -> int:
         raise GraphError(f"traces were run with different deltas {deltas}; analyze one at a time")
     [delta] = deltas
     params = SprParams(k=graph.k, delta=delta)
-    pairs = _terminal_free_pairs(graph, t, t_prime)
-    results = [_analyze_segment(graph, a, b, traces, params) for a, b in pairs]
+    partitions = _terminal_free_partitions(graph, t, t_prime, params)
+    # covering before the ledgers: a claimed terminal is named as such
     checks = [check_covering(tr, graph, SprParams(k=graph.k, delta=delta, seed=tr.seed))
               for tr in traces]
+    results = [_analyze_segment(graph, part, traces, params) for part in partitions]
     covering = summarize_covering(checks)
     k = graph.k
     covering_checks = [

@@ -187,6 +187,14 @@ class RunTrace:
                    self.cover_step, self.cover_dist)
         return list(map(tuple.__new__, repeat(CoverEvent), cols))
 
+    def radius_steps_in_order(self) -> bool:
+        """Whether the radius events enumerate every (round, step) in order.
+        The count comes first: a huge ``rounds`` or ``k`` builds nothing."""
+        k, n = self.k, len(self.radius_step)
+        return n == self.rounds * k and (n == 0 or (
+            self.radius_step == [*range(1, k + 1)] * (n // k)
+            and self.radius_round == [i // k for i in range(n)]))
+
     def runs_by_step(self) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
         """The cover events split into maximal runs of consecutive events with
         equal (round, step, terminal), keyed by (round, step).  A run is

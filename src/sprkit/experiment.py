@@ -51,6 +51,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.seeds_per_config < 1:
             raise GraphError("seeds_per_config must be positive")
+        if self.base_seed < 0:
+            raise GraphError("base_seed must be nonnegative")
         if not self.configs:
             raise GraphError("at least one config required")
         for cfg in self.configs:
@@ -61,7 +63,7 @@ class ExperimentSpec:
                 continue
             try:
                 k = int(k)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise GraphError(f"config {cfg} has a non-integer k") from None
             if k < 2 and not cfg.get("allow_single_terminal"):
                 raise GraphError(f"config {cfg} has k < 2; set allow_single_terminal")
@@ -88,7 +90,7 @@ class ExperimentSpec:
                 "delta": float(doc.get("delta", 0.05)),
                 "max_rounds": None if max_rounds is None else int(max_rounds),
             }
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise GraphError(f"experiment spec: {exc}") from None
         return ExperimentSpec(
             configs=tuple(configs),

@@ -4,6 +4,9 @@ The graph is immutable after construction.  All operations here are pure
 functions; results depend only on their inputs, so graphs and distance maps
 can be shared freely across threads.
 
+One set of rules, ``_GraphRules``, checks each record of every graph once,
+fed by ``WeightedGraph.build`` or, line by line, by ``parse_graph_text``.
+
 Vertex ids are nonnegative integers.  Loaders and generators hand out dense
 ids 0..n-1; operations such as ``induced_subgraph`` keep the original ids.
 ``WeightedGraph.index`` maps each id to its position in ``vertices``, and
@@ -147,45 +150,17 @@ class WeightedGraph:
         terminals,
         labels: dict[int, str] | None = None,
     ) -> "WeightedGraph":
-        vset = set()
+        """The graph, checked by ``_GraphRules``: all vertices, then all
+        edges, then all terminals."""
+        rules = _GraphRules()
+        vertex, edge, terminal = rules.vertex, rules.edge, rules.terminal
         for v in vertices:
-            v = int(v)
-            if v < 0:
-                raise GraphError(f"negative vertex id {v}")
-            if v in vset:
-                raise GraphError(f"duplicate vertex id {v}")
-            vset.add(v)
-        canon = []
-        seen_pairs = set()
+            vertex(v)
         for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if u not in vset or v not in vset:
-                raise GraphError(f"edge ({u},{v}) references unknown vertex")
-            if not (math.isfinite(w) and w > 0.0):
-                raise GraphError(f"edge ({u},{v}) has non-positive weight {w}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen_pairs:
-                raise GraphError(f"duplicate edge ({u},{v})")
-            seen_pairs.add((u, v))
-            canon.append((u, v, w))
-        canon.sort()
-        terms = tuple(int(t) for t in terminals)
-        if len(terms) < 1:
-            raise GraphError("at least one terminal required")
-        if len(set(terms)) != len(terms):
-            raise GraphError("terminals must be distinct")
-        for t in terms:
-            if t not in vset:
-                raise GraphError(f"terminal {t} is not a vertex")
-        return WeightedGraph(
-            vertices=tuple(sorted(vset)),
-            edges=tuple(canon),
-            terminals=terms,
-            labels=dict(labels) if labels else {},
-        )
+            edge(u, v, w)
+        for t in terminals:
+            terminal(t)
+        return rules.graph(labels)
 
     @property
     def n(self) -> int:
@@ -293,6 +268,64 @@ class WeightedGraph:
                     seen[q] = 1
                     stack.append(q)
         return 0 not in seen
+
+
+class _GraphRules:
+    """The rules of a valid graph.  ``vertex``, ``edge`` and ``terminal``
+    each convert one record, from numbers or text, and check it against the
+    records fed before, in this order: a vertex id is nonnegative and new;
+    an edge joins two declared vertices, is no self-loop, has a positive
+    finite weight and is the first for its pair; a terminal is a declared
+    vertex, listed once.  ``graph`` requires a terminal and builds the graph.
+    """
+
+    def __init__(self):
+        # edges and terminals in input order; the terminals are dict keys, for lookup
+        self.vertices, self.pairs, self.edges, self.terminals = set(), set(), [], {}
+
+    def vertex(self, v) -> int:
+        v, vertices = int(v), self.vertices
+        if v < 0:
+            raise GraphError(f"negative vertex id {v}")
+        if v in vertices:
+            raise GraphError(f"duplicate vertex {v}")
+        vertices.add(v)
+        return v
+
+    def edge(self, u, v, w) -> None:
+        u, v, w = int(u), int(v), float(w)
+        vertices, pairs = self.vertices, self.pairs
+        if u not in vertices or v not in vertices:
+            raise GraphError(f"edge ({u},{v}) references undeclared vertex")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not 0.0 < w < math.inf:
+            raise GraphError(f"edge ({u},{v}) has non-positive weight {w}")
+        if u > v:
+            u, v = v, u
+        if (u, v) in pairs:
+            raise GraphError(f"duplicate edge ({u},{v})")
+        pairs.add((u, v))
+        self.edges.append((u, v, w))
+
+    def terminal(self, t) -> None:
+        t = int(t)
+        if t not in self.vertices:
+            raise GraphError(f"terminal {t} not declared as vertex")
+        if t in self.terminals:
+            raise GraphError(f"duplicate terminal {t}")
+        self.terminals[t] = None
+
+    def graph(self, labels: dict[int, str] | None) -> WeightedGraph:
+        if not self.terminals:
+            raise GraphError("at least one terminal required")
+        self.edges.sort()
+        return WeightedGraph(
+            vertices=tuple(sorted(self.vertices)),
+            edges=tuple(self.edges),
+            terminals=tuple(self.terminals),
+            labels=dict(labels) if labels else {},
+        )
 
 
 _CHUNK = 16        # sources per label array, one column each
@@ -785,8 +818,6 @@ def induced_subgraph(graph: WeightedGraph, keep) -> WeightedGraph:
         raise GraphError(f"keep set contains unknown vertices {sorted(unknown)}")
     edges = [(u, v, w) for u, v, w in graph.edges if u in keep_set and v in keep_set]
     terms = [t for t in graph.terminals if t in keep_set]
-    if not terms:
-        raise GraphError("induced subgraph keeps no terminal")
     labels = {v: s for v, s in graph.labels.items() if v in keep_set}
     return WeightedGraph.build(sorted(keep_set), edges, terms, labels)
 
@@ -833,54 +864,42 @@ def subdivide_edges(graph: WeightedGraph, threshold: float) -> SubdivideResult:
 
 
 # ---------------------------------------------------------------------------
-# Text format: '#' comments, 'v <id> [label]', 't <id>', 'e <u> <v> <weight>'.
+# Text format: '#' comments and one record a line, of these three types.
 # ---------------------------------------------------------------------------
 
+_RECORDS = {"v": "v <id> [label]", "t": "t <id>", "e": "e <u> <v> <weight>"}
+
+
 def parse_graph_text(text: str) -> WeightedGraph:
-    vertices: list[int] = []
-    vset: set[int] = set()
-    terminals: list[int] = []
-    edges: list[tuple[int, int, float]] = []
+    """The graph of ``text``, each record checked by ``_GraphRules`` at its
+    line: a fault raises ``ParseError`` with that line's number, and only a
+    text without terminals is refused at line 0."""
+    rules = _GraphRules()
+    vertex, edge, terminal = rules.vertex, rules.edge, rules.terminal
     labels: dict[int, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         tag = parts[0]
         try:
-            if tag == "v":
-                if len(parts) not in (2, 3):
-                    raise ValueError("expected 'v <id> [label]'")
-                vid = int(parts[1])
-                if vid in vset:
-                    raise ValueError(f"duplicate vertex {vid}")
-                vset.add(vid)
-                vertices.append(vid)
+            if tag == "e" and len(parts) == 4:
+                _, u, v, w = parts
+                edge(u, v, w)
+            elif tag == "v" and len(parts) in (2, 3):
+                vid = vertex(parts[1])
                 if len(parts) == 3:
                     labels[vid] = parts[2]
-            elif tag == "t":
-                if len(parts) != 2:
-                    raise ValueError("expected 't <id>'")
-                tid = int(parts[1])
-                if tid not in vset:
-                    raise ValueError(f"terminal {tid} not declared as vertex")
-                if tid in terminals:
-                    raise ValueError(f"duplicate terminal {tid}")
-                terminals.append(tid)
-            elif tag == "e":
-                if len(parts) != 4:
-                    raise ValueError("expected 'e <u> <v> <weight>'")
-                u, v, w = int(parts[1]), int(parts[2]), float(parts[3])
-                if u not in vset or v not in vset:
-                    raise ValueError(f"edge ({u},{v}) references undeclared vertex")
-                edges.append((u, v, w))
+            elif tag == "t" and len(parts) == 2:
+                terminal(parts[1])
+            elif tag in _RECORDS:
+                raise ValueError(f"expected '{_RECORDS[tag]}'")
             else:
                 raise ValueError(f"unknown record type {tag!r}")
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
     try:
-        return WeightedGraph.build(vertices, edges, terminals, labels)
+        return rules.graph(labels)
     except GraphError as exc:
         raise ParseError(0, str(exc)) from None
 

@@ -78,12 +78,12 @@ class ComparisonRow:
 
 def compare_to_spr(
     graph: WeightedGraph,
+    oracle: OracleResult,
     seeds,
     delta: float = 0.05,
-    cap: int = DEFAULT_CAP,
 ) -> list[ComparisonRow]:
-    """Clustered-run distortion against the exhaustive floor, per seed."""
-    oracle = best_partition(graph, cap=cap)
+    """Clustered-run distortion against the exhaustive floor ``oracle``,
+    which ``best_partition`` found for ``graph``, per seed."""
     rows = []
     for seed in seeds:
         params = SprParams.for_graph(graph, delta=delta, seed=seed)

@@ -75,13 +75,11 @@ def verify_trace(
         return VerifyResult(tuple(violations))
 
     # radius accumulation per terminal, and sampling stream agreement
-    radius_events = list(zip(trace.radius_round, trace.radius_step, trace.radius_q,
-                             trace.radius_R))
-    # the count first: the rounds field alone must not size the expected list
-    if len(radius_events) != trace.rounds * k or [ev[:2] for ev in radius_events] != [
-            (rnd, j) for rnd in range(trace.rounds) for j in range(1, k + 1)]:
+    if not trace.radius_steps_in_order():
         violations.append("radius events do not enumerate every (round, step) in order")
         return VerifyResult(tuple(violations))
+    radius_events = list(zip(trace.radius_round, trace.radius_step, trace.radius_q,
+                             trace.radius_R))
     radii = {j: 0.0 for j in range(1, k + 1)}
     for rnd, j, q, radius in radius_events:
         if q < 0:

@@ -113,15 +113,16 @@ def test_criterion_02_oracle_floor():
         n = 7 + (i % 4)
         k = 2 + (i % 2)
         graph = random_connected_graph(n, k, seed=2000 + i, extra_edges=2)
-        rows = compare_to_spr(graph, seeds=range(20))
+        rows = compare_to_spr(graph, best_partition(graph), seeds=range(20))
         for row in rows:
             if row.spr_distortion < row.oracle_distortion - 1e-9:
                 violations += 1
     assert violations == 0
 
     star = star_3()
-    assert best_partition(star).best_distortion == pytest.approx(2.0)
-    for row in compare_to_spr(star, seeds=range(20)):
+    star_floor = best_partition(star)
+    assert star_floor.best_distortion == pytest.approx(2.0)
+    for row in compare_to_spr(star, star_floor, seeds=range(20)):
         assert row.spr_distortion == pytest.approx(2.0)
         assert row.oracle_distortion == pytest.approx(2.0)
     _passline(2, "oracle floor", "50 graphs x 20 seeds, star exactly 2.0")

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from sprkit import RunTrace, SprParams, verify_trace
+from sprkit import RunTrace, SprParams, charging, cli, oracle, verify_trace
 from sprkit.cli import main
-from sprkit.graph import parse_graph_text
+from sprkit.graph import canonical_path, parse_graph_text
+from sprkit.oracle import best_partition
 
 
 def _gen(tmp_path: Path, name: str = "g.txt", family: str = "path", n: int = 6) -> Path:
@@ -202,6 +203,58 @@ def test_verify_and_analyze_do_not_size_memory_by_trace_counts(tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [f"error: {expected}"]
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("step", 0), ("step", 9), ("round", 99), ("round", -2), ("terminal", None)],
+    ids=["step-0", "step-9", "round-99", "round-minus-2", "other-terminal"],
+)
+def test_analyze_refuses_traces_that_verify_flags(tmp_path, capsys, field, value):
+    # one radius event's step or round, or one cover event's terminal, is
+    # wrong: verify reports a violation and the charging ledger refuses it
+    gpath = tmp_path / "grid.txt"
+    assert main(["gen", "--family", "grid", "--width", "5", "--height", "5", "--k", "4",
+                 "--out", str(gpath)]) == 0
+    out = tmp_path / "trace.json"
+    assert main(["run", "--graph", str(gpath), "--seed", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    t, t_prime = doc["params"]["terminals"][:2]
+    if field == "terminal":
+        event = next(ev for ev in doc["events"] if ev["type"] == "cover")
+        value = next(x for x in doc["params"]["terminals"] if x != event["terminal"])
+        expected = (f"cover event at step ({event['round']},{event['step']}) names "
+                    f"terminal {value}, expected {event['terminal']}")
+    else:
+        event = next(ev for ev in doc["events"] if ev["type"] == "radius")
+        expected = "radius events do not enumerate every (round, step) in order"
+    event[field] = value
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--graph", str(gpath), "--trace", str(out)]) == 1
+    capsys.readouterr()
+    assert main(["analyze", "--graph", str(gpath), "--pair", str(t), str(t_prime),
+                 "--traces", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {expected}"]
+
+
+def test_oracle_runs_the_exhaustive_search_once(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return best_partition(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "best_partition", spy)
+    monkeypatch.setattr(oracle, "best_partition", spy)
+    gpath = tmp_path / "grid.txt"
+    assert main(["gen", "--family", "grid", "--width", "3", "--height", "3",
+                 "--out", str(gpath)]) == 0
+    assert main(["oracle", "--graph", str(gpath), "--seeds", "3",
+                 "--out", str(tmp_path / "oracle.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_oracle_with_comparison(tmp_path):
     gpath = _gen(tmp_path, family="star", n=0)
 
@@ -289,6 +342,26 @@ def test_analyze_splits_interior_terminal_pairs(tmp_path):
     assert all(seg["cost_bound"]["structural_ok"] for seg in doc["segments"])
 
 
+def test_analyze_searches_each_segment_once(tmp_path, monkeypatch):
+    # the chain of the test above: the pair (0, 7) is searched once and
+    # found to pass terminal 3, then each terminal-free half once
+    gpath = tmp_path / "chain.txt"
+    gpath.write_text("\n".join([*(f"v {i}" for i in range(8)), "t 0", "t 7", "t 3",
+                                *(f"e {i} {i + 1} 1.0" for i in range(7))]) + "\n")
+    tpath = tmp_path / "t.json"
+    assert main(["run", "--graph", str(gpath), "--seed", "0", "--out", str(tpath)]) == 0
+    calls = []
+
+    def spy(graph, source, target):
+        calls.append((source, target))
+        return canonical_path(graph, source, target)
+
+    monkeypatch.setattr(charging, "canonical_path", spy)
+    assert main(["analyze", "--graph", str(gpath), "--pair", "0", "7",
+                 "--traces", str(tpath), "--out", str(tmp_path / "split.json")]) == 0
+    assert calls == [(0, 7), (0, 3), (3, 7)]
+
+
 @pytest.mark.parametrize("pair", [("0", "2"), ("0", "99"), ("99", "7"), ("3", "3")])
 def test_analyze_bad_pair_is_usage_error(tmp_path, capsys, pair):
     # a non-terminal vertex, an id not in the graph (either end), the same
@@ -370,6 +443,25 @@ def test_experiment_malformed_spec_is_usage_error(tmp_path, capsys, text):
     assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"max_rounds": "Infinity"}, {"seeds_per_config": "1e400"}, {"k": "Infinity"},
+     {"base_seed": "-1"}],
+    ids=["infinite-max-rounds", "overflowing-seeds", "infinite-k", "negative-base-seed"],
+)
+def test_experiment_spec_numbers_out_of_range_are_usage_errors(tmp_path, capsys, fields):
+    k = fields.pop("k", "4")
+    extra = "".join(f', "{name}": {value}' for name, value in fields.items())
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(f'{{"configs": [{{"family": "star", "k": {k}}}]{extra}}}')
+    assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
     assert not (tmp_path / "out").exists()
 
 

@@ -7,8 +7,10 @@ case hashes the partial trace carried by ``RoundsGuardError``.  The ledger
 entries hash the charging ledgers of one terminal-free pair per graph, at
 two run seeds each, and the interval partition they replay against.  The
 analyze entry hashes the three files ``sprkit analyze --format csv`` writes
-for a pair that splits at an interior terminal.  The expected digests live in ``tests/golden/hashes.json``; see the README there before
-touching them.  Run this file as a script to print the digests of the
+for a pair that splits at an interior terminal, and the oracle entry the
+JSON that ``sprkit oracle --seeds 3`` writes for a small grid.  The
+expected digests live in ``tests/golden/hashes.json``; see the README there
+before touching them.  Run this file as a script to print the digests of the
 current build.
 """
 
@@ -87,6 +89,9 @@ LEDGER_CASES = {
 # 0, 7 and 3 on one unit-weight path, so the pair (0, 7) splits at 3
 ANALYZE_CASE = "analyze-split-chain-csv"
 
+# the exhaustive floor and three seeded runs compared against it
+ORACLE_CASE = "oracle-grid-3x3-seeds3"
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -160,6 +165,17 @@ def analyze_csv_hashes(work: Path) -> dict[str, str]:
             for name in ("json", "intervals.csv", "steps.csv")}
 
 
+def oracle_json_hash(work: Path) -> dict[str, str]:
+    """The JSON of ``sprkit oracle --seeds 3`` on a 3x3 grid with its four
+    corners as terminals; ``work`` is an empty working directory."""
+    gpath, out = work / "grid.txt", work / "oracle.json"
+    assert main(["gen", "--family", "grid", "--width", "3", "--height", "3",
+                 "--out", str(gpath)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["oracle", "--graph", str(gpath), "--seeds", "3", "--out", str(out)]) == 0
+    return {"json": _sha(out.read_text())}
+
+
 @pytest.mark.parametrize("case_id", sorted(CASES))
 def test_golden_artefacts_unchanged(case_id):
     expected = json.loads(HASHES_PATH.read_text())
@@ -177,9 +193,14 @@ def test_golden_analyze_csv_unchanged(tmp_path):
     assert analyze_csv_hashes(tmp_path) == expected[ANALYZE_CASE]
 
 
+def test_golden_oracle_json_unchanged(tmp_path):
+    expected = json.loads(HASHES_PATH.read_text())
+    assert oracle_json_hash(tmp_path) == expected[ORACLE_CASE]
+
+
 def test_golden_file_covers_every_case():
     assert sorted(json.loads(HASHES_PATH.read_text())) == sorted(
-        [*CASES, *LEDGER_CASES, ANALYZE_CASE])
+        [*CASES, *LEDGER_CASES, ANALYZE_CASE, ORACLE_CASE])
 
 
 if __name__ == "__main__":
@@ -187,5 +208,7 @@ if __name__ == "__main__":
     doc.update((case_id, ledger_hashes(case_id)) for case_id in sorted(LEDGER_CASES))
     with tempfile.TemporaryDirectory() as work:
         doc[ANALYZE_CASE] = analyze_csv_hashes(Path(work))
+    with tempfile.TemporaryDirectory() as work:
+        doc[ORACLE_CASE] = oracle_json_hash(Path(work))
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sprkit
+import graph_text_reference
 from conftest import all_pairs_relaxation, edge_filter_oracle, random_connected_graph
 from paths_reference import shortest_paths
 from sprkit import graph as graph_module
@@ -700,3 +701,214 @@ def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:
         parse_graph_text(text)
     assert exc.value.line_no == line
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, terminals, message",
+    [
+        ([0], [(5, 5, 1.0)], [0], "edge (5,5) references undeclared vertex"),
+        ([0, 1], [(1, 1, -1.0)], [0], "self-loop at vertex 1"),
+        ([0], [], [9, 9], "terminal 9 not declared as vertex"),
+        ([-1, -1], [], [0], "negative vertex id -1"),
+    ],
+)
+def test_a_record_with_two_faults_reports_one_at_both_entry_points(
+    vertices, edges, terminals, message
+):
+    # each list holds one record that breaks two rules, in build's order
+    with pytest.raises(GraphError) as built:
+        WeightedGraph.build(vertices, edges, terminals)
+    text = [*(f"v {v}" for v in vertices), *(f"e {u} {v} {w}" for u, v, w in edges),
+            *(f"t {t}" for t in terminals)]
+    with pytest.raises(ParseError) as parsed:
+        parse_graph_text("\n".join(text) + "\n")
+    assert str(built.value) == message
+    assert str(parsed.value) == f"line {parsed.value.line_no}: {message}"
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (["v -2"], "line 1: negative vertex id -2"),
+        (["v 0", "v 1", "e 1 1 1.0"], "line 3: self-loop at vertex 1"),
+        (["v 0", "v 1", "e 0 1 0"], "line 3: edge (0,1) has non-positive weight 0.0"),
+        (["v 0", "v 1", "e 0 1 nan"], "line 3: edge (0,1) has non-positive weight nan"),
+        (["v 0", "v 1", "e 0 1 1.0", "t 0", "e 1 0 2.0"], "line 5: duplicate edge (0,1)"),
+        (["v 0", "t 0", "t 0"], "line 3: duplicate terminal 0"),
+        (["v 0", "e 0 5 1.0", "v 5"], "line 2: edge (0,5) references undeclared vertex"),
+        (["v 0", "v 1", "e 0 1 1.0"], "line 0: at least one terminal required"),
+    ],
+)
+def test_every_record_fault_names_its_line(records, message):
+    with pytest.raises(ParseError) as exc:
+        parse_graph_text("\n".join(records) + "\n")
+    assert str(exc.value) == message
+
+
+# --- one rule set: the rewrite against the reference parser and build -----
+
+
+def _shuffled_text(rnd, g: WeightedGraph) -> str:
+    """``format_graph_text(g)`` with labels, comments, blank lines and
+    reversed edge ends, its records reordered without breaking
+    declare-before-use or the terminal order."""
+    order = list(g.vertices)
+    rnd.shuffle(order)
+    at = {v: i for i, v in enumerate(order)}
+    keyed = [
+        (i, f"v {v} lbl{v}" if rnd.random() < 0.3 else f"v {v}") for i, v in enumerate(order)
+    ]
+    key = 0.0
+    for t in g.terminals:  # increasing keys keep the terminal order
+        key = max(key, at[t]) + rnd.random()
+        keyed.append((key, f"t {t}"))
+    for u, v, w in g.edges:
+        if rnd.random() < 0.5:
+            u, v = v, u
+        keyed.append((max(at[u], at[v]) + rnd.random() * len(order), f"e {u} {v} {w!r}"))
+    keyed.sort(key=lambda kv: kv[0])
+    lines = []
+    for _, line in keyed:
+        if rnd.random() < 0.1:
+            lines.append(rnd.choice(["# a comment", "", "   "]))
+        lines.append(line + ("  # trailing" if rnd.random() < 0.1 else ""))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def graph_texts(draw):
+    n = draw(st.integers(2, 10))
+    g = random_connected_graph(
+        n, draw(st.integers(1, n)), seed=draw(st.integers(0, 10**6)),
+        extra_edges=draw(st.integers(0, n)),
+    )
+    terminals = list(draw(st.permutations(g.terminals)))
+    rnd = draw(st.randoms(use_true_random=False))
+    return _shuffled_text(rnd, WeightedGraph.build(g.vertices, g.edges, terminals))
+
+
+def _same_graph(g: WeightedGraph, h: WeightedGraph) -> bool:
+    return (g.vertices, g.edges, g.terminals, g.labels) == (
+        h.vertices, h.edges, h.terminals, h.labels
+    )
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text), None
+    except ParseError as exc:
+        return None, exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_texts())
+def test_parse_matches_reference_on_valid_texts(text):
+    g, h = graph_text_reference.parse_graph_text(text), parse_graph_text(text)
+    assert _same_graph(g, h)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_texts(), st.data())
+def test_parse_matches_reference_on_one_token_mutations(text, data):
+    lines = text.splitlines()
+    records = [i for i, line in enumerate(lines) if line.split("#")[0].split()]
+    i = data.draw(st.sampled_from(records))
+    parts = lines[i].split("#")[0].split()
+    # an id or a weight, or less often the tag; never a label
+    slot = data.draw(st.sampled_from([1, 2, 3, 0] if parts[0] == "e" else [1, 1, 1, 0]))
+    tokens = [tok for line in lines for tok in line.split("#")[0].split()]
+    pool = {"v", "t", "e"} if slot == 0 else set(tokens[1:]) - {"v", "t", "e"}
+    value = data.draw(st.sampled_from(["0", "-1", "nan", "inf", "x1", *sorted(pool)]))
+    parts[slot] = value
+    lines[i] = " ".join(parts)
+    line_no = i + 1
+    mutated = "\n".join(lines) + "\n"
+
+    ref, ref_exc = _outcome(graph_text_reference.parse_graph_text, mutated)
+    new, new_exc = _outcome(parse_graph_text, mutated)
+    if ref_exc is None:
+        assert new_exc is None and _same_graph(ref, new)
+        return
+    assert new_exc is not None
+    ref_text = str(ref_exc).split(": ", 1)[1]
+    new_text = str(new_exc).split(": ", 1)[1]
+    if ref_exc.line_no:
+        if parts[0] == "v" and slot == 1 and value == "-1":
+            # the reference took the vertex and refused a later record
+            assert (new_exc.line_no, new_text) == (line_no, "negative vertex id -1")
+        else:
+            assert (new_exc.line_no, new_text) == (ref_exc.line_no, ref_text)
+        return
+    # a fault the reference found only in build, at line 0
+    assert new_text == ref_text
+    if ref_text == "at least one terminal required":
+        assert new_exc.line_no == 0
+    elif ref_text.startswith("duplicate edge"):
+        pair = {int(parts[1]), int(parts[2])}
+        twins = [j + 1 for j, line in enumerate(lines)
+                 if line.split()[:1] == ["e"] and {*map(int, line.split()[1:3])} == pair]
+        assert new_exc.line_no == max(twins) and line_no in twins
+    else:
+        assert new_exc.line_no == line_no
+
+
+# The build fault kinds, each injected once into valid lists.
+BUILD_FAULTS = (
+    "none", "negative-vertex", "duplicate-vertex", "undeclared-end", "self-loop",
+    "zero-weight", "negative-weight", "nan-weight", "inf-weight", "duplicate-edge",
+    "reversed-duplicate-edge", "undeclared-terminal", "duplicate-terminal", "no-terminal",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 10**6), st.sampled_from(BUILD_FAULTS), st.data())
+def test_build_matches_reference_with_one_injected_fault(n, seed, fault, data):
+    g = random_connected_graph(n, data.draw(st.integers(1, n)), seed=seed, extra_edges=n)
+    rnd = data.draw(st.randoms(use_true_random=False))
+    vertices, edges, terminals = list(g.vertices), list(g.edges), list(g.terminals)
+    u, v, w = rnd.choice(edges)
+    at = rnd.randrange(len(edges) + 1)
+    if fault == "negative-vertex":
+        vertices.insert(rnd.randrange(n + 1), -1)
+    elif fault == "duplicate-vertex":
+        vertices.insert(rnd.randrange(n + 1), rnd.choice(vertices))
+    elif fault == "undeclared-end":
+        edges.insert(at, (u, n + 5, w))
+    elif fault == "self-loop":
+        edges.insert(at, (u, u, w))
+    elif fault.endswith("-weight"):
+        bad = {"zero": 0.0, "negative": -1.0, "nan": math.nan, "inf": math.inf}
+        edges[edges.index((u, v, w))] = (u, v, bad[fault.split("-")[0]])
+    elif fault == "duplicate-edge":
+        edges.insert(at, (u, v, w + 1.0))
+    elif fault == "reversed-duplicate-edge":
+        edges.insert(at, (v, u, w))
+    elif fault == "undeclared-terminal":
+        terminals.insert(rnd.randrange(len(terminals) + 1), n + 5)
+    elif fault == "duplicate-terminal":
+        twin = rnd.choice(terminals)
+        terminals.insert(rnd.randrange(len(terminals) + 1), twin)
+    elif fault == "no-terminal":
+        terminals = []
+    rnd.shuffle(vertices)
+    rnd.shuffle(edges)
+
+    def outcome(build):
+        try:
+            return build(vertices, edges, terminals), None
+        except GraphError as exc:
+            return None, str(exc)
+
+    ref, ref_text = outcome(graph_text_reference.build)
+    new, new_text = outcome(WeightedGraph.build)
+    assert (ref_text is None) == (fault == "none") == (new_text is None)
+    if fault == "none":
+        assert _same_graph(ref, new)
+    elif ref_text == "terminals must be distinct":
+        assert new_text == f"duplicate terminal {twin}"
+    else:
+        for old, wording in (("duplicate vertex id", "duplicate vertex"),
+                             ("references unknown", "references undeclared"),
+                             ("is not a vertex", "not declared as vertex")):
+            ref_text = ref_text.replace(old, wording)
+        assert new_text == ref_text

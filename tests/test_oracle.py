@@ -62,12 +62,12 @@ def test_scale_invariance():
 
 
 def test_compare_to_spr_star_and_path():
-    rows = compare_to_spr(star_3(), seeds=range(10))
+    rows = compare_to_spr(star_3(), best_partition(star_3()), seeds=range(10))
     for row in rows:
         assert row.spr_distortion == pytest.approx(2.0)
         assert row.oracle_distortion == pytest.approx(2.0)
         assert row.ratio == pytest.approx(1.0)
-    rows = compare_to_spr(path_t_s_t(), seeds=range(10))
+    rows = compare_to_spr(path_t_s_t(), best_partition(path_t_s_t()), seeds=range(10))
     for row in rows:
         assert row.ratio == pytest.approx(1.0)
 
@@ -75,6 +75,6 @@ def test_compare_to_spr_star_and_path():
 def test_spr_never_beats_oracle_small_sweep():
     for gseed in range(8):
         g = random_connected_graph(9, 3, seed=100 + gseed, extra_edges=3)
-        rows = compare_to_spr(g, seeds=range(5))
+        rows = compare_to_spr(g, best_partition(g), seeds=range(5))
         for row in rows:
             assert row.spr_distortion >= row.oracle_distortion - 1e-9
