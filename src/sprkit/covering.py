@@ -19,27 +19,39 @@ A third per-run check: vertices claimed by the same terminal in the same
 round should sit at comparable distances; the spread bound is
 max d(t, v') <= (4 / early_factor) * min D(v) over the group.
 
-``check_covering`` reads both distances of an event at the vertex's
-position: d(v, t) from terminal t's row of ``terminal_distance_maps`` and
-D(v) from the nearest-terminal row.  It walks the trace's runs of events
-with equal (terminal, round) in one pass: each run looks up its terminal's
-row once and updates its (terminal, round) group once, which keeps only the
-running largest d(v, t) and smallest D(v).  A cover event that names a
-terminal vertex (D(v) = 0, so no deadline round exists) is an input error.
+``check_covering`` makes one numpy pass over a trace's cover columns.  It
+maps the vertices to positions once and gathers D(v) from the
+nearest-terminal row with one index.  One sort of the events by (terminal,
+round) gives each terminal's events as one stretch, so d(v, t) comes from
+each row of ``terminal_distance_maps`` with one gather per terminal; the
+groups start where the shifted sorted keys differ, and each group's largest
+d(v, t) and smallest D(v) come from one ``reduceat`` each.  The deadline
+and early rounds are ``np.log`` over whole columns, made exact by
+``_floor_log``.  ``CoveringCheck`` holds the results as columns and builds
+its ``CoverRecord``s only when ``records`` is read.  A cover event that
+names a terminal vertex (D(v) = 0, so no deadline round exists) is an input
+error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import groupby, repeat
-from operator import gt, lt
+from itertools import count, repeat
 from typing import NamedTuple
+
+import numpy as np
 
 from .engine import DEADLINE_FACTOR, EARLY_FACTOR, RunTrace, SprParams
 from .graph import GraphError, WeightedGraph
 
 SPREAD_FACTOR = DEADLINE_FACTOR / EARLY_FACTOR  # = 12 with the locked factors
+
+# Every finite deadline or early round lies within 745 / log(1 + 2**-52) <
+# 3.4e18 of zero (745 bounds |log x| for a positive double, and a ratio
+# above 1 is at least 1 + 2**-52), so a round clamped to +-2**62 compares
+# with them as the round itself does.
+_ROUND_CLAMP = 2**62
 
 
 class CoverRecord(NamedTuple):
@@ -63,25 +75,68 @@ class GroupSpread:
     ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoveringCheck:
-    records: tuple[CoverRecord, ...]
+    """One column per ``CoverRecord`` field, entry i of each belonging to
+    cover event i, and the spread groups in (terminal, round) order.
+    ``vertex``, ``terminal`` and ``round`` are the trace's own lists, since
+    a trace may hold any integer there; the other columns are numpy arrays.
+    ``records`` builds the records on access."""
+
+    vertex: list[int]
+    terminal: list[int]
+    round: list[int]
+    dist_to_terminal: np.ndarray
+    nearest_terminal: np.ndarray
+    deadline_round: np.ndarray
+    early_round: np.ndarray
+    covered_late: np.ndarray
+    covered_early: np.ndarray
     groups: tuple[GroupSpread, ...]
 
     @property
+    def records(self) -> tuple[CoverRecord, ...]:
+        numbers = (self.dist_to_terminal, self.nearest_terminal, self.deadline_round,
+                   self.early_round, self.covered_late, self.covered_early)
+        cols = zip(self.vertex, self.terminal, self.round, *(c.tolist() for c in numbers))
+        return tuple(map(tuple.__new__, repeat(CoverRecord), cols))
+
+    @property
     def any_late(self) -> bool:
-        return any(r.covered_late for r in self.records)
+        return bool(self.covered_late.any())
 
     @property
     def any_early(self) -> bool:
-        return any(r.covered_early for r in self.records)
+        return bool(self.covered_early.any())
 
     def any_late_at_least(self, d_floor: float) -> bool:
-        return any(r.covered_late for r in self.records if r.nearest_terminal >= d_floor)
+        return bool((self.covered_late & (self.nearest_terminal >= d_floor)).any())
 
     @property
     def spread_violations(self) -> tuple[GroupSpread, ...]:
         return tuple(g for g in self.groups if not g.ok)
+
+
+def _floor_log(factor: float, d: np.ndarray, log_ratio: float) -> np.ndarray:
+    """``math.floor(math.log(factor * v) / log_ratio)`` for every entry v of
+    ``d``.
+
+    ``factor * d`` is one IEEE product per entry, the same in numpy as in
+    Python.  ``np.log`` is not ``math.log``: the two may differ by a few
+    ulps.  The quotient q = log(x) / log_ratio then moves by a few ulps of
+    q, which cannot carry it across an integer unless it lies within far
+    less than 1e-9 * max(1, |q|) of one.  So the floor of the numpy quotient
+    stands wherever q is farther than that from every integer, and every
+    other entry, non-finite ones included, is recomputed with ``math``; that
+    also raises what ``math`` raises (x zero or infinite, log_ratio zero).
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = factor * d
+        q = np.log(x) / log_ratio
+        near = ~(np.abs(q - np.rint(q)) > 1e-9 * np.maximum(1.0, np.abs(q)))
+    out = np.floor(np.where(near, 0.0, q)).astype(np.int64)
+    out[near] = [math.floor(math.log(v) / log_ratio) for v in x[near].tolist()]
+    return out
 
 
 def check_covering(
@@ -89,76 +144,74 @@ def check_covering(
     graph: WeightedGraph,
     params: SprParams,
 ) -> CoveringCheck:
-    """Per-vertex coverage-timing records and same-step spread groups."""
+    """Per-vertex coverage-timing columns and same-step spread groups."""
     if trace.terminal_ids != graph.terminals:
         raise GraphError("trace terminals do not match graph terminals")
     if params.k != graph.k:
         raise GraphError("params terminal count does not match graph")
-    if graph.k < 2:
-        return CoveringCheck(records=(), groups=())
-    vertex = trace.cover_vertex
+    vertex, terminal, rounds = trace.cover_vertex, trace.cover_terminal, trace.cover_round
+    n, k = len(vertex), graph.k
+    if k < 2 or n == 0:
+        f, i, b = np.empty(0), np.empty(0, np.int64), np.empty(0, bool)
+        return CoveringCheck([], [], [], f, f, i, i, b, b, groups=())
     index = graph.index
-    unknown = set(vertex).difference(index)
-    if unknown:
+    pos = np.fromiter(map(index.get, vertex, repeat(-1)), np.intp, n)
+    if pos.min() < 0:
+        unknown = sorted(set(vertex).difference(index))
         raise GraphError(
-            f"trace covers vertices not in this graph (e.g. {sorted(unknown)[:3]}); "
+            f"trace covers vertices not in this graph (e.g. {unknown[:3]}); "
             "was the run preprocessed with subdivision? check against the "
             "subdivided graph"
         )
-    positions = list(map(index.__getitem__, vertex))
+    d_near = np.frombuffer(graph._nearest_row)[pos]
+    # terminals and rounds by rank in id and value order, exact for any
+    # integer; a vertex that is no terminal ranks k and has no row
+    term_ids = sorted(graph.terminals)
+    tr = np.fromiter(map(dict(zip(term_ids, count())).get, terminal, repeat(k)), np.intp, n)
+    round_values = sorted(set(rounds))
+    rr = np.fromiter(map(dict(zip(round_values, count())).__getitem__, rounds), np.intp, n)
+
+    # one sort by (terminal, round) serves the gather, each terminal's
+    # events being one stretch of it, and the groups
+    m = len(round_values)
+    key = tr * m + rr
+    order = np.argsort(key, kind="stable")
     row_of = dict(zip(graph.terminals, graph.terminal_distance_maps))
-    nearest = graph._nearest_row
-    log, floor, inf = math.log, math.floor, math.inf
-    # round thresholds are floor(log_ratio(x)); x <= 0 cannot occur for
-    # positive distances, and a tiny x gives a very negative round that no
-    # round >= 0 can meet
-    log_ratio = log(params.ratio)
-    ef = params.early_factor
-
-    rounds = trace.cover_round
-    d_near = list(map(nearest.__getitem__, positions))
-    # d(v, t) from the run's terminal row, math.inf where t is no terminal;
-    # (terminal, round) -> [largest d(v, t), smallest D(v)] over the group
-    d_cover = [inf] * len(vertex)
-    groups: dict[tuple[int, int], list[float]] = {}
+    d_cover = np.full(n, math.inf)
     start = 0
-    for key, run in groupby(zip(trace.cover_terminal, rounds)):
-        stop = start + len(list(run))
-        row = row_of.get(key[0])
-        if row is not None:
-            d_cover[start:stop] = map(row.__getitem__, positions[start:stop])
-        hi, lo = max(d_cover[start:stop]), min(d_near[start:stop])
-        spread = groups.get(key)
-        if spread is None:
-            groups[key] = [hi, lo]
-        else:
-            spread[0] = max(spread[0], hi)
-            spread[1] = min(spread[1], lo)
+    for t, stop in zip(term_ids, np.cumsum(np.bincount(tr, minlength=k)).tolist()):
+        at = order[start:stop]
+        d_cover[at] = np.frombuffer(row_of[t])[pos[at]]
         start = stop
-    if inf in d_cover or 0.0 in d_near:
+    bad = np.flatnonzero((d_cover == math.inf) | (d_near == 0.0))
+    if bad.size:
         # the first unreachable vertex or covered terminal, in event order
-        for v, t, dc, dn in zip(vertex, trace.cover_terminal, d_cover, d_near):
-            if dc == inf:
-                raise GraphError(f"vertex {v} is not reachable from {t}")
-            if dn == 0.0:  # log(0): v is a terminal
-                raise GraphError(f"trace covers terminal {v}; terminals are never claimed")
-    deadline = [floor(log(DEADLINE_FACTOR * d) / log_ratio) for d in d_near]
-    early = [floor(log(ef * d) / log_ratio) for d in d_cover]
-    records = list(map(tuple.__new__, repeat(CoverRecord), zip(
-        vertex, trace.cover_terminal, rounds, d_cover, d_near, deadline, early,
-        map(gt, rounds, deadline), map(lt, rounds, early))))
+        i = int(bad[0])
+        if d_cover[i] == math.inf:
+            raise GraphError(f"vertex {vertex[i]} is not reachable from {terminal[i]}")
+        raise GraphError(f"trace covers terminal {vertex[i]}; terminals are never claimed")
 
-    group_rows = [
-        GroupSpread(
-            terminal=t,
-            round=rnd,
-            max_dist=max_dist,
-            min_nearest=min_near,
-            ok=max_dist <= SPREAD_FACTOR * min_near * (1 + 1e-9),
-        )
-        for (t, rnd), (max_dist, min_near) in sorted(groups.items())
-    ]
-    return CoveringCheck(records=tuple(records), groups=tuple(group_rows))
+    log_ratio = math.log(params.ratio)
+    deadline = _floor_log(DEADLINE_FACTOR, d_near, log_ratio)
+    early = _floor_log(params.early_factor, d_cover, log_ratio)
+    clamped = [min(max(r, -_ROUND_CLAMP), _ROUND_CLAMP) for r in round_values]
+    round_at = np.array(clamped, np.int64)[rr]
+
+    # each (terminal, round) group's largest d(v, t) and smallest D(v)
+    key = key[order]
+    firsts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    hi = np.maximum.reduceat(d_cover[order], firsts)
+    lo = np.minimum.reduceat(d_near[order], firsts)
+    with np.errstate(over="ignore"):  # inf, as for Python floats
+        ok = hi <= SPREAD_FACTOR * lo * (1 + 1e-9)
+    group_t, group_r = np.divmod(key[firsts], m)
+    groups = tuple(map(
+        GroupSpread,
+        map(term_ids.__getitem__, group_t.tolist()),
+        map(round_values.__getitem__, group_r.tolist()),
+        hi.tolist(), lo.tolist(), ok.tolist()))
+    return CoveringCheck(vertex, terminal, rounds, d_cover, d_near, deadline, early,
+                         round_at > deadline, round_at < early, groups)
 
 
 @dataclass(frozen=True)
@@ -185,9 +238,9 @@ def summarize_covering(
         raise GraphError("no covering checks to summarize")
     late_runs = sum(1 for c in checks if c.any_late)
     early_runs = sum(1 for c in checks if c.any_early)
-    total = sum(len(c.records) for c in checks)
-    late_v = sum(sum(1 for r in c.records if r.covered_late) for c in checks)
-    early_v = sum(sum(1 for r in c.records if r.covered_early) for c in checks)
+    total = sum(len(c.vertex) for c in checks)
+    late_v = sum(int(np.count_nonzero(c.covered_late)) for c in checks)
+    early_v = sum(int(np.count_nonzero(c.covered_early)) for c in checks)
     restricted = None
     if d_floor is not None:
         restricted = sum(1 for c in checks if c.any_late_at_least(d_floor)) / runs

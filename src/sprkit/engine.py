@@ -76,6 +76,12 @@ class RoundsGuardError(RuntimeError):
         self.partial_trace = trace
 
 
+def check_delta(delta: float) -> None:
+    """The rule for delta wherever one is given: positive and finite."""
+    if not (0 < delta and math.isfinite(delta)):
+        raise GraphError(f"delta must be positive, got {delta}")
+
+
 @dataclass(frozen=True)
 class SprParams:
     """Run parameters bound to a terminal count.
@@ -95,8 +101,7 @@ class SprParams:
     def __post_init__(self):
         if self.k < 1:
             raise GraphError(f"terminal count {self.k} < 1")
-        if not (0 < self.delta and math.isfinite(self.delta)):
-            raise GraphError(f"delta must be positive, got {self.delta}")
+        check_delta(self.delta)
 
     @property
     def ratio(self) -> float:

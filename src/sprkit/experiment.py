@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .covering import check_covering, summarize_covering
-from .engine import SprParams, preprocess_subdivide, run_and_contract
+from .engine import SprParams, check_delta, preprocess_subdivide, run_and_contract
 from .generators import generate
 from .graph import GraphError, WeightedGraph
 
@@ -53,6 +53,7 @@ class ExperimentSpec:
             raise GraphError("seeds_per_config must be positive")
         if self.base_seed < 0:
             raise GraphError("base_seed must be nonnegative")
+        check_delta(self.delta)
         if not self.configs:
             raise GraphError("at least one config required")
         for cfg in self.configs:

@@ -3,31 +3,39 @@ replaced.
 
 It looks up every event's distances by vertex id and keeps a list of
 records per (terminal, round) group.  It is slow and simple on purpose: the
-tests require the position-indexed check to give the same records, groups
-and error texts.  One difference is known: on a cover event that names a
-terminal vertex, D(v) = 0 and this version fails with a bare ``ValueError``
-from ``math.log``, where ``check_covering`` raises a ``GraphError`` that
-names the vertex.
+tests require the column check to give the same records, groups and error
+texts.  It shares no code with ``sprkit.covering``: a record is a plain
+tuple of the ``CoverRecord`` fields, a group one of the ``GroupSpread``
+fields, in field order.  One difference is known: on a cover event that
+names a terminal vertex, D(v) = 0 and this version fails with a bare
+``ValueError`` from ``math.log``, where ``check_covering`` raises a
+``GraphError`` that names the vertex.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
-from sprkit.covering import SPREAD_FACTOR, CoverRecord, CoveringCheck, GroupSpread
-from sprkit.engine import DEADLINE_FACTOR, RunTrace, SprParams
+from sprkit.engine import DEADLINE_FACTOR, EARLY_FACTOR, RunTrace, SprParams
 from sprkit.graph import GraphError, WeightedGraph
+
+
+class ReferenceCheck(NamedTuple):
+    records: tuple[tuple, ...]  # (vertex, terminal, round, d(v, t), D(v),
+                                #  deadline, early, late, early flag)
+    groups: tuple[tuple, ...]   # (terminal, round, max d(v, t), min D(v), ok)
 
 
 def reference_check_covering(
     trace: RunTrace, graph: WeightedGraph, params: SprParams
-) -> CoveringCheck:
+) -> ReferenceCheck:
     if trace.terminal_ids != graph.terminals:
         raise GraphError("trace terminals do not match graph terminals")
     if params.k != graph.k:
         raise GraphError("params terminal count does not match graph")
     if graph.k < 2:
-        return CoveringCheck(records=(), groups=())
+        return ReferenceCheck(records=(), groups=())
     unknown = {ev.vertex for ev in trace.cover_events} - graph.index.keys()
     if unknown:
         raise GraphError(
@@ -41,9 +49,10 @@ def reference_check_covering(
     log, floor, inf = math.log, math.floor, math.inf
     log_ratio = log(params.ratio)
     ef = params.early_factor
+    spread = DEADLINE_FACTOR / EARLY_FACTOR
 
     records = []
-    groups: dict[tuple[int, int], list[CoverRecord]] = {}
+    groups: dict[tuple[int, int], list[tuple]] = {}
     for v, t, rnd, _, _ in trace.cover_events:
         try:
             d_cover = row_of[t][index[v]]
@@ -54,22 +63,13 @@ def reference_check_covering(
         d_near = nearest[v]
         deadline = floor(log(DEADLINE_FACTOR * d_near) / log_ratio)
         early = floor(log(ef * d_cover) / log_ratio)
-        rec = CoverRecord(v, t, rnd, d_cover, d_near, deadline, early,
-                          rnd > deadline, rnd < early)
+        rec = (v, t, rnd, d_cover, d_near, deadline, early, rnd > deadline, rnd < early)
         records.append(rec)
         groups.setdefault((t, rnd), []).append(rec)
 
     group_rows = []
     for (t, rnd), recs in sorted(groups.items()):
-        max_dist = max(r.dist_to_terminal for r in recs)
-        min_near = min(r.nearest_terminal for r in recs)
-        group_rows.append(
-            GroupSpread(
-                terminal=t,
-                round=rnd,
-                max_dist=max_dist,
-                min_nearest=min_near,
-                ok=max_dist <= SPREAD_FACTOR * min_near * (1 + 1e-9),
-            )
-        )
-    return CoveringCheck(records=tuple(records), groups=tuple(group_rows))
+        max_dist = max(r[3] for r in recs)
+        min_near = min(r[4] for r in recs)
+        group_rows.append((t, rnd, max_dist, min_near, max_dist <= spread * min_near * (1 + 1e-9)))
+    return ReferenceCheck(records=tuple(records), groups=tuple(group_rows))

@@ -449,8 +449,10 @@ def test_experiment_malformed_spec_is_usage_error(tmp_path, capsys, text):
 @pytest.mark.parametrize(
     "fields",
     [{"max_rounds": "Infinity"}, {"seeds_per_config": "1e400"}, {"k": "Infinity"},
-     {"base_seed": "-1"}],
-    ids=["infinite-max-rounds", "overflowing-seeds", "infinite-k", "negative-base-seed"],
+     {"base_seed": "-1"}, {"delta": "Infinity"}, {"delta": "-1"}, {"delta": "0"},
+     {"delta": "NaN"}],
+    ids=["infinite-max-rounds", "overflowing-seeds", "infinite-k", "negative-base-seed",
+         "infinite-delta", "negative-delta", "zero-delta", "nan-delta"],
 )
 def test_experiment_spec_numbers_out_of_range_are_usage_errors(tmp_path, capsys, fields):
     k = fields.pop("k", "4")

@@ -1,5 +1,7 @@
 import math
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from conftest import (
 from covering_reference import reference_check_covering
 from sprkit import RunTrace, SprParams, check_covering, run_spr, summarize_covering
 from sprkit.covering import SPREAD_FACTOR, CoverRecord
+from sprkit.engine import DEADLINE_FACTOR, EARLY_FACTOR
 from sprkit.graph import GraphError, WeightedGraph, subdivide_edges
 
 
@@ -152,8 +155,11 @@ def _tamper(g: WeightedGraph, trace: RunTrace, kind: str, data):
     i = data.draw(st.integers(0, len(covers) - 1))
     ev = covers[i]
     if kind == "round":
-        # other groups, and other late and early flags
-        covers[i] = ev._replace(round=data.draw(st.integers(0, trace.rounds + 30)))
+        # other groups, and other late and early flags; a JSON trace may
+        # hold any integer, negative or past int64
+        rnd = data.draw(st.one_of(st.integers(0, trace.rounds + 30), st.integers(max_value=-1),
+                                  st.integers(min_value=2**63 - 2)))
+        covers[i] = ev._replace(round=rnd)
     elif kind == "terminal":
         covers[i] = ev._replace(terminal=data.draw(st.sampled_from(g.terminals)))
     elif kind == "shuffle":
@@ -173,12 +179,22 @@ def _tamper(g: WeightedGraph, trace: RunTrace, kind: str, data):
     return g, trace_with_events(trace, cover_events=covers)
 
 
+def _package_check(trace, g, params):
+    """``check_covering``'s records and its groups as plain tuples, the
+    reference's shapes."""
+    result = check_covering(trace, g, params)
+    return result.records, tuple(map(astuple, result.groups))
+
+
 def _outcome(check, trace, g, params):
     try:
-        result = check(trace, g, params)
+        return tuple(check(trace, g, params))  # (records, groups)
     except ValueError as exc:  # GraphError included
         return type(exc), str(exc)
-    return result.records, result.groups
+
+
+def _field_types(records):
+    return [tuple(map(type, rec)) for rec in records]
 
 
 @settings(max_examples=150, deadline=None)
@@ -196,12 +212,119 @@ def test_check_covering_matches_reference(g, threshold, seed, kind, data):
     _, trace = run_spr(g, params)
     assume(trace.cover_events)
     g, trace = _tamper(g, trace, kind, data)
-    got = _outcome(check_covering, trace, g, params)
+    got = _outcome(_package_check, trace, g, params)
     ref = _outcome(reference_check_covering, trace, g, params)
     if ref == (ValueError, "math domain error"):
         # the reference's crash on a covered terminal is now an input error
         assert got[0] is GraphError and got[1].startswith("trace covers terminal ")
         return
     assert got == ref
+    if isinstance(got[0], tuple):
+        assert _field_types(got[0]) == _field_types(ref[0])
     if kind == "none":
         assert all(type(rec) is CoverRecord for rec in got[0])
+
+
+def test_all_terminal_graph_matches_reference():
+    # k >= 2 and every vertex a terminal: no cover events at all
+    g = WeightedGraph.build([0, 1, 2], [(0, 1, 1.0), (1, 2, 2.0)], [0, 1, 2])
+    params = SprParams.for_graph(g, seed=3)
+    _, trace = run_spr(g, params)
+    assert not trace.cover_vertex
+    check = check_covering(trace, g, params)
+    assert check.records == () and check.groups == ()
+    assert check.any_late is False and check.any_early is False
+    assert _package_check(trace, g, params) == tuple(reference_check_covering(trace, g, params))
+
+
+def test_rounds_past_int64_keep_their_groups():
+    # rounds that differ only beyond int64 still make separate groups
+    g = _unit_path(4)
+    huge = 2**64
+    covers = [(1, 0, huge, 1, 1.0), (3, 4, -huge, 1, 1.0), (2, 0, huge + 1, 1, 2.0),
+              (2, 0, huge, 1, 2.0)]
+    trace = _trace(g, covers, 1)
+    params = SprParams.for_graph(g)
+    got = _package_check(trace, g, params)
+    assert got == tuple(reference_check_covering(trace, g, params))
+    assert [grp[:2] for grp in got[1]] == [(0, huge), (0, huge + 1), (4, -huge)]
+    assert [rec.covered_late for rec in got[0]] == [True, False, True, True]
+
+
+# --- exact deadline and early rounds ---------------------------------------
+
+def _star(k: int, weights) -> WeightedGraph:
+    """Terminal 0 with one leaf per weight, and k - 1 more terminals hung
+    from it: leaf i has D = d(i, 0) = weights[i - 1]."""
+    m = len(weights)
+    edges = [(0, i, w) for i, w in enumerate(weights, start=1)]
+    edges += [(0, m + j, 1.0) for j in range(1, k)]
+    return WeightedGraph.build(range(m + k), edges, [0, *range(m + 1, m + k)])
+
+
+def _boundary_weights(ratio: float, powers, factor: float, ulps=range(-2, 3)) -> list[float]:
+    """ratio**r / factor and its neighbours ``ulps`` away: where
+    floor(log_ratio(factor * w)) steps from r - 1 to r."""
+    weights = []
+    for r in powers:
+        w = ratio**r / factor
+        for u in ulps:
+            x = w
+            for _ in range(abs(u)):
+                x = math.nextafter(x, math.copysign(math.inf, u))
+            weights.append(x)
+    return weights
+
+
+def _assert_math_rounds(k: int, delta: float, weights) -> None:
+    g = _star(k, weights)
+    params = SprParams(k=k, delta=delta)
+    log_ratio = math.log(params.ratio)
+    covers = [(i, 0, 0, 1, w) for i, w in enumerate(weights, start=1)]
+    check = check_covering(_trace(g, covers, 1), g, params)
+    for rec, w in zip(check.records, weights):
+        assert rec.nearest_terminal == rec.dist_to_terminal == w
+        assert rec.deadline_round == math.floor(math.log(DEADLINE_FACTOR * w) / log_ratio)
+        assert rec.early_round == math.floor(math.log(EARLY_FACTOR * w) / log_ratio)
+
+
+BOUNDARY_CASES = [(2, 0.05), (3, 0.3), (16, 0.05), (64, 1.0), (256, 0.01)]
+
+
+@pytest.mark.parametrize("k, delta", BOUNDARY_CASES)
+@pytest.mark.parametrize("factor", [DEADLINE_FACTOR, EARLY_FACTOR], ids=["deadline", "early"])
+def test_rounds_at_boundaries_match_math(k, delta, factor):
+    ratio = SprParams(k=k, delta=delta).ratio
+    _assert_math_rounds(k, delta, _boundary_weights(ratio, range(-40, 41, 3), factor))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 300),
+    st.sampled_from([0.01, 0.05, 0.2, 1.0]),
+    st.sampled_from([DEADLINE_FACTOR, EARLY_FACTOR]),
+    st.lists(st.tuples(st.integers(-400, 400), st.integers(-3, 3)), min_size=1, max_size=8),
+)
+def test_rounds_near_boundaries_match_math(k, delta, factor, points):
+    ratio = SprParams(k=k, delta=delta).ratio
+    weights = [w for r, u in points for w in _boundary_weights(ratio, [r], factor, [u])]
+    _assert_math_rounds(k, delta, weights)
+
+
+@pytest.mark.parametrize("ulps", [-4, -3, -2, -1, 1, 2, 3, 4])
+def test_rounds_exact_when_np_log_is_off_by_ulps(monkeypatch, ulps):
+    # np.log may differ from math.log by a few ulps; the rounds may not
+    np_log = np.log
+
+    def off_log(x):
+        y = np_log(x)
+        for _ in range(abs(ulps)):
+            y = np.nextafter(y, math.copysign(math.inf, ulps))
+        return y
+
+    cases = [(k, delta, _boundary_weights(SprParams(k=k, delta=delta).ratio, range(-40, 41),
+                                          factor, [0]))
+             for k, delta in BOUNDARY_CASES for factor in (DEADLINE_FACTOR, EARLY_FACTOR)]
+    monkeypatch.setattr(np, "log", off_log)
+    for k, delta, weights in cases:
+        _assert_math_rounds(k, delta, weights)
