@@ -40,7 +40,7 @@ from .experiment import (
 )
 from .generators import FAMILIES, generate
 from .graph import GraphError, WeightedGraph, format_graph_text, parse_graph_text
-from .minor import InducedMinor, distortion
+from .minor import distortion, parse_minor_text
 from .oracle import best_partition, compare_to_spr
 from .verify import verify_trace
 
@@ -60,22 +60,6 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
     else:
         print(text)
-
-
-def _minor_from_text(text: str) -> InducedMinor:
-    """The minor that ``format_graph_text(minor.graph)`` wrote: vertices
-    1..k, every one a terminal, listed in order."""
-    g = parse_graph_text(text)
-    if g.vertices != tuple(range(1, g.n + 1)) or g.terminals != g.vertices:
-        raise GraphError("a minor's vertices must be 1..k, listed as terminals in order")
-    orig = []
-    for i in g.terminals:
-        label = g.labels.get(i, "")
-        try:
-            orig.append(int(label.removeprefix("orig=")) if label.startswith("orig=") else i)
-        except ValueError:
-            raise GraphError(f"minor vertex {i}: label {label!r} is not orig=<integer>") from None
-    return InducedMinor(k=g.k, terminal_ids=tuple(orig), edges=g.edges)
 
 
 def cmd_gen(args) -> int:
@@ -109,7 +93,7 @@ def cmd_run(args) -> int:
         return 4
     _write(str(out), trace.to_json())
     _write(f"{stem}.minor.txt", format_graph_text(minor.graph))
-    _write(f"{stem}.report.json", json.dumps(report.to_json_dict(), indent=2))
+    _write(f"{stem}.report.json", report.to_json())
     print(
         f"run complete: n={graph.n} k={graph.k} rounds={trace.rounds} "
         f"max_distortion={report.max_ratio:.6g}"
@@ -119,10 +103,8 @@ def cmd_run(args) -> int:
 
 def cmd_distort(args) -> int:
     graph = _read_graph(args.graph)
-    minor = _minor_from_text(Path(args.minor).read_text())
-    report = distortion(graph, minor)
-    text = json.dumps(report.to_json_dict(), indent=2)
-    _write(args.out, text)
+    minor = parse_minor_text(Path(args.minor).read_text())
+    _write(args.out, distortion(graph, minor).to_json())
     return 0
 
 

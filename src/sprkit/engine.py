@@ -82,6 +82,13 @@ def check_delta(delta: float) -> None:
         raise GraphError(f"delta must be positive, got {delta}")
 
 
+def check_max_rounds(max_rounds: int | None) -> None:
+    """The rule for a round guard wherever one is given: None (the guard
+    formula) or nonnegative; 0 lets only a graph of terminals finish."""
+    if max_rounds is not None and max_rounds < 0:
+        raise GraphError(f"max_rounds must be nonnegative, got {max_rounds}")
+
+
 @dataclass(frozen=True)
 class SprParams:
     """Run parameters bound to a terminal count.
@@ -102,6 +109,7 @@ class SprParams:
         if self.k < 1:
             raise GraphError(f"terminal count {self.k} < 1")
         check_delta(self.delta)
+        check_max_rounds(self.max_rounds)
 
     @property
     def ratio(self) -> float:

@@ -19,7 +19,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .covering import check_covering, summarize_covering
-from .engine import SprParams, check_delta, preprocess_subdivide, run_and_contract
+from .engine import (
+    SprParams,
+    check_delta,
+    check_max_rounds,
+    preprocess_subdivide,
+    run_and_contract,
+)
 from .generators import generate
 from .graph import GraphError, WeightedGraph
 
@@ -38,6 +44,18 @@ CSV_COLUMNS = (
 )
 
 
+# the spec's optional fields: default, the Python types a JSON value of the
+# right kind decodes to, and that kind
+_SPEC_FIELDS = {
+    "seeds_per_config": (10, (int,), "an integer"),
+    "base_seed": (0, (int,), "an integer"),
+    "delta": (0.05, (int, float), "a number"),
+    "subdivide": (False, (bool,), "a boolean"),
+    "max_rounds": (None, (int, type(None)), "an integer or null"),
+    "analyze": (False, (bool,), "a boolean"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     configs: tuple[dict, ...]
@@ -54,6 +72,7 @@ class ExperimentSpec:
         if self.base_seed < 0:
             raise GraphError("base_seed must be nonnegative")
         check_delta(self.delta)
+        check_max_rounds(self.max_rounds)
         if not self.configs:
             raise GraphError("at least one config required")
         for cfg in self.configs:
@@ -83,22 +102,18 @@ class ExperimentSpec:
         configs = doc["configs"]
         if not isinstance(configs, list) or not all(isinstance(c, dict) for c in configs):
             raise GraphError("experiment spec: 'configs' must be a list of objects")
+        fields = {}
+        for name, (default, types, kind) in _SPEC_FIELDS.items():
+            value = doc.get(name, default)
+            # the exact type: a JSON boolean is no integer, a float no count
+            if type(value) not in types:
+                raise GraphError(f"experiment spec: '{name}' must be {kind}")
+            fields[name] = value
         try:
-            max_rounds = doc.get("max_rounds")
-            fields = {
-                "seeds_per_config": int(doc.get("seeds_per_config", 10)),
-                "base_seed": int(doc.get("base_seed", 0)),
-                "delta": float(doc.get("delta", 0.05)),
-                "max_rounds": None if max_rounds is None else int(max_rounds),
-            }
-        except (TypeError, ValueError, OverflowError) as exc:
+            fields["delta"] = float(fields["delta"])
+        except OverflowError as exc:
             raise GraphError(f"experiment spec: {exc}") from None
-        return ExperimentSpec(
-            configs=tuple(configs),
-            subdivide=bool(doc.get("subdivide", False)),
-            analyze=bool(doc.get("analyze", False)),
-            **fields,
-        )
+        return ExperimentSpec(configs=tuple(configs), **fields)
 
 
 @dataclass

@@ -70,10 +70,11 @@ shorten a path, but its interior is filled from both sides; a dead end (a
 degree-one end) is an end like any other; a cycle of degree-two positions
 without any end stays in the reduced graph, unreached, at ``math.inf``.  A
 graph without such a chain gets a table that folds nothing: the kernel runs
-on the graph's own rows and CSR arrays.  A minor's distances come from its
-own graph (``InducedMinor.graph``, vertices 1..k, every one a terminal), so
-its ``distance_matrix`` is that graph's k terminal rows, ``array('d')`` rows
-of k entries, and its table always folds nothing.
+on the graph's own rows and CSR arrays.  A minor is its graph
+(``InducedMinor.graph``, vertices 1..k, every one a terminal, built by
+``WeightedGraph.build`` like any other), so its ``distance_matrix`` is that
+graph's k terminal rows, ``array('d')`` rows of k entries, and its table
+always folds nothing.
 
 Its values are exact, not merely close.  Every label is always the
 left-to-right float sum of the weights of a real path.  At the switch every

@@ -11,15 +11,15 @@ distances can only exceed graph distances, so every distortion ratio is >= 1.
 
 from __future__ import annotations
 
+import json
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
-from math import inf, isfinite
+from math import inf
 from operator import truediv
 from typing import NamedTuple
 
-from .graph import GraphError, WeightedGraph
+from .graph import GraphError, WeightedGraph, parse_graph_text
 
 
 @dataclass(frozen=True)
@@ -134,44 +134,56 @@ def _check_partition(
     return violations, label
 
 
-@dataclass(frozen=True, eq=False)
 class InducedMinor:
-    """Contracted graph on terminal indices 1..k.
+    """Contracted graph on terminal indices 1..k, k = ``len(terminal_ids)``.
 
-    Edges carry the exact original terminal distance.  Each terminal's
-    implicit zero-length self-distance is modeled as d(i, i) = 0, never as a
-    stored edge.  Construction raises ``GraphError`` unless every edge has
-    1 <= i < j <= k and a positive finite weight, and no pair repeats.
+    The minor is its ``graph``, built by ``WeightedGraph.build``: vertices
+    1..k, every one a terminal in order, vertex i labelled
+    ``orig=<terminal_ids[i-1]>``.  So the graph rules check the edges,
+    ``(j, i, w)`` is the edge {i, j}, and a fault raises ``GraphError``.
+    Edges carry the exact original terminal distance; d(i, i) = 0 is never
+    a stored edge.
     """
 
-    k: int
-    terminal_ids: tuple[int, ...]
-    edges: tuple[tuple[int, int, float], ...]  # (i, j, weight) with i < j
+    def __init__(self, terminal_ids, edges):
+        self.terminal_ids = tuple(terminal_ids)
+        ids = range(1, len(self.terminal_ids) + 1)
+        labels = {i: f"orig={t}" for i, t in zip(ids, self.terminal_ids)}
+        self.graph = WeightedGraph.build(ids, edges, ids, labels)
 
-    def __post_init__(self):
-        for i, j, w in self.edges:
-            if not (1 <= i < j <= self.k and isfinite(w) and w > 0.0):
-                raise GraphError(f"minor edge ({i},{j}) of weight {w} needs "
-                                 f"1 <= i < j <= {self.k} and a positive finite weight")
-        if len({(i, j) for i, j, _ in self.edges}) < len(self.edges):
-            raise GraphError("minor edges repeat a pair")
+    @property
+    def k(self) -> int:
+        return len(self.terminal_ids)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """``(i, j, weight)`` with i < j, sorted: the graph's edges."""
+        return self.graph.edges
 
     def distance(self, i: int, j: int) -> float:
         return self.distance_matrix[i - 1][j - 1]
-
-    @cached_property
-    def graph(self) -> WeightedGraph:
-        """The minor as a graph on vertices 1..k, every one a terminal in
-        order, vertex i labelled ``orig=<terminal_ids[i-1]>``."""
-        ids = range(1, self.k + 1)
-        labels = {i: f"orig={t}" for i, t in zip(ids, self.terminal_ids)}
-        return WeightedGraph(vertices=tuple(ids), edges=self.edges, terminals=tuple(ids),
-                             labels=labels)
 
     @property
     def distance_matrix(self) -> tuple[array, ...]:
         """d(i, j) at ``[i-1][j-1]``: the minor graph's terminal rows."""
         return self.graph.terminal_distance_maps
+
+
+def parse_minor_text(text: str) -> InducedMinor:
+    """The minor that ``format_graph_text(minor.graph)`` wrote: vertices
+    1..k, every one a terminal, listed in order.  Vertex i stands for the
+    id of its ``orig=<id>`` label, or for i without such a label."""
+    g = parse_graph_text(text)
+    if g.vertices != tuple(range(1, g.n + 1)) or g.terminals != g.vertices:
+        raise GraphError("a minor's vertices must be 1..k, listed as terminals in order")
+    orig = []
+    for i in g.terminals:
+        label = g.labels.get(i, "")
+        try:
+            orig.append(int(label.removeprefix("orig=")) if label.startswith("orig=") else i)
+        except ValueError:
+            raise GraphError(f"minor vertex {i}: label {label!r} is not orig=<integer>") from None
+    return InducedMinor(orig, g.edges)
 
 
 def contract(graph: WeightedGraph, partition: TerminalPartition) -> InducedMinor:
@@ -196,7 +208,7 @@ def contract(graph: WeightedGraph, partition: TerminalPartition) -> InducedMinor
                 "are disconnected"
             )
         edges.append((i, j, d))
-    return InducedMinor(k=graph.k, terminal_ids=graph.terminals, edges=tuple(edges))
+    return InducedMinor(graph.terminals, edges)
 
 
 class PairDistortion(NamedTuple):
@@ -231,6 +243,10 @@ class DistortionReport:
         if not self.ratio:
             return 1.0
         return sum(self.ratio) / len(self.ratio)
+
+    def to_json(self) -> str:
+        """The report as ``sprkit run`` and ``sprkit distort`` write it."""
+        return json.dumps(self.to_json_dict(), indent=2)
 
     def to_json_dict(self) -> dict:
         cols = zip(self.i, self.j, self.d_graph, self.d_minor, self.ratio)

@@ -119,6 +119,26 @@ def test_run_guard_trip_writes_partial_trace(tmp_path, capsys):
     assert all(v.endswith("never covered") for v in result.violations)
 
 
+def test_run_negative_max_rounds_is_usage_error(tmp_path, capsys):
+    # a guard of -3 once tripped at once (exit 4) and wrote a 0-round trace
+    gpath = _gen(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "trace.json"
+    assert main(["run", "--graph", str(gpath), "--max-rounds", "-3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: max_rounds must be nonnegative, got -3"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt"]
+
+
+def test_run_zero_max_rounds_finishes_a_graph_of_terminals(tmp_path):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("v 0\nv 1\nt 0\nt 1\ne 0 1 1.0\n")
+    out = tmp_path / "trace.json"
+    assert main(["run", "--graph", str(gpath), "--max-rounds", "0", "--out", str(out)]) == 0
+    assert RunTrace.from_json(out.read_text()).rounds == 0
+
+
 def test_distort_roundtrip(tmp_path, capsys):
     gpath = _gen(tmp_path)
     out = tmp_path / "trace.json"
@@ -433,16 +453,30 @@ def test_experiment_end_to_end(tmp_path):
         '{"configs": ["star"]}',
         '{"configs": [{"family": "star", "k": "x"}]}',
         '{"configs": [{"family": "star", "k": 4}], "max_rounds": [3]}',
+        # each case below once ran: "false" subdivided a 4x4 grid to 9,976
+        # vertices, 2.9 seeds ran 2 and a guard of true was a guard of 1
+        '{"configs": [{"family": "grid", "width": 4, "height": 4, "k": 4}], '
+        '"seeds_per_config": 1, "subdivide": "false"}',
+        '{"configs": [{"family": "star", "k": 4}], "seeds_per_config": 2.9}',
+        '{"configs": [{"family": "star", "k": 4}], "max_rounds": true}',
+        '{"configs": [{"family": "star", "k": 4}], "seeds_per_config": 1, "analyze": 1}',
+        '{"configs": [{"family": "star", "k": 4}], "seeds_per_config": 1, "base_seed": true}',
+        '{"configs": [{"family": "star", "k": 4}], "seeds_per_config": 1, "delta": "0.05"}',
+        '{"configs": [{"family": "star", "k": 4}], "seeds_per_config": 1, "max_rounds": -1}',
     ],
     ids=["invalid-json", "top-level-array", "missing-configs", "string-seeds", "deep-nesting",
-         "configs-object", "config-not-object", "string-k", "list-max-rounds"],
+         "configs-object", "config-not-object", "string-k", "list-max-rounds",
+         "string-subdivide", "float-seeds", "boolean-max-rounds", "integer-analyze",
+         "boolean-base-seed", "string-delta", "negative-max-rounds"],
 )
 def test_experiment_malformed_spec_is_usage_error(tmp_path, capsys, text):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(text)
     assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -269,7 +270,6 @@ def test_kernel_rows_equal_canonical_searches(g):
 
     # the same graph as a minor on positions 1..n
     minor = InducedMinor(
-        k=g.n,
         terminal_ids=g.vertices,
         edges=tuple((g.index[u] + 1, g.index[v] + 1, w) for u, v, w in g.edges),
     )
@@ -396,7 +396,6 @@ def test_kernel_outputs_are_python_floats():
     assert all(type(d) is float for row in g.terminal_distance_maps for d in row)
     assert all(type(d) is float for d in g.nearest_terminal_distance.values())
     minor = InducedMinor(
-        k=g.n,
         terminal_ids=g.vertices,
         edges=tuple((g.index[u] + 1, g.index[v] + 1, w) for u, v, w in g.edges),
     )
@@ -553,7 +552,7 @@ def test_chain_free_graphs_run_one_path():
     real = graph_module._dijkstra
     for run in (
         lambda: fresh.terminal_distance_maps,
-        lambda: InducedMinor(minor.k, minor.terminal_ids, minor.edges).distance_matrix,
+        lambda: InducedMinor(minor.terminal_ids, minor.edges).distance_matrix,
     ):
         calls = []
 
@@ -665,6 +664,34 @@ def test_distance_layer_does_not_import_scipy():
         timeout=120, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_only_the_graph_rules_call_the_graph_constructor():
+    # a graph made by ``WeightedGraph(...)`` anywhere else skips every check
+    # of ``_GraphRules``, as the minor's graph once did
+    calls = []
+
+    class Scopes(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_ClassDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef
+
+        def visit_Call(self, node):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "WeightedGraph":
+                calls.append(".".join(self.scope))
+            self.generic_visit(node)
+
+    for path in sorted(Path(sprkit.__file__).parent.glob("*.py")):
+        Scopes(path.stem).visit(ast.parse(path.read_text()))
+    assert calls == ["graph._GraphRules.graph"]
 
 
 # --- text format ---------------------------------------------------------

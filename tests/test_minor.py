@@ -10,7 +10,6 @@ from conftest import path_t_s_t, random_connected_graph, small_integer_weighted_
 from distortion_reference import reference_distortion
 from partition_reference import reference_crossing_pairs, reference_validate_partition
 from sprkit import SprParams, run_and_contract, run_spr
-from sprkit.cli import _minor_from_text
 from sprkit.graph import (
     GraphError,
     WeightedGraph,
@@ -24,6 +23,7 @@ from sprkit.minor import (
     TerminalPartition,
     contract,
     distortion,
+    parse_minor_text,
     validate_partition,
 )
 from sprkit.oracle import best_partition
@@ -204,14 +204,14 @@ def test_degree_two_insertion_does_not_change_minor():
 
 def test_distortion_requires_matching_terminals():
     g = star_3()
-    other = InducedMinor(k=3, terminal_ids=(9, 8, 7), edges=())
+    other = InducedMinor(terminal_ids=(9, 8, 7), edges=())
     with pytest.raises(GraphError):
         distortion(g, other)
 
 
 def test_distortion_disconnected_graph_rejected():
     g = WeightedGraph.build([0, 1, 2, 3], [(0, 1, 1.0), (2, 3, 1.0)], [0, 2])
-    minor = InducedMinor(k=2, terminal_ids=(0, 2), edges=())
+    minor = InducedMinor(terminal_ids=(0, 2), edges=())
     with pytest.raises(GraphError):
         distortion(g, minor)
 
@@ -345,7 +345,7 @@ def test_distortion_equals_pair_loop_on_any_minor(g, seed):
         for j in range(i + 1, g.k + 1)
         if rng.random() < 0.5
     )
-    minor = InducedMinor(k=g.k, terminal_ids=g.terminals, edges=edges)
+    minor = InducedMinor(terminal_ids=g.terminals, edges=edges)
     assert outcome(distortion, g, minor) == outcome(reference_distortion, g, minor)
 
 
@@ -354,43 +354,67 @@ def test_distortion_equals_pair_loop_on_any_minor(g, seed):
     small_graphs(max_n=12),
     st.integers(min_value=0, max_value=2**16),
     st.sampled_from([None, 0.0, 0.5, 1.0]),
+    st.sampled_from(["sorted", "reversed", "shuffled"]),
 )
-def test_minor_text_round_trips(g, seed, density):
+def test_minor_text_round_trips(g, seed, density, order):
     # a run minor (density None), or a hand-built one whose pairs are edges
-    # with probability ``density``: k = 1 and density 0.0 have no edges
+    # with probability ``density``, given in ``order``, a reversed list
+    # with every pair reversed too: k = 1 and density 0.0 have no edges
     if density is None:
         minor = contract(g, run_spr(g, SprParams.for_graph(g, seed=seed))[0])
     else:
         rng = np.random.default_rng(seed)
-        edges = tuple(
+        edges = [
             (i, j, float(rng.uniform(0.5, 4.0)))
             for i in range(1, g.k + 1)
             for j in range(i + 1, g.k + 1)
             if rng.random() < density
-        )
-        minor = InducedMinor(k=g.k, terminal_ids=g.terminals, edges=edges)
-    back = _minor_from_text(format_graph_text(minor.graph))
+        ]
+        if order == "reversed":
+            edges = [(j, i, w) for i, j, w in reversed(edges)]
+        elif order == "shuffled":
+            rng.shuffle(edges)
+        minor = InducedMinor(terminal_ids=g.terminals, edges=edges)
+        assert minor.edges == tuple(sorted((min(e[:2]), max(e[:2]), e[2]) for e in edges))
+    back = parse_minor_text(format_graph_text(minor.graph))
     assert (back.k, back.terminal_ids, back.edges) == (minor.k, minor.terminal_ids, minor.edges)
     assert outcome(distortion, g, back) == outcome(distortion, g, minor)
 
 
-@pytest.mark.parametrize("edges, message", [
-    (((1, 5, 1.0),), "minor edge (1,5) of weight 1.0 needs 1 <= i < j <= 3"),
-    (((0, 2, 1.0),), "minor edge (0,2) of weight 1.0 needs 1 <= i < j <= 3"),
-    (((2, 1, 1.0), (1, 2, 3.0)), "minor edge (2,1) of weight 1.0 needs 1 <= i < j <= 3"),
-    (((2, 2, 1.0),), "minor edge (2,2) of weight 1.0 needs 1 <= i < j <= 3"),
-    (((1, 2, 0.0),), "minor edge (1,2) of weight 0.0 needs"),
-    (((1, 3, -1.0),), "minor edge (1,3) of weight -1.0 needs"),
-    (((1, 2, math.inf),), "minor edge (1,2) of weight inf needs"),
-    (((1, 2, math.nan),), "minor edge (1,2) of weight nan needs"),
-    (((1, 2, 1.0), (1, 3, 1.0), (1, 2, 3.0)), "minor edges repeat a pair"),
+# each case keeps the id it had while the minor had edge texts of its own
+@pytest.mark.parametrize("edges", [
+    pytest.param(((1, 5, 1.0),), id="edges0-minor edge (1,5) of weight 1.0 needs 1 <= i < j <= 3"),
+    pytest.param(((0, 2, 1.0),), id="edges1-minor edge (0,2) of weight 1.0 needs 1 <= i < j <= 3"),
+    pytest.param(((2, 1, 1.0), (1, 2, 3.0)),
+                 id="edges2-minor edge (2,1) of weight 1.0 needs 1 <= i < j <= 3"),
+    pytest.param(((2, 2, 1.0),), id="edges3-minor edge (2,2) of weight 1.0 needs 1 <= i < j <= 3"),
+    pytest.param(((1, 2, 0.0),), id="edges4-minor edge (1,2) of weight 0.0 needs"),
+    pytest.param(((1, 3, -1.0),), id="edges5-minor edge (1,3) of weight -1.0 needs"),
+    pytest.param(((1, 2, math.inf),), id="edges6-minor edge (1,2) of weight inf needs"),
+    pytest.param(((1, 2, math.nan),), id="edges7-minor edge (1,2) of weight nan needs"),
+    pytest.param(((1, 2, 1.0), (1, 3, 1.0), (1, 2, 3.0)), id="edges8-minor edges repeat a pair"),
 ])
-def test_minor_rejects_bad_edges(edges, message):
+def test_minor_rejects_bad_edges(edges):
     # an index beyond k once ended in a bare KeyError from the distance
-    # kernel, and a reversed pair beside its forward one was relaxed silently
+    # kernel, and a reversed pair beside its forward one was relaxed
+    # silently; the minor is refused by the graph rules, in their words
+    ids = (1, 2, 3)
+    with pytest.raises(GraphError) as built:
+        WeightedGraph.build(ids, edges, ids)
     with pytest.raises(GraphError) as exc:
-        InducedMinor(k=3, terminal_ids=(7, 8, 9), edges=edges)
-    assert str(exc.value).startswith(message)
+        InducedMinor(terminal_ids=(7, 8, 9), edges=edges)
+    assert str(exc.value) == str(built.value)
+
+
+def test_minor_k_is_its_terminal_count():
+    # k was once a field of its own: k=5 beside three terminals read back
+    # as terminals (7, 8, 9, 4, 5), and k=2 dropped terminal 9
+    minor = InducedMinor(terminal_ids=(7, 8, 9), edges=((1, 2, 1.0),))
+    assert minor.k == 3 and minor.graph.vertices == (1, 2, 3)
+    back = parse_minor_text(format_graph_text(minor.graph))
+    assert back.terminal_ids == (7, 8, 9)
+    with pytest.raises(GraphError, match="^at least one terminal required$"):
+        InducedMinor(terminal_ids=(), edges=())
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -406,7 +430,7 @@ def test_distortion_unreachable_pair_message_unchanged():
     # components {0, 1, 2} and {3, 4}: the first unreachable pair in (i, j)
     # order is terminals 1 and 3, that is vertices 0 and 3
     g = WeightedGraph.build(range(5), [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)], [0, 1, 3, 2, 4])
-    minor = InducedMinor(k=5, terminal_ids=g.terminals, edges=())
+    minor = InducedMinor(terminal_ids=g.terminals, edges=())
     with pytest.raises(GraphError) as exc:
         distortion(g, minor)
     assert str(exc.value) == "terminal pair (0,3) unreachable; graph must be connected"
