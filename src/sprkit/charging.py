@@ -16,6 +16,14 @@ inside the new span together with its charge.  Slices are maximal runs of
 active vertices inside one interval; a step that fails to wipe out its
 trigger slice is labeled a failure.  The final cost is
 f = sum over intervals of (surviving charges) * (external length).
+
+The slice bookkeeping reads the active flags as one bytearray.  A detour
+deactivates its span with one slice assignment, and since the intervals lie
+consecutively along the path, every interval strictly between the span's
+end intervals lies inside it and ends with no slice.  So a step counts the
+slices (runs of set flags, found with ``bytes.count``) of the end intervals
+and the trigger interval only, before and after the span goes; the touched
+intervals in between are 0.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from operator import mul
 
 from .engine import RunTrace, SprParams
 from .graph import ClusterReplay, GraphError, WeightedGraph, canonical_path
@@ -65,7 +74,7 @@ class IntervalPartition:
     pair: tuple[int, int]            # terminal vertex ids (t, t')
     path: tuple[int, ...]            # full canonical path, t .. t'
     positions: tuple[float, ...]     # cumulative distance along the path
-    intervals: tuple[Interval, ...]
+    intervals: tuple[Interval, ...]  # consecutive along the path; empty if end < start
 
     @property
     def phi(self) -> int:
@@ -92,8 +101,12 @@ class IntervalPartition:
     def max_length_in(self) -> float:
         return max((q.length_in for q in self.intervals), default=0.0)
 
+    @cached_property
+    def lengths_out(self) -> tuple[float, ...]:
+        return tuple(q.length_out for q in self.intervals)
+
     def sum_length_out(self) -> float:
-        return sum(q.length_out for q in self.intervals)
+        return sum(self.lengths_out)
 
 
 def build_interval_partition(
@@ -211,6 +224,12 @@ class DetourLedger:
         return expect == len(self.partition.path) - 1
 
 
+def _runs_in(active: bytearray, q: Interval) -> int:
+    """The slices of interval ``q``: maximal runs of set ``active`` flags."""
+    flags = active[q.start:q.end + 1]
+    return flags.count(b"\0\1") + flags.startswith(b"\1")
+
+
 def reconstruct_ledger(
     trace: RunTrace,
     graph: WeightedGraph,
@@ -248,33 +267,25 @@ def reconstruct_ledger(
             "was the run preprocessed with subdivision? analyze against the "
             "subdivided graph"
         )
-    pos = [index[v] for v in vertex]
+    pos = list(map(index.__getitem__, vertex))
     path = partition.path
     # a path vertex outside the graph (a partition of another graph) is None
     path_pos = list(map(index.get, path))
-    path_index = {p: i for i, p in enumerate(path_pos)}
+    path_index = dict(zip(path_pos, range(len(path))))
     last = len(path) - 1
-    active = [False] + [True] * (last - 1) + [False]  # indexed like path
+    active = bytearray(b"\0" + b"\1" * (last - 1) + b"\0")  # flags indexed like path
     active_vertices = set(path_pos[1:-1])  # the position of path[i] for every active i
-    interval_of = partition.interval_of_index
-    n_intervals = partition.phi
+    intervals, interval_of = partition.intervals, partition.interval_of_index
 
     replay = ClusterReplay(graph)
     radii = {j: 0.0 for j in range(1, trace.k + 1)}
-    charges = [0] * n_intervals
-    slices = [1 if q.end >= q.start else 0 for q in partition.intervals]
+    charges = [0] * partition.phi
     live: list[Detour] = []
     detours: list[Detour] = []
     steps: list[ChargeStep] = []
     runs_by_step = trace.runs_by_step()
     ratio = params.ratio
     extra = partition.max_length_in * (1 + 1e-9) + 1e-15
-
-    def slice_count(qi: int) -> int:
-        # the maximal active runs inside interval qi
-        q = partition.intervals[qi]
-        run = active[q.start:q.end + 1]
-        return sum(on and not before for on, before in zip(run, [False, *run]))
 
     seen_cover = bytearray(graph.n)
     live_span_total = 0
@@ -296,7 +307,7 @@ def reconstruct_ledger(
             seen_cover[p] = 1
         # the claims' distances, which seed later steps' searches
         ball, _ = replay.search(j, limit=radii[j])
-        newly_active = [path_index[p] for p in claimed if p in active_vertices]
+        newly_active = [path_index[p] for p in active_vertices.intersection(claimed)]
         if not newly_active:
             replay.claim(j, claimed, ball)
             continue
@@ -317,7 +328,7 @@ def reconstruct_ledger(
         qi = interval_of[trigger_idx]
 
         # trigger slice: maximal active run inside the trigger interval
-        q_int = partition.intervals[qi]
+        q_int = intervals[qi]
         s_lo = trigger_idx
         while s_lo - 1 >= q_int.start and active[s_lo - 1]:
             s_lo -= 1
@@ -338,7 +349,6 @@ def reconstruct_ledger(
         if not (a <= trigger_idx <= b):
             raise LedgerError("trigger vertex not inside the step's detour span")
 
-        pre_slices = list(slices)
         erased_ids = []
         for d in live:
             if a < d.a and d.b < b:
@@ -347,9 +357,12 @@ def reconstruct_ledger(
                 live_span_total -= d.b - d.a + 1
                 erased_ids.append(d.ident)
         live = [d for d in live if not d.erased]
-        for idx in range(a, b + 1):
-            active[idx] = False
-            active_vertices.discard(path_pos[idx])
+        # slices before the step, in the intervals the bookkeeping counts
+        lo_int, hi_int = interval_of[a], interval_of[b]
+        counted = sorted({lo_int, qi, hi_int})
+        pre = {qidx: _runs_in(active, intervals[qidx]) for qidx in counted}
+        active[a:b + 1] = bytes(b - a + 1)
+        active_vertices.difference_update(path_pos[a:b + 1])
         det = Detour(
             ident=len(detours), a=a, b=b, round=rnd, step=j, terminal=t_j,
             trigger_vertex=trigger_idx, trigger_interval=qi,
@@ -367,24 +380,24 @@ def reconstruct_ledger(
 
         # slice bookkeeping: only intervals touched by the span can change,
         # none but the trigger interval may gain a slice, and a success
-        # strictly shrinks the trigger interval's count
-        lo_int = interval_of[a]
-        hi_int = interval_of[b]
-        touched = []
-        for qidx in range(lo_int, hi_int + 1):
-            slices[qidx] = slice_count(qidx)
-            touched.append((qidx, slices[qidx]))
-            if qidx != qi and slices[qidx] > pre_slices[qidx]:
+        # strictly shrinks the trigger interval's count.  The intervals
+        # strictly between the span's end intervals lie inside the span and
+        # keep no slice, so only the end and trigger intervals are counted.
+        after = dict.fromkeys(range(lo_int, hi_int + 1), 0)
+        for qidx in counted:
+            after[qidx] = _runs_in(active, intervals[qidx])
+        for qidx in counted:
+            if qidx != qi and after[qidx] > pre[qidx]:
                 raise LedgerError(
                     f"interval {qidx} gained a slice at step ({rnd},{j})"
                 )
-        if slices[qi] > pre_slices[qi] + 1:
+        if after[qi] > pre[qi] + 1:
             raise LedgerError(
                 f"trigger interval {qi} gained more than one slice at "
                 f"step ({rnd},{j})"
             )
         success = q_step >= q_slice
-        if success and not slices[qi] < pre_slices[qi]:
+        if success and not after[qi] < pre[qi]:
             raise LedgerError(
                 f"successful step ({rnd},{j}) did not shrink the trigger "
                 "interval's slice count"
@@ -401,18 +414,16 @@ def reconstruct_ledger(
                 q_step=q_step, q_trigger=q_trigger, q_slice=q_slice,
                 dist_trigger_terminal=d_trig, qualifies=qualifies,
                 success=success, erased_ids=tuple(erased_ids),
-                slices_after=tuple(touched),
+                slices_after=tuple(after.items()),
             )
         )
         replay.claim(j, claimed, ball)
 
-    missing = [v for v, j in zip(graph.vertices, replay.owner) if not j]
-    if missing:
+    if replay.claimed < graph.n:
+        missing = [v for v, j in zip(graph.vertices, replay.owner) if not j]
         raise LedgerError(f"trace is incomplete; vertices never covered: {missing[:5]}")
 
-    cost = sum(
-        c * q.length_out for c, q in zip(charges, partition.intervals)
-    )
+    cost = sum(map(mul, charges, partition.lengths_out))
     return DetourLedger(
         partition=partition,
         steps=steps,

@@ -166,6 +166,7 @@ _RADIUS_JSON = '{"type":"radius","round":%s,"step":%s,"q":%s,"R":%s}'
 _COVER_HEAD = '{"type":"cover","vertex":'
 _COVER_SHARED = ',"terminal":%s,"round":%s,"step":%s,"dist":'
 _COVER_SEP = '},' + _COVER_HEAD
+_EVENT_TYPES = frozenset(("radius", "cover"))
 
 
 @dataclass
@@ -264,7 +265,8 @@ class RunTrace:
         """Parse trace JSON; any syntax or schema fault raises TraceFormatError.
 
         Events are split by type, and one ``itemgetter`` pass per field reads
-        each column.
+        each column.  A set test finds an unknown type; a loop runs only to
+        name the first one.
         """
         try:
             doc = json.loads(text)
@@ -281,8 +283,12 @@ class RunTrace:
             raise TraceFormatError("malformed run trace: 'params' is not an object")
         try:
             types = list(map(itemgetter("type"), events))
-            unknown = [t for t in types if t != "radius" and t != "cover"]
-            if unknown:
+            try:
+                known = _EVENT_TYPES.issuperset(types)
+            except TypeError:  # an unhashable type value
+                known = False
+            if not known:
+                unknown = [t for t in types if t != "radius" and t != "cover"]
                 raise TraceFormatError(f"unknown trace event type {unknown[0]!r}")
             radius = list(compress(events, [t == "radius" for t in types]))
             cover = list(compress(events, [t == "cover" for t in types]))

@@ -81,10 +81,9 @@ class ExperimentSpec:
             k = cfg.get("k")
             if k is None:
                 continue
-            try:
-                k = int(k)
-            except (TypeError, ValueError, OverflowError):
-                raise GraphError(f"config {cfg} has a non-integer k") from None
+            # the exact type, as for _SPEC_FIELDS: a JSON boolean is no integer
+            if type(k) is not int:
+                raise GraphError(f"config {cfg} has a non-integer k")
             if k < 2 and not cfg.get("allow_single_terminal"):
                 raise GraphError(f"config {cfg} has k < 2; set allow_single_terminal")
 

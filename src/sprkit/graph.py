@@ -301,7 +301,8 @@ class _GraphRules:
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
         if not 0.0 < w < math.inf:
-            raise GraphError(f"edge ({u},{v}) has non-positive weight {w}")
+            fault = "non-positive" if w <= 0.0 else "non-finite"
+            raise GraphError(f"edge ({u},{v}) has {fault} weight {w}")
         if u > v:
             u, v = v, u
         if (u, v) in pairs:

@@ -18,6 +18,12 @@ through the cluster and the unclaimed vertices (the argument is in the
 ``ClusterReplay`` docstring).  At the first step whose claims differ, verify
 reports the difference; a claim it did not reproduce has no distance and
 never seeds a later search.
+
+The checks run in bulk: set operations decide distinct cover vertices,
+unknown ids, claimed terminals and completeness, and each step compares
+its replayed distances with the recorded ones as lists, and the largest
+with the radius.  The per-event loops run only when such a test finds a
+fault, to word its violations in event order.
 """
 
 from __future__ import annotations
@@ -30,6 +36,14 @@ from .graph import ClusterReplay, WeightedGraph
 from .minor import TerminalPartition, validate_partition
 
 REL_TOL = 1e-9
+
+
+def _in_runs(column, runs) -> list:
+    """The entries of ``column`` at a step's events, in event order."""
+    if len(runs) == 1:
+        [(start, stop, _)] = runs
+        return column[start:stop]
+    return [x for start, stop, _ in runs for x in column[start:stop]]
 
 
 @dataclass(frozen=True)
@@ -53,21 +67,27 @@ def verify_trace(
     term_index = {t: j for j, t in enumerate(graph.terminals, start=1)}
 
     # coverage uniqueness and vertex validity
-    vertex = trace.cover_vertex
-    covered: set[int] = set()
-    for v in vertex:
-        if v not in graph.index:
-            violations.append(f"cover event for unknown vertex {v}")
-        if v in covered:
-            violations.append(f"vertex {v} covered twice")
-        covered.add(v)
-        if v in term_index:
-            violations.append(f"terminal {v} appears in a cover event")
+    vertex, index = trace.cover_vertex, graph.index
+    pos = list(map(index.get, vertex))  # None for an id outside the graph
+    covered = set(vertex)
+    distinct = len(covered) == len(vertex) and None not in pos and covered.isdisjoint(term_index)
+    if not distinct:
+        seen: set[int] = set()
+        for v in vertex:
+            if v not in index:
+                violations.append(f"cover event for unknown vertex {v}")
+            if v in seen:
+                violations.append(f"vertex {v} covered twice")
+            seen.add(v)
+            if v in term_index:
+                violations.append(f"terminal {v} appears in a cover event")
 
-    # completeness: every non-terminal vertex covered exactly once
-    for v in graph.vertices:
-        if v not in term_index and v not in covered:
-            violations.append(f"vertex {v} never covered")
+    # completeness: every non-terminal vertex covered exactly once; n - k
+    # distinct non-terminals are all of them
+    if not (distinct and len(covered) == graph.n - k):
+        for v in graph.vertices:
+            if v not in term_index and v not in covered:
+                violations.append(f"vertex {v} never covered")
 
     if trace.k == 1:
         if trace.radius_round:
@@ -109,8 +129,10 @@ def verify_trace(
     # the newly recorded vertices within the radius.  The replay runs on
     # positions; a claimed id outside the graph (reported above) has none,
     # and goes to ``foreign``, which counts towards every vertex claimed.
+    # A step's recorded distances are compared with the replayed ones as
+    # lists, and the largest with the radius; the loop over its events runs
+    # only when that finds a fault, to word it.
     replay = ClusterReplay(graph)
-    pos = list(map(graph.index.get, vertex))
     foreign: dict[int, int] = {}
     runs_by_step = trace.runs_by_step()
     recorded = trace.cover_dist
@@ -125,35 +147,39 @@ def verify_trace(
                 violations += [
                     f"cover event at step ({rnd},{j}) names terminal {t}, expected {t_j}"
                 ] * (stop - start)
-        new_events = [i for start, stop, _ in runs for i in range(start, stop)]
 
-        if new_events or replay.claimed + len(foreign) < graph.n:
+        if runs or replay.claimed + len(foreign) < graph.n:
             dist, _ = replay.search(j, limit=radius)
-            got_new = {pos[i] for i in new_events}  # a foreign id maps to None, in no ball
+            new_pos = _in_runs(pos, runs)
+            got_new = set(new_pos)  # a foreign id maps to None, in no ball
             if dist.keys() != got_new:
                 violations.append(
-                    f"step ({rnd},{j}) claims {sorted({vertex[i] for i in new_events})} "
+                    f"step ({rnd},{j}) claims {sorted(set(_in_runs(vertex, runs)))} "
                     f"but ball replay gives {[graph.vertices[p] for p in sorted(dist)]}"
                 )
-            for i in new_events:
-                d = dist.get(pos[i])
-                if d is None:
-                    continue
-                v = vertex[i]
-                if not math.isclose(d, recorded[i], rel_tol=REL_TOL, abs_tol=1e-12):
-                    violations.append(
-                        f"recorded distance {recorded[i]!r} for vertex {v} "
-                        f"differs from replayed {d!r}"
-                    )
-                if d > radius * (1 + REL_TOL):
-                    violations.append(
-                        f"vertex {v} covered at distance {d!r} beyond "
-                        f"radius {radius!r}"
-                    )
-            for i in new_events:
-                if pos[i] is None:
-                    foreign.setdefault(vertex[i], j)
-            got_new.discard(None)
+            replayed = list(map(dist.get, new_pos))
+            if runs and (replayed != _in_runs(recorded, runs)
+                         or max(replayed) > radius * (1 + REL_TOL)):
+                for i in _in_runs(range(len(vertex)), runs):  # the step's events
+                    d = dist.get(pos[i])
+                    if d is None:
+                        continue
+                    v = vertex[i]
+                    if not math.isclose(d, recorded[i], rel_tol=REL_TOL, abs_tol=1e-12):
+                        violations.append(
+                            f"recorded distance {recorded[i]!r} for vertex {v} "
+                            f"differs from replayed {d!r}"
+                        )
+                    if d > radius * (1 + REL_TOL):
+                        violations.append(
+                            f"vertex {v} covered at distance {d!r} beyond "
+                            f"radius {radius!r}"
+                        )
+            if None in got_new:
+                for i in _in_runs(range(len(vertex)), runs):
+                    if pos[i] is None:
+                        foreign.setdefault(vertex[i], j)
+                got_new.discard(None)
             # the replayed distances, never the recorded ones, seed later steps
             replay.claim(j, got_new, dist)
 

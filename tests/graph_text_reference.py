@@ -38,7 +38,8 @@ def build(
         if u not in vset or v not in vset:
             raise GraphError(f"edge ({u},{v}) references unknown vertex")
         if not (math.isfinite(w) and w > 0.0):
-            raise GraphError(f"edge ({u},{v}) has non-positive weight {w}")
+            fault = "non-positive" if w <= 0.0 else "non-finite"
+            raise GraphError(f"edge ({u},{v}) has {fault} weight {w}")
         if u > v:
             u, v = v, u
         if (u, v) in seen_pairs:

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coarse_subdivided_random, fine_pair_graph, make_trace, path_t_s_t
+from conftest import (
+    coarse_subdivided_random,
+    fine_pair_graph,
+    make_trace,
+    path_t_s_t,
+    random_connected_graph,
+    trace_with_events,
+)
+from ledger_reference import reference_reconstruct_ledger
 from paths_reference import shortest_paths
 from sprkit import (
     SprParams,
@@ -17,8 +25,8 @@ from sprkit import (
     run_spr,
     verify_trace,
 )
-from sprkit.charging import InteriorTerminalError, LedgerError
-from sprkit.graph import WeightedGraph, canonical_path
+from sprkit.charging import Interval, IntervalPartition, InteriorTerminalError, LedgerError
+from sprkit.graph import GraphError, WeightedGraph, canonical_path, subdivide_edges
 
 REL = 1e-9
 
@@ -307,8 +315,10 @@ def test_ledger_rejects_double_coverage():
         [(1, 0, 0, 1, 1.0), (1, 0, 0, 1, 1.0)],
         rounds=1,
     )
-    with pytest.raises(LedgerError):
+    with pytest.raises(LedgerError, match="^vertex 1 covered twice in trace$"):
         reconstruct_ledger(trace, g, part, p)
+    assert _ledger_outcome(reconstruct_ledger, trace, g, part, p) == _ledger_outcome(
+        reference_reconstruct_ledger, trace, g, part, p)
 
 
 def test_ledger_rejects_incomplete_trace():
@@ -316,8 +326,88 @@ def test_ledger_rejects_incomplete_trace():
     p = SprParams.for_graph(g)
     part = build_interval_partition(g, 0, 2, p)
     trace = _trace(g, [(0, 1, 0.1, 0.1), (0, 2, 0.1, 0.1)], [], rounds=1)
-    with pytest.raises(LedgerError):
+    with pytest.raises(LedgerError, match=r"^trace is incomplete; vertices never covered: \[1\]$"):
         reconstruct_ledger(trace, g, part, p)
+    assert _ledger_outcome(reconstruct_ledger, trace, g, part, p) == _ledger_outcome(
+        reference_reconstruct_ledger, trace, g, part, p)
+
+
+# --- ledger against the per-interval reference --------------------------------
+
+
+def _ledger_outcome(replay, trace, graph, partition, params):
+    """What a ledger replay decides: every step's repr, each detour's span
+    and erasure, the final charges and ``repr(cost)``, or the refusal."""
+    try:
+        led = replay(trace, graph, partition, params)
+    except GraphError as exc:
+        return type(exc).__name__, str(exc)
+    return (
+        [repr(s) for s in led.steps],
+        [(d.a, d.b, d.erased) for d in led.detours],
+        led.final_charges,
+        repr(led.cost),
+    )
+
+
+def _with_empty_interval(part: IntervalPartition, at: int) -> IntervalPartition:
+    """``part`` with an empty interval (end < start) inserted before
+    interval ``at``, or after the last one."""
+    start = part.intervals[at].start if at < part.phi else len(part.path) - 1
+    empty = Interval(start=start, end=start - 1, anchor=start, length_in=0.0,
+                     length_out=0.0, bound=0.0)
+    intervals = (*part.intervals[:at], empty, *part.intervals[at:])
+    return IntervalPartition(part.pair, part.path, part.positions, intervals)
+
+
+def _mutated(trace, kind: str | None, data):
+    covers = list(trace.cover_events)
+    if kind is None or not covers:
+        return trace
+    i = data.draw(st.integers(0, len(covers) - 1))
+    if kind == "drop":
+        del covers[i]
+    else:
+        covers.insert(data.draw(st.integers(0, len(covers))), covers[i])
+    return trace_with_events(trace, cover_events=covers)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=3, max_value=5),
+    st.sampled_from([None, None, "drop", "duplicate"]),
+    st.booleans(),
+    st.data(),
+)
+def test_ledger_matches_reference(seed, k, kind, add_empty, data):
+    # the graphs of test_ledger_property_random_instances; half of the
+    # partitions carry an empty interval, and some traces lose or repeat a
+    # cover event so that the refusals are compared too
+    base = random_connected_graph(4 * k, k, seed=seed % 9973, extra_edges=k)
+    g = subdivide_edges(base, 0.31).graph
+    try:
+        part = build_interval_partition(g, g.terminals[0], g.terminals[1], SprParams.for_graph(g))
+    except InteriorTerminalError:
+        return
+    if add_empty:
+        part = _with_empty_interval(part, data.draw(st.integers(0, part.phi)))
+    p = SprParams.for_graph(g, seed=data.draw(st.integers(0, 2**32)))
+    trace = _mutated(run_spr(g, p)[1], kind, data)
+    assert _ledger_outcome(reconstruct_ledger, trace, g, part, p) == _ledger_outcome(
+        reference_reconstruct_ledger, trace, g, part, p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32))
+def test_ledger_matches_reference_on_adjacent_pair(seed):
+    g = WeightedGraph.build([0, 1, 2, 3], [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.5)], [0, 1, 3])
+    part = build_interval_partition(g, 0, 1, SprParams.for_graph(g))
+    assert part.phi == 0
+    p = SprParams.for_graph(g, seed=seed)
+    trace = run_spr(g, p)[1]
+    assert _ledger_outcome(reconstruct_ledger, trace, g, part, p) == _ledger_outcome(
+        reference_reconstruct_ledger, trace, g, part, p)
 
 
 # --- ledger over real runs ----------------------------------------------------

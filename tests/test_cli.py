@@ -463,11 +463,15 @@ def test_experiment_end_to_end(tmp_path):
         '{"configs": [{"family": "star", "k": 4}], "seeds_per_config": 1, "base_seed": true}',
         '{"configs": [{"family": "star", "k": 4}], "seeds_per_config": 1, "delta": "0.05"}',
         '{"configs": [{"family": "star", "k": 4}], "seeds_per_config": 1, "max_rounds": -1}',
+        # each ran: k = 4.7 as k = 4, and k = true as k = 1
+        '{"configs": [{"family": "star", "k": 4.7}], "seeds_per_config": 1}',
+        '{"configs": [{"family": "star", "k": true, "allow_single_terminal": true}], '
+        '"seeds_per_config": 1}',
     ],
     ids=["invalid-json", "top-level-array", "missing-configs", "string-seeds", "deep-nesting",
          "configs-object", "config-not-object", "string-k", "list-max-rounds",
          "string-subdivide", "float-seeds", "boolean-max-rounds", "integer-analyze",
-         "boolean-base-seed", "string-delta", "negative-max-rounds"],
+         "boolean-base-seed", "string-delta", "negative-max-rounds", "float-k", "boolean-k"],
 )
 def test_experiment_malformed_spec_is_usage_error(tmp_path, capsys, text):
     spec_path = tmp_path / "spec.json"

@@ -759,11 +759,13 @@ def test_a_record_with_two_faults_reports_one_at_both_entry_points(
         (["v -2"], "line 1: negative vertex id -2"),
         (["v 0", "v 1", "e 1 1 1.0"], "line 3: self-loop at vertex 1"),
         (["v 0", "v 1", "e 0 1 0"], "line 3: edge (0,1) has non-positive weight 0.0"),
-        (["v 0", "v 1", "e 0 1 nan"], "line 3: edge (0,1) has non-positive weight nan"),
+        (["v 0", "v 1", "e 0 1 nan"], "line 3: edge (0,1) has non-finite weight nan"),
         (["v 0", "v 1", "e 0 1 1.0", "t 0", "e 1 0 2.0"], "line 5: duplicate edge (0,1)"),
         (["v 0", "t 0", "t 0"], "line 3: duplicate terminal 0"),
         (["v 0", "e 0 5 1.0", "v 5"], "line 2: edge (0,5) references undeclared vertex"),
         (["v 0", "v 1", "e 0 1 1.0"], "line 0: at least one terminal required"),
+        (["v 0", "v 1", "e 0 1 inf"], "line 3: edge (0,1) has non-finite weight inf"),
+        (["v 0", "v 1", "e 0 1 -inf"], "line 3: edge (0,1) has non-positive weight -inf"),
     ],
 )
 def test_every_record_fault_names_its_line(records, message):

@@ -75,7 +75,7 @@ def test_verify_matches_reference_on_engine_traces(g, seed):
     assert verify_trace(g, trace, params) == ref
 
 
-MUTATIONS = ("drop", "duplicate", "re-step", "move", "dist", "scale-q")
+MUTATIONS = ("drop", "duplicate", "re-step", "move", "dist", "scale-q", "ulp", "terminal")
 
 
 def _mutate(g: WeightedGraph, trace: RunTrace, kind: str, data) -> RunTrace:
@@ -96,6 +96,15 @@ def _mutate(g: WeightedGraph, trace: RunTrace, kind: str, data) -> RunTrace:
             covers.insert(i, ev)
         elif kind == "dist":
             covers[i] = ev._replace(dist=ev.dist * (1 + 1e-6) + 1e-9)
+        elif kind == "ulp":
+            # inside REL_TOL: no violation, but no longer equal to the replay
+            toward = data.draw(st.sampled_from([-math.inf, math.inf]))
+            covers[i] = ev._replace(dist=math.nextafter(ev.dist, toward))
+        elif kind == "terminal":
+            # another cluster's terminal; for the event's own terminal see
+            # test_verify_gives_no_distance_to_a_claim_of_its_own_terminal
+            others = [t for t in g.terminals if t != ev.terminal]
+            covers[i] = ev._replace(vertex=data.draw(st.sampled_from(others)))
         else:
             if kind == "re-step":
                 others = [r.round for r in radius if r.step == ev.step and r.round != ev.round]
@@ -121,6 +130,26 @@ def test_verify_matches_reference_on_mutated_traces(g, seed, kind, data):
         # past the first step whose claims differ from the ball the replays
         # may disagree: the reference re-settles claims it could not reach
         assert got.violations[:cut] == ref.violations[:cut]
+
+
+def test_verify_gives_no_distance_to_a_claim_of_its_own_terminal():
+    # a claim the replay did not reproduce has no distance (see the module
+    # docstring of sprkit.verify); the from-terminal reference settles the
+    # stepping terminal at 0.0 and words one more fault for it
+    g = WeightedGraph.build([0, 1, 2], [(0, 1, 1.0), (0, 2, 1.0)], [0, 1])
+    params, trace = _engine_run(g, 0)
+    [ev] = trace.cover_events
+    trace = trace_with_events(trace, cover_events=[ev._replace(vertex=ev.terminal)])
+    ref, _ = reference_verify_trace(g, trace, params)
+    assert verify_trace(g, trace, params).violations == (
+        "terminal 0 appears in a cover event",
+        "vertex 2 never covered",
+        "step (9,1) claims [0] but ball replay gives [2]",
+    )
+    assert ref.violations == (
+        *verify_trace(g, trace, params).violations,
+        "recorded distance 1.0 for vertex 0 differs from replayed 0.0",
+    )
 
 
 # --- malformed traces -----------------------------------------------------------
