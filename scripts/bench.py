@@ -19,7 +19,11 @@ set-up, then verifies the trace, checks its covering and replays its
 charging ledger, the workload's unit, three times.  Each layer is timed in
 wall seconds under the benchmark's span name, the set-up's under
 ``setup.``.  The file keeps the median per layer, the exact work counts and
-the child's peak RSS.  The run also records the machine, the host speed
+the child's peak RSS.  A last child times the distance kernel alone on
+three shapes (``SHAPES``): the k terminal rows (``terminal_distance_maps``)
+and the nearest-terminal column (``_nearest_row``), each on a fresh graph,
+so each timing includes the position adjacency and chain table it builds,
+median of three.  The run also records the machine, the host speed
 from the benchmark's calibration kernel (``perfbench/calibrate.py``) before
 and after the sizes, and the wall time of the checkout's tier-1 tests.
 
@@ -57,6 +61,15 @@ GRAPH_SEED = 0
 RUN_SEED = 0
 REPEATS = 3
 CALIBRATION_RUNS = 15
+# trees and stars whose terminals are their leaves (many columns, few sweeps
+# each), and a thin strip with few terminals and no chains to fold (one sweep
+# per hop along it)
+SHAPES = (
+    ("complete_binary_tree(10)", "complete_binary_tree", (10,), {}),
+    ("star_graph(2000)", "star_graph", (2000,), {}),
+    ("grid_graph(20000, 2, 'random', k=2, seed=1)", "grid_graph", (20000, 2, "random"),
+     {"k": 2, "seed": 1}),
+)
 
 
 def time_size(n: int, k: int) -> dict:
@@ -152,6 +165,28 @@ def time_pair() -> dict:
     }
 
 
+def time_shapes() -> dict:
+    """The terminal rows and the nearest-terminal column of each shape, in
+    this process: wall seconds, median of ``REPEATS`` fresh graphs each."""
+    from sprkit import generators
+
+    out = {}
+    for name, family, args, kwargs in SHAPES:
+        times: dict[str, list[float]] = {"terminal_distance_maps": [], "_nearest_row": []}
+        for _ in range(REPEATS):
+            for attr, runs in times.items():
+                graph = getattr(generators, family)(*args, **kwargs)
+                start = time.perf_counter()
+                getattr(graph, attr)
+                runs.append(time.perf_counter() - start)
+        out[name] = {
+            "n": graph.n,
+            "k": graph.k,
+            **{f"{attr}_s": statistics.median(runs) for attr, runs in times.items()},
+        }
+    return out
+
+
 def host_speed() -> dict:
     """The calibration kernel's median over a few runs, as a speed ratio."""
     import calibrate
@@ -245,6 +280,8 @@ def main() -> int:
             result = time_pair()
         elif what == "run":
             result = run_size(int(n), int(k))
+        elif what == "shapes":
+            result = time_shapes()
         else:
             result = time_size(int(n), int(k))
         print(json.dumps(result))
@@ -269,6 +306,11 @@ def main() -> int:
     pair = child(src, "pair", "0", "0")
     print("  " + "  ".join(f"{name}={s:.3f}" for name, s in pair["layers_s"].items()),
           file=sys.stderr, flush=True)
+    print(f"bench: kernel shapes, {REPEATS} repeats", file=sys.stderr, flush=True)
+    shapes = child(src, "shapes", "0", "0")
+    for name, shape in shapes.items():
+        print(f"  {name}: rows={shape['terminal_distance_maps_s']:.3f}"
+              f"  nearest={shape['_nearest_row_s']:.3f}", file=sys.stderr, flush=True)
     speed_after = child(src, "speed", "0", "0")
     run = {
         "git_commit": git_commit(src),
@@ -277,6 +319,7 @@ def main() -> int:
         "tier1": tier1(src),
         "sizes": results,
         "analyze_pair": pair,
+        "shapes": shapes,
     }
 
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}

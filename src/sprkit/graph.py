@@ -30,68 +30,58 @@ the kernel yields it and keeps none.
 Every distance computation (the k terminal rows or their block, the
 multi-source nearest-terminal distances) runs one exact kernel,
 ``_distance_columns``, on one path: a chain table (``_Chains``, below)
-holding an adjacency indexed by vertex position and its CSR arrays (row
-starts, neighbour positions, float64 weights).  It takes the sources 16 at a
-time as the columns of a flat ``n x 16`` float64 label array and runs in two
-phases:
-
-* Sweeps.  The kernel holds the (vertex, column) pairs improved in the last
-  sweep.  A sweep expands their out-edges, keeps the candidates
-  ``label[u] + w`` that beat the target's label, applies them with
-  ``np.minimum.at``, and makes the improved pairs the next active set.  It
-  expands the pairs 4096 at a time, every block from the labels the sweep
-  started with, so a sweep does what one expansion of the whole set would.
-  A block's temporaries take about 30 bytes per candidate, 4096 x degree x
-  30 B, and up to 37 when nearly every candidate improves; the sweep adds 8
-  bytes per active pair and per improving candidate.
-* Heap tail.  Once the active set has stopped growing and is narrow (16
-  pairs, one per column of a full chunk), the columns with active pairs
-  become lists of Python floats and ``_dijkstra`` finishes each, starting
-  from the column's labels with the column's active vertices on the heap,
-  and writes them back.  A column without active pairs is already final.
-  The table then turns every column into one ``array('d')``.
+holding the CSR arrays (row starts, neighbour positions, float64 weights) of
+an adjacency indexed by vertex position.  It takes the sources 16 at a time
+as the columns of a flat ``n x 16`` float64 label array and sweeps until no
+label improves.  The kernel holds the (vertex, column) pairs improved in the
+last sweep.  A sweep expands their out-edges, keeps the candidates
+``label[u] + w`` that beat the target's label, applies them with
+``np.minimum.at``, and makes the improved pairs the next active set.  It
+expands the pairs 4096 at a time, every block from the labels the sweep
+started with, so a sweep does what one expansion of the whole set would.  A
+block's temporaries take about 30 bytes per candidate, 4096 x degree x 30 B,
+and up to 37 when nearly every candidate improves; the sweep adds 8 bytes
+per active pair and per improving candidate.  Once no pair is active, the
+table turns every column into one ``array('d')``.
 
 Chains of degree-two positions are where sweeps lose: a frontier of one pair
 per column pays a whole sweep per hop, and subdivided graphs are made of
 little else.  A chain is a maximal path whose interior positions have
 exactly two neighbours and are not sources.  For the terminal rows and the
 nearest-terminal column, the kernel folds every chain of at least
-``_FOLD_MIN`` interior positions into one edge between its two ends and runs
-both phases on the reduced graph of the other positions (the chain table,
-cached on the graph with the terminals as sources).  Relaxing a chain from
-a label x gives the left-to-right float sum x + w1 + w2 + ... of its
-weights: in a sweep, one ``np.add.accumulate`` over every candidate whose
-chain has that many weights; in the heap tail, ``reduce(add, weights, x)``.
-Once the reduced labels are final, each interior position gets the smaller
-of the folds from the chain's two ends, one ``np.add.accumulate`` per
-interior length.  No interior position is ever active or a tail seed.  A
-chain whose two ends are one position is never relaxed, since it cannot
-shorten a path, but its interior is filled from both sides; a dead end (a
-degree-one end) is an end like any other; a cycle of degree-two positions
-without any end stays in the reduced graph, unreached, at ``math.inf``.  A
-graph without such a chain gets a table that folds nothing: the kernel runs
-on the graph's own rows and CSR arrays.  A minor is its graph
-(``InducedMinor.graph``, vertices 1..k, every one a terminal, built by
-``WeightedGraph.build`` like any other), so its ``distance_matrix`` is that
-graph's k terminal rows, ``array('d')`` rows of k entries, and its table
-always folds nothing.
+``_FOLD_MIN`` interior positions into one edge between its two ends and
+sweeps the reduced graph of the other positions (the chain table, cached on
+the graph with the terminals as sources).  Relaxing a chain from a label x
+gives the left-to-right float sum x + w1 + w2 + ... of its weights, one
+``np.add.accumulate`` over every candidate whose chain has that many
+weights.  Once the reduced labels are final, each interior position gets the
+smaller of the folds from the chain's two ends, one ``np.add.accumulate``
+per interior length.  No interior position is ever active.  A chain whose
+two ends are one position is never relaxed, since it cannot shorten a path,
+but its interior is filled from both sides; a dead end (a degree-one end) is
+an end like any other; a cycle of degree-two positions without any end
+stays in the reduced graph, unreached, at ``math.inf``.  A graph without
+such a chain gets a table that folds nothing: the kernel runs on the graph's
+own CSR arrays.  A minor is its graph (``InducedMinor.graph``, vertices
+1..k, every one a terminal, built by ``WeightedGraph.build`` like any
+other), so its ``distance_matrix`` is that graph's k terminal rows,
+``array('d')`` rows of k entries, and its table always folds nothing.
 
 Its values are exact, not merely close.  Every label is always the
-left-to-right float sum of the weights of a real path.  At the switch every
-pair outside the active set has had its last improvement propagated along
-all its edges, so the tail reaches the same fixed point the sweeps would.
-For a positive weight w, ``fl(a + w)`` is never below ``a`` and is monotone
-in ``a``, so any fixed point of label correction is, for every vertex, the
-minimum over all paths of the left-to-right float sum of the path's weights,
-whatever order the relaxations ran in; a minimum is exact in any order.
-Any correct Dijkstra, ``canonical_path`` included, returns the same doubles.
-A fold makes the additions hop-by-hop relaxation would make, in the same
-order, so the reduced labels reach that fixed point; an interior position
-is entered from one end or the other, and a path that turns back inside the
-chain is never shorter.  Three ways to lose this, all avoided here: the
-built-in ``sum()`` compensates float sums from Python 3.12 on;
-``np.add.reduce`` and ``np.sum`` add pairwise; and a difference of prefix
-sums is not the sum along the path.
+left-to-right float sum of the weights of a real path.  The sweeps stop only
+when no pair improved, so every label has been relaxed along all its edges:
+a fixed point of label correction.  For a positive weight w, ``fl(a + w)``
+is never below ``a`` and is monotone in ``a``, so any such fixed point is,
+for every vertex, the minimum over all paths of the left-to-right float sum
+of the path's weights, whatever order the relaxations ran in; a minimum is
+exact in any order.  Any correct Dijkstra, ``canonical_path`` included,
+returns the same doubles.  A fold makes the additions hop-by-hop relaxation
+would make, in the same order, so the reduced labels reach that fixed point;
+an interior position is entered from one end or the other, and a path that
+turns back inside the chain is never shorter.  Three ways to lose this, all
+avoided here: the built-in ``sum()`` compensates float sums from Python 3.12
+on; ``np.add.reduce`` and ``np.sum`` add pairwise; and a difference of
+prefix sums is not the sum along the path.
 
 The kernel stays on numpy, which the package already loads: importing
 scipy's graph routines would double a small run's peak memory.  A
@@ -110,10 +100,9 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from operator import add
 
 import numpy as np
 
@@ -331,7 +320,6 @@ class _GraphRules:
 
 
 _CHUNK = 16        # sources per label array, one column each
-_TAIL_WIDTH = 16   # active pairs at which the heap tail takes over
 _BLOCK = 1 << 12   # active pairs a sweep expands at a time
 _SORT_SHARE = 32   # dedupe by sorting below 1/32 of the label array
 # interior positions a chain needs to be folded.  With every chain of
@@ -364,22 +352,18 @@ class _Chains:
 
     The kernel runs on the reduced graph of the positions outside folded
     chains, in ascending order: ``compact`` maps a position to its index
-    there, or to -1 inside a chain.  ``adj`` and ``csr`` hold the reduced
-    graph's plain edges.  ``folds[i]`` lists ``(end, weights)`` for every
-    chain from reduced vertex i to another end, the weights in walking
-    order.  ``fold_csr`` holds the same as arrays:
-    row starts, ends, weight counts, and each chain's first weight in the
-    flat float64 weights that follow.  ``groups`` holds, per interior length,
-    the chains' reduced ends, interior positions and weights, for
-    ``unfold``.  A table that folds nothing keeps every position, its
-    ``adj`` and ``csr`` are the graph's own rows and arrays, ``folds`` and
-    ``fold_csr`` are None, and ``groups`` is empty.
+    there, or to -1 inside a chain.  ``csr`` holds the reduced graph's plain
+    edges as CSR arrays.  ``fold_csr`` holds, per reduced vertex, every
+    chain from it to another end, as arrays: row starts, ends, weight
+    counts, and each chain's first weight in the flat float64 weights that
+    follow, in walking order.  ``groups`` holds, per interior length, the
+    chains' reduced ends, interior positions and weights, for ``unfold``.
+    A table that folds nothing keeps every position, its ``csr`` holds the
+    graph's own arrays, ``fold_csr`` is None, and ``groups`` is empty.
     """
 
     compact: np.ndarray
-    adj: Sequence
     csr: tuple
-    folds: tuple | None
     fold_csr: tuple | None
     groups: tuple
 
@@ -441,8 +425,7 @@ def _fold_chains(adj, sources) -> _Chains:
         if len(path) >= _FOLD_MIN:
             chains.append((a, b, path, back_weights[::-1] + weights))
     if not chains:
-        return _Chains(compact=np.arange(n), adj=adj, csr=_csr_arrays(adj), folds=None,
-                       fold_csr=None, groups=())
+        return _Chains(compact=np.arange(n), csr=_csr_arrays(adj), fold_csr=None, groups=())
     compact = np.zeros(n, dtype=np.intp)
     for _, _, path, _ in chains:
         compact[path] = -1
@@ -456,16 +439,14 @@ def _fold_chains(adj, sources) -> _Chains:
         a, b = cid[a], cid[b]
         if a != b:
             # a chain back to its own end never shortens a path
-            folds[a].append((b, tuple(weights)))
-            folds[b].append((a, tuple(reversed(weights))))
+            folds[a].append((b, weights))
+            folds[b].append((a, weights[::-1]))
         groups.setdefault(len(path), []).append((a, b, path, weights))
     flat = [fold for row in folds for fold in row]
     hops = np.fromiter((len(weights) for _, weights in flat), np.intp, len(flat))
     return _Chains(
         compact=compact,
-        adj=radj,
         csr=_csr_arrays(radj),
-        folds=tuple(map(tuple, folds)),
         fold_csr=(
             _row_starts(folds),
             np.fromiter((b for b, _ in flat), np.intp, len(flat)),
@@ -506,11 +487,10 @@ def _distance_columns(chains: _Chains, columns):
     Each column is a collection of source positions of the graph that the
     chain table ``chains`` was built from, and the table's sources must
     include every column's.  The kernel runs on the table's reduced graph;
-    a table that folds nothing runs it on the graph's own rows.  Yields one
+    a table that folds nothing runs it on the graph's own CSR arrays.  Yields one
     ``array('d')`` over every position per column, in column order;
     unreachable positions get ``math.inf``.  ``_CHUNK`` columns share a label
-    array, and the heap tail takes over at ``_TAIL_WIDTH`` active pairs.
-    Exact: see the module docstring.
+    array, swept until no label improves.  Exact: see the module docstring.
     """
     columns = [chains.compact[list(col)].tolist() for col in columns]
     for first in range(0, len(columns), _CHUNK):
@@ -518,9 +498,9 @@ def _distance_columns(chains: _Chains, columns):
 
 
 def _sweep_chunk(chains, columns):
-    adj, csr = chains.adj, chains.csr
+    csr = chains.csr
     c = len(columns)
-    size = len(adj) * c
+    size = (csr[0].size - 1) * c
     # the pair (vertex position v, column j) sits at v * c + j
     labels = np.full(size, math.inf)
     active = _distinct(
@@ -528,16 +508,14 @@ def _sweep_chunk(chains, columns):
     )
     labels[active] = 0.0
     mark = np.zeros(size, dtype=bool)
-    last = 0  # the seeds count as growth: at least one sweep runs
-    while active.size > _TAIL_WIDTH or active.size > last:
-        last = active.size
+    while active.size:
         # every block expands the labels the sweep started with
         base = labels[active]
         blocks = []
-        for lo in range(0, last, _BLOCK):
+        for lo in range(0, active.size, _BLOCK):
             pairs, start = active[lo:lo + _BLOCK], base[lo:lo + _BLOCK]
             blocks.append(_expand(labels, csr, c, pairs, start))
-            if chains.folds is not None:
+            if chains.fold_csr is not None:
                 blocks.append(_expand_folds(labels, chains, c, pairs, start))
         target = np.concatenate(blocks)
         if target.size * _SORT_SHARE < size:
@@ -546,11 +524,6 @@ def _sweep_chunk(chains, columns):
             mark[target] = True
             active = np.flatnonzero(mark)
             mark[active] = False
-    vertex, col = np.divmod(active, c)
-    for j in range(c):
-        seeds = vertex[col == j].tolist()
-        if seeds:
-            labels[j::c] = _dijkstra(adj, labels[j::c].tolist(), seeds, chains.folds)
     yield from chains.unfold(labels.reshape(-1, c))
 
 
@@ -616,40 +589,6 @@ def _distinct(pairs: np.ndarray) -> np.ndarray:
     # np.unique would import numpy.ma, 1.7 MB of resident memory
     pairs = np.sort(pairs)
     return np.concatenate((pairs[:1], pairs[1:][pairs[1:] != pairs[:-1]]))
-
-
-def _dijkstra(
-    adj: Sequence[Sequence[tuple[int, float]]], dist: list[float], seeds, folds
-) -> list[float]:
-    """Finish the labels ``dist`` by Dijkstra from the positions ``seeds``.
-
-    ``adj[i]`` lists ``(position, weight)`` pairs, and ``folds[i]``, unless
-    ``folds`` is None, ``(position, weights)`` pairs relaxed as one
-    left-to-right sum.
-    Every label must be a path's float sum or ``math.inf``, and every
-    position v outside ``seeds`` must already have relaxed its edges:
-    ``dist[u] <= dist[v] + w`` for each ``(u, w)`` in ``adj[v]``, and the
-    same for its folds.  Returns ``dist``, updated in place.  Exact: see
-    the module docstring.
-    """
-    heap = [(dist[s], s) for s in seeds]
-    heapify(heap)
-    while heap:
-        d, v = heappop(heap)
-        if d > dist[v]:
-            continue
-        for u, w in adj[v]:
-            nd = d + w
-            if nd < dist[u]:
-                dist[u] = nd
-                heappush(heap, (nd, u))
-        if folds:
-            for u, weights in folds[v]:
-                nd = reduce(add, weights, d)
-                if nd < dist[u]:
-                    dist[u] = nd
-                    heappush(heap, (nd, u))
-    return dist
 
 
 def canonical_path(

@@ -25,7 +25,14 @@ from sprkit import (
     run_spr,
     verify_trace,
 )
-from sprkit.charging import Interval, IntervalPartition, InteriorTerminalError, LedgerError
+from sprkit.charging import (
+    Detour,
+    DetourLedger,
+    Interval,
+    IntervalPartition,
+    InteriorTerminalError,
+    LedgerError,
+)
 from sprkit.graph import GraphError, WeightedGraph, canonical_path, subdivide_edges
 
 REL = 1e-9
@@ -330,6 +337,43 @@ def test_ledger_rejects_incomplete_trace():
         reconstruct_ledger(trace, g, part, p)
     assert _ledger_outcome(reconstruct_ledger, trace, g, part, p) == _ledger_outcome(
         reference_reconstruct_ledger, trace, g, part, p)
+
+
+@pytest.mark.parametrize("terminals, covers, refusal", [
+    ((2, 0), [(1, 0, 0, 1, 1.0)], r"^trace terminals do not match graph terminals$"),
+    ((0, 2), [(1, 0, 0, 1, 1.0), (99, 0, 0, 1, 2.0)],
+     r"^trace covers vertices not in this graph \(e\.g\. \[99\]\); was the run preprocessed "
+     r"with subdivision\? analyze against the subdivided graph$"),
+])
+def test_ledger_rejects_trace_of_another_graph(terminals, covers, refusal):
+    g = path_t_s_t()
+    p = SprParams.for_graph(g)
+    part = build_interval_partition(g, 0, 2, p)
+    trace = make_trace(0.05, 0, g.k, terminals, [(0, 1, 1.5, 1.5), (0, 2, 0.1, 0.1)], covers,
+                       rounds=1)
+    with pytest.raises(LedgerError, match=refusal):
+        reconstruct_ledger(trace, g, part, p)
+    assert _ledger_outcome(reconstruct_ledger, trace, g, part, p) == _ledger_outcome(
+        reference_reconstruct_ledger, trace, g, part, p)
+
+
+@pytest.mark.parametrize("spans, tiles", [
+    ([(1, 3)], True),
+    ([(1, 1), (2, 3)], True),
+    ([(2, 3)], False),          # the first interior vertex is uncovered
+    ([(1, 1), (3, 3)], False),  # a gap
+    ([(1, 2), (2, 3)], False),  # an overlap
+    ([(1, 2)], False),          # the last interior vertex is uncovered
+    ([(1, 3), (2, 2)], False),  # a surviving detour inside another
+])
+def test_tiles_interior(spans, tiles):
+    # unit path 0..4 between terminals 0 and 4: interior path indices 1..3
+    g = WeightedGraph.build(range(5), [(i, i + 1, 1.0) for i in range(4)], [0, 4])
+    part = build_interval_partition(g, 0, 4, SprParams.for_graph(g))
+    detours = [Detour(i, a, b, 0, 1, 0, a, 0) for i, (a, b) in enumerate(spans)]
+    erased = Detour(len(spans), 2, 2, 0, 1, 0, 2, 0, erased=True)
+    ledger = DetourLedger(part, [], [*detours, erased], [], 0.0)
+    assert ledger.tiles_interior() is tiles
 
 
 # --- ledger against the per-interval reference --------------------------------

@@ -133,6 +133,16 @@ def test_mismatched_trace_rejected():
         check_covering(trace, other, SprParams.for_graph(other))
 
 
+def test_params_for_another_terminal_count_rejected():
+    g = _unit_path(3)
+    params = SprParams.for_graph(g, seed=0)
+    _, trace = run_spr(g, params)
+    wrong = SprParams(k=g.k + 1, delta=params.delta, seed=0)
+    for check in (check_covering, reference_check_covering):
+        with pytest.raises(GraphError, match="^params terminal count does not match graph$"):
+            check(trace, g, wrong)
+
+
 @pytest.mark.parametrize("vertex", [0, 2])
 def test_cover_event_for_terminal_is_graph_error(vertex):
     # D(v) = 0 for a terminal, so its deadline round has no value

@@ -265,7 +265,7 @@ def test_run_path_builds_neither_rows_nor_id_keyed_nearest_map(subdivided):
     g = random_connected_graph(60, 5, seed=2, extra_edges=40)
     if subdivided:
         g = subdivide_edges(g, 0.05).graph
-        assert g._chains.folds is not None
+        assert g._chains.fold_csr is not None
     run_and_contract(g, SprParams.for_graph(g, seed=1))
     assert "terminal_block" in g.__dict__ and "_nearest_row" in g.__dict__
     assert "terminal_distance_maps" not in g.__dict__

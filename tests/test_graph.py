@@ -295,76 +295,59 @@ def all_source_table(g):
     return graph_module._fold_chains(g._index_adjacency, range(g.n))
 
 
-def kernel_columns(g, columns, chains=None, chunk=graph_module._CHUNK,
-                   width=graph_module._TAIL_WIDTH):
+def kernel_columns(g, columns, chains=None, chunk=graph_module._CHUNK):
     """Run the private kernel on vertex-id columns, ``chunk`` columns to a
-    label array and the heap tail from ``width`` active pairs on, on the
-    chain table ``chains`` or else on one that folds nothing; hex rows in
-    vertex order."""
+    label array, on the chain table ``chains`` or else on one that folds
+    nothing; hex rows in vertex order."""
     index = g.index
     pos = [[index[v] for v in col] for col in columns]
     if chains is None:
         chains = all_source_table(g)
-    with mock.patch.object(graph_module, "_CHUNK", chunk), \
-            mock.patch.object(graph_module, "_TAIL_WIDTH", width):
+    with mock.patch.object(graph_module, "_CHUNK", chunk):
         rows = _distance_columns(chains, pos)
         return [[d.hex() for d in row] for row in rows]
 
 
-# width 0 never hands over (sweeps only); width inf hands over as soon as the
-# frontier stops growing, after the first sweep (tail-heavy); the widths in
-# between give mixed runs.  Chunks of 1-3 columns put k above the chunk width
-# and, mostly, off its multiples.
-PHASES = [(0, 16), (math.inf, 16), (0, 1), (math.inf, 1), (1, 2), (2, 3), (4, 3), (64, 16)]
+# chunk sizes: chunks of 1-3 columns put k above the chunk width and, mostly,
+# off its multiples
+PHASES = [16, 1, 2, 3]
 
 
 @settings(max_examples=150, deadline=None)
 @given(kernel_graphs(), st.sampled_from(PHASES), st.sampled_from([1, 2, graph_module._BLOCK]))
-def test_kernel_phases_equal_canonical_searches(g, phase, block):
-    width, chunk = phase
+def test_kernel_phases_equal_canonical_searches(g, chunk, block):
     columns = [(t,) for t in g.terminals] + [g.terminals]
     expected = [canonical_column(g, col) for col in columns]
     with mock.patch.object(graph_module, "_BLOCK", block):
-        assert kernel_columns(g, columns, chunk=chunk, width=width) == expected
+        assert kernel_columns(g, columns, chunk=chunk) == expected
 
 
 def test_kernel_phases_run():
-    # width 0 never hands over, so no column reaches the heap tail; at a
-    # hand-over only the columns that still have active pairs do, each with
-    # those pairs as seeds, and a seedless column is already final.
-    # Every block expands the labels its sweep started with, so blocks of 1
-    # and 3 pairs hand the tail the same seeds as one expansion of the whole
-    # set.
+    # every block expands the labels its sweep started with, so blocks of 1
+    # and 3 pairs expand the same pairs, sweep after sweep, as one expansion
+    # of the whole set
     g = random_connected_graph(60, 5, seed=4, extra_edges=60)
     columns = [(t,) for t in g.terminals] + [g.terminals]
     pos = [[g.index[v] for v in col] for col in columns]
     expected = [canonical_column(g, col) for col in columns]
     chains = all_source_table(g)
-    tails, seeds = {}, {}
-    real = graph_module._dijkstra
-    for width in (0, 8, math.inf):
-        runs = []
-        for block in (graph_module._BLOCK, 3, 1):
-            calls = []
+    real = graph_module._expand
+    runs = []
+    for block in (graph_module._BLOCK, 3, 1):
+        expanded = []
 
-            def spy(adj, dist, sources, folds):
-                calls.append(sorted(sources))
-                return real(adj, dist, sources, folds)
+        def spy(labels, csr, c, pairs, base):
+            expanded.extend(pairs.tolist())
+            return real(labels, csr, c, pairs, base)
 
-            with mock.patch.object(graph_module, "_dijkstra", spy), \
-                    mock.patch.object(graph_module, "_BLOCK", block), \
-                    mock.patch.object(graph_module, "_CHUNK", 4), \
-                    mock.patch.object(graph_module, "_TAIL_WIDTH", width):
-                rows = list(_distance_columns(chains, pos))
-            assert all(type(row) is array and row.typecode == "d" for row in rows)
-            assert [[d.hex() for d in row] for row in rows] == expected
-            assert all(calls)
-            runs.append(calls)
-        assert runs[1] == runs[0] and runs[2] == runs[0]
-        tails[width] = len(runs[0])
-        seeds[width] = sum(map(len, runs[0]))
-    assert tails[0] == 0
-    assert 0 < seeds[8] < seeds[math.inf]
+        with mock.patch.object(graph_module, "_expand", spy), \
+                mock.patch.object(graph_module, "_BLOCK", block), \
+                mock.patch.object(graph_module, "_CHUNK", 4):
+            rows = list(_distance_columns(chains, pos))
+        assert all(type(row) is array and row.typecode == "d" for row in rows)
+        assert [[d.hex() for d in row] for row in rows] == expected
+        runs.append(expanded)
+    assert runs[0] and runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_kernel_long_weighted_path():
@@ -375,8 +358,8 @@ def test_kernel_long_weighted_path():
     g = WeightedGraph.build(range(n), edges, [0, n - 1, 777])
     columns = [(t,) for t in g.terminals] + [g.terminals]
     expected = [canonical_column(g, col) for col in columns]
-    for width, chunk in ((0, 16), (math.inf, 16), (64, 2)):
-        assert kernel_columns(g, columns, chunk=chunk, width=width) == expected
+    for chunk in (16, 2):
+        assert kernel_columns(g, columns, chunk=chunk) == expected
     assert [[d.hex() for d in row] for row in g.terminal_distance_maps] == expected[:3]
 
 
@@ -387,7 +370,7 @@ def test_kernel_random_sparse_graph():
     assert [[d.hex() for d in row] for row in g.terminal_distance_maps] == expected
     nearest = [min(col) for col in zip(*g.terminal_distance_maps)]
     assert [g.nearest_terminal_distance[v] for v in g.vertices] == nearest
-    assert kernel_columns(g, [g.terminals], width=0) == [canonical_column(g, g.terminals)]
+    assert kernel_columns(g, [g.terminals]) == [canonical_column(g, g.terminals)]
 
 
 def test_kernel_outputs_are_python_floats():
@@ -449,29 +432,17 @@ def chain_graphs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(chain_graphs(), st.sampled_from(PHASES), st.sampled_from([1, 2, graph_module._FOLD_MIN]))
-def test_folded_kernel_equals_canonical_searches(g, phase, fold_min):
-    # rows and the all-terminal column, at every phase mix, bit for bit; the
-    # heap tail runs on the reduced graph only, never from a chain interior
-    width, chunk = phase
+def test_folded_kernel_equals_canonical_searches(g, chunk, fold_min):
+    # rows and the all-terminal column, at every chunk size, bit for bit
     sources = [g.index[t] for t in g.terminals]
     with mock.patch.object(graph_module, "_FOLD_MIN", fold_min):
         chains = graph_module._fold_chains(g._index_adjacency, sources)
     columns = [(t,) for t in g.terminals] + [g.terminals]
     expected = [canonical_column(g, col) for col in columns]
-    real = graph_module._dijkstra
-
-    def spy(adj, dist, seeds, folds):
-        assert adj is chains.adj and folds is chains.folds
-        assert len(dist) == len(kept)
-        assert not interior.intersection(kept[seeds].tolist())
-        return real(adj, dist, seeds, folds)
-
-    kept = np.flatnonzero(chains.compact >= 0)
     interior = set(np.flatnonzero(chains.compact < 0).tolist())
-    assert bool(interior) == (chains.folds is not None)
+    assert bool(interior) == (chains.fold_csr is not None)
     assert not interior.intersection(sources)
-    with mock.patch.object(graph_module, "_dijkstra", spy):
-        assert kernel_columns(g, columns, chains=chains, chunk=chunk, width=width) == expected
+    assert kernel_columns(g, columns, chains=chains, chunk=chunk) == expected
     rows = [[d.hex() for d in row] for row in g.terminal_distance_maps]
     assert rows == expected[:-1]
     assert [d.hex() for d in g._nearest_row] == expected[-1]
@@ -489,7 +460,7 @@ def test_fold_chains_table():
     ]
     vertices = sorted({v for e in edges for v in e[:2]})
     g = WeightedGraph.build(vertices, edges, [0, 31])
-    assert g._chains.folds is None  # every chain is shorter than _FOLD_MIN
+    assert g._chains.fold_csr is None  # every chain is shorter than _FOLD_MIN
     index = g.index
     with mock.patch.object(graph_module, "_FOLD_MIN", 1):
         chains = graph_module._fold_chains(g._index_adjacency, [index[0], index[31]])
@@ -504,8 +475,12 @@ def test_fold_chains_table():
         for inner in [path]
     }
     assert ends == {(0, 31): [32], (1, 1): [10, 11, 12], (1, 22): [20, 21], (1, 31): [30]}
+    indptr, end, hops, first, weight = chains.fold_csr
+    assert indptr.size == len(kept) + 1
     folds = {
-        (kept[i], kept[end]): weights for i, row in enumerate(chains.folds) for end, weights in row
+        (kept[i], kept[end[f]]): tuple(weight[first[f]:first[f] + hops[f]].tolist())
+        for i in range(len(kept))
+        for f in range(indptr[i], indptr[i + 1])
     }
     # the chain back to its own end is never relaxed
     assert folds == {
@@ -515,8 +490,8 @@ def test_fold_chains_table():
     }
     columns = [(0,), (31,), (0, 31)]
     expected = [canonical_column(g, col) for col in columns]
-    for width, chunk in PHASES:
-        assert kernel_columns(g, columns, chains=chains, chunk=chunk, width=width) == expected
+    for chunk in PHASES:
+        assert kernel_columns(g, columns, chains=chains, chunk=chunk) == expected
     assert expected[0][index[41]] == math.inf.hex()
 
 
@@ -526,7 +501,7 @@ def test_fold_is_a_left_to_right_sum():
     weights = [0.1, 0.2, 0.3] * 40
     edges = [(v, v + 1, w) for v, w in enumerate(weights)]
     g = WeightedGraph.build(range(len(weights) + 1), edges, [0, len(weights)])
-    assert g._chains.folds is not None and len(g._chains.adj) == 2
+    assert g._chains.fold_csr is not None and g._chains.csr[0].size == 3  # two ends
     far = 0.0
     for w in weights:
         far += w
@@ -540,29 +515,15 @@ def test_fold_is_a_left_to_right_sum():
 def test_chain_free_graphs_run_one_path():
     # a sparse random graph (compress-cold's shape: a random tree plus
     # uniform chords, average degree 6) has no chain to fold, and neither
-    # has a minor, whose every vertex is a source: both tables fold nothing,
-    # run on the graph's own rows and reach the heap tail without folds
+    # has a minor, whose every vertex is a source: both tables fold nothing
+    # and run on the graph's own CSR arrays
     g = random_connected_graph(1000, 64, seed=3, extra_edges=2000)
-    chains = g._chains
-    assert chains.folds is None and chains.fold_csr is None and chains.groups == ()
-    assert chains.adj is g._index_adjacency
-    assert chains.compact.tolist() == list(range(g.n))
     minor, _, _ = sprkit.run_and_contract(g, sprkit.SprParams.for_graph(g, seed=0))
-    fresh = WeightedGraph.build(g.vertices, g.edges, g.terminals)
-    real = graph_module._dijkstra
-    for run in (
-        lambda: fresh.terminal_distance_maps,
-        lambda: InducedMinor(minor.terminal_ids, minor.edges).distance_matrix,
-    ):
-        calls = []
-
-        def spy(adj, dist, seeds, folds):
-            calls.append(folds)
-            return real(adj, dist, seeds, folds)
-
-        with mock.patch.object(graph_module, "_dijkstra", spy):
-            run()
-        assert calls and all(folds is None for folds in calls)
+    for graph in (g, minor.graph):
+        chains = graph._chains
+        assert chains.fold_csr is None and chains.groups == ()
+        assert chains.compact.tolist() == list(range(graph.n))
+        assert_same_arrays(chains.csr, generator_csr_arrays(graph._index_adjacency))
     expected = [canonical_column(g, (t,)) for t in g.terminals]
     assert [[d.hex() for d in row] for row in g.terminal_distance_maps] == expected
 
@@ -601,7 +562,7 @@ def test_terminal_block_equals_the_rows_terminal_entries(g, rows_first):
 
 def test_terminal_block_examples_cover_folds_and_unreachable_pairs():
     g = _block_graph([(0, 1, 10.0), (1, 2, 0.5)], 4, [0, 3])
-    assert g._chains.folds is not None
+    assert g._chains.fold_csr is not None
     assert g.terminal_block[0][1] == math.inf and g.terminal_block[0][0] == 0.0
 
 
@@ -625,9 +586,14 @@ def assert_same_arrays(got, expected):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(kernel_graphs(), chain_graphs()))
 def test_csr_arrays_equal_the_generator_build(g):
-    # the graph's own rows, and the reduced rows of a table that folds chains
-    for adj in (g._index_adjacency, g._chains.adj):
-        assert_same_arrays(graph_module._csr_arrays(adj), generator_csr_arrays(adj))
+    # the graph's own rows, and the reduced rows of its chain table, rebuilt
+    # from the table's position map
+    adj = g._index_adjacency
+    assert_same_arrays(graph_module._csr_arrays(adj), generator_csr_arrays(adj))
+    compact = g._chains.compact.tolist()
+    reduced = [[(compact[q], w) for q, w in row if compact[q] >= 0]
+               for p, row in enumerate(adj) if compact[p] >= 0]
+    assert_same_arrays(g._chains.csr, generator_csr_arrays(reduced))
 
 
 def test_minor_csr_arrays_equal_the_generator_build():

@@ -3,6 +3,7 @@
 
 import math
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,18 @@ def test_search_matches_region_search_at_every_step(g, seed, rnd):
         ball, _ = replay.search(j, limit=ev.radius)
         assert {index[v] for v in claimed} == ball.keys()
         replay.claim(j, [index[v] for v in claimed], ball)
+
+
+def test_search_skips_stale_heap_entries():
+    # vertex 2 is pushed at 3.0 from the boundary, then improved to 2.0
+    # through vertex 1: the stale 3.0 entry pops last and must not replace
+    # the settled distance
+    g = WeightedGraph.build([0, 1, 2, 3], [(0, 1, 1.0), (0, 2, 3.0), (1, 2, 1.0), (2, 3, 5.0)],
+                            [0, 3])
+    found, stops = ClusterReplay(g).search(1, limit=5.0)
+    assert found == {1: 1.0, 2: 2.0} and stops == []
+    ref, _ = region_search(g, {0: 1, 3: 2}, 1, 0, limit=5.0)
+    assert {v: d for v, d in ref.items() if v not in (0, 3)} == found
 
 
 @settings(max_examples=80, deadline=None)
@@ -163,6 +176,45 @@ def _engine_trace(seed: int):
     g = random_connected_graph(20, 3, seed=seed, extra_edges=8)
     params, trace = _engine_run(g, 3)
     return g, params, trace
+
+
+@pytest.mark.parametrize("radius_events, violations", [
+    ([], ()),
+    ([(0, 1, 0.5, 0.5)], ("single-terminal trace must have no radius events",)),
+])
+def test_verify_single_terminal_trace(tmp_path, capsys, radius_events, violations):
+    # k = 1: the engine claims every vertex without sampling, so a trace
+    # has cover events only, and one radius event is a fault
+    g = random_connected_graph(12, 1, seed=5, extra_edges=6)
+    params, trace = _engine_run(g, 0)
+    assert trace.k == 1 and trace.rounds == 0 and not trace.radius_round
+    assert len(trace.cover_vertex) == g.n - 1
+    trace = trace_with_events(trace, radius_events=radius_events)
+    ref, _ = reference_verify_trace(g, trace, params)
+    assert verify_trace(g, trace, params).violations == violations == ref.violations
+    gpath, tpath = tmp_path / "g.txt", tmp_path / "trace.json"
+    gpath.write_text(format_graph_text(g))
+    tpath.write_text(trace.to_json())
+    assert main(["verify", "--graph", str(gpath), "--trace", str(tpath)]) == (1 if violations else 0)
+    assert capsys.readouterr().err == "".join(f"violation: {v}\n" for v in violations)
+
+
+def test_verify_reports_mismatched_terminals():
+    # the same vertices in another order are another terminal list
+    g, params, trace = _engine_trace(75)
+    other = WeightedGraph.build(g.vertices, g.edges, g.terminals[::-1])
+    expected = ("trace terminals do not match graph terminals",)
+    assert verify_trace(other, trace, params).violations == expected
+    assert reference_verify_trace(other, trace, params)[0].violations == expected
+
+
+def test_verify_reports_negative_increment():
+    # terminal 0 steps with q = -0.5 and claims nothing; terminal 2 claims 1
+    g = WeightedGraph.build([0, 1, 2], [(0, 1, 1.0), (1, 2, 1.0)], [0, 2])
+    trace = _hand_trace(g, [(0, 1, -0.5, -0.5), (0, 2, 1.5, 1.5)], [(1, 2, 0, 2, 1.0)], rounds=1)
+    result = verify_trace(g, trace)
+    assert result.violations == ("negative increment at round 0 step 1",)
+    assert result == reference_verify_trace(g, trace)[0]
 
 
 def test_verify_reports_cover_event_for_unknown_vertex():
