@@ -23,7 +23,11 @@ the child's peak RSS.  A last child times the distance kernel alone on
 three shapes (``SHAPES``): the k terminal rows (``terminal_distance_maps``)
 and the nearest-terminal column (``_nearest_row``), each on a fresh graph,
 so each timing includes the position adjacency and chain table it builds,
-median of three.  The run also records the machine, the host speed
+median of three.  At each size a further child times the set-up that
+`sprkit run` does around the kernel (``time_setup``): the parse, the
+position rows, the chain table, the connectivity check, the nearest
+column, ``contract`` and the minor's build, each on a fresh graph, median
+of three, under ``setup_s``.  The run also records the machine, the host speed
 from the benchmark's calibration kernel (``perfbench/calibrate.py``) before
 and after the sizes, and the wall time of the checkout's tier-1 tests.
 
@@ -131,6 +135,42 @@ def run_size(n: int, k: int) -> dict:
     state = {"texts": [sparse_graph_text(n, k, GRAPH_SEED)], "seeds": [RUN_SEED]}
     workloads.compress_unit(state, 0)
     return {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+
+
+def time_setup(n: int, k: int) -> dict:
+    """The set-up layers of `sprkit run` at one size, in this process: wall
+    seconds, median of ``REPEATS``, each repeat on a fresh graph parsed from
+    the size's text.  The rows, chain table, connectivity and nearest column
+    are timed in the order the run builds them; ``contract`` gets the
+    terminal block of the first graph, so it times the partition check, the
+    crossing scan and the minor's build; ``minor.build`` is
+    ``InducedMinor`` on that minor's edges plus its chain table, all its
+    APSP needs before the kernel runs."""
+    from inputs import sparse_graph_text
+    from sprkit import SprParams, contract, parse_graph_text, run_spr
+    from sprkit.minor import InducedMinor
+
+    text = sparse_graph_text(n, k, GRAPH_SEED)
+    first = parse_graph_text(text)
+    partition, _ = run_spr(first, SprParams.for_graph(first, seed=RUN_SEED))
+    block = first.terminal_block
+    seconds: dict[str, list[float]] = {}
+
+    def timed(name, call):
+        start = time.perf_counter()
+        result = call()
+        seconds.setdefault(name, []).append(time.perf_counter() - start)
+        return result
+
+    for _ in range(REPEATS):
+        graph = timed("parse_graph_text", lambda: parse_graph_text(text))
+        for attr in ("_index_adjacency", "_chains", "_connected", "_nearest_row"):
+            timed(attr, lambda: getattr(graph, attr))
+        graph.__dict__["terminal_block"] = block  # computed once, above
+        minor = timed("contract", lambda: contract(graph, partition))
+        timed("minor.build",
+              lambda: InducedMinor(minor.terminal_ids, minor.edges).graph._chains)
+    return {"setup_s": {name: statistics.median(v) for name, v in seconds.items()}}
 
 
 def time_pair() -> dict:
@@ -282,6 +322,8 @@ def main() -> int:
             result = run_size(int(n), int(k))
         elif what == "shapes":
             result = time_shapes()
+        elif what == "setup":
+            result = time_setup(int(n), int(k))
         else:
             result = time_size(int(n), int(k))
         print(json.dumps(result))
@@ -299,9 +341,13 @@ def main() -> int:
         results.append(child(src, "size", str(n), str(k)))
         untraced = child(src, "run", str(n), str(k))
         results[-1]["run_peak_rss_mb"] = untraced["peak_rss_mb"]
+        results[-1].update(child(src, "setup", str(n), str(k)))
         layers = results[-1]["layers_s"]
         print("  " + "  ".join(f"{name}={s:.3f}" for name, s in layers.items())
               + f"  run_peak_rss_mb={untraced['peak_rss_mb']:.1f}", file=sys.stderr, flush=True)
+        print("  set-up: " + "  ".join(f"{name}={s:.3f}"
+                                       for name, s in results[-1]["setup_s"].items()),
+              file=sys.stderr, flush=True)
     print(f"bench: analyze-pair, {REPEATS} repeats", file=sys.stderr, flush=True)
     pair = child(src, "pair", "0", "0")
     print("  " + "  ".join(f"{name}={s:.3f}" for name, s in pair["layers_s"].items()),

@@ -26,7 +26,7 @@ from .engine import (
     preprocess_subdivide,
     run_and_contract,
 )
-from .generators import generate
+from .generators import check_size, generate
 from .graph import GraphError, WeightedGraph
 
 CSV_COLUMNS = (
@@ -56,6 +56,11 @@ _SPEC_FIELDS = {
 }
 
 
+# the most runs a config may ask for; with each config's graph capped at
+# ``graph.MAX_GRAPH_SIZE``, a mistyped spec fails at once
+MAX_SEEDS_PER_CONFIG = 100_000
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     configs: tuple[dict, ...]
@@ -69,6 +74,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.seeds_per_config < 1:
             raise GraphError("seeds_per_config must be positive")
+        if self.seeds_per_config > MAX_SEEDS_PER_CONFIG:
+            raise GraphError(f"seeds_per_config over the cap of {MAX_SEEDS_PER_CONFIG}")
         if self.base_seed < 0:
             raise GraphError("base_seed must be nonnegative")
         check_delta(self.delta)
@@ -78,6 +85,12 @@ class ExperimentSpec:
         for cfg in self.configs:
             if "family" not in cfg:
                 raise GraphError(f"config missing 'family': {cfg}")
+            params = {key: value for key, value in cfg.items()
+                      if key not in ("family", "allow_single_terminal")}
+            try:
+                check_size(cfg["family"], params)
+            except GraphError as exc:
+                raise GraphError(f"config {cfg}: {exc}") from None
             k = cfg.get("k")
             if k is None:
                 continue

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .graph import GraphError, WeightedGraph
+from .graph import MAX_GRAPH_SIZE, GraphError, WeightedGraph
 
 FAMILIES = (
     "path",
@@ -149,39 +149,66 @@ def random_weighted_graph(
     )
 
 
-def generate(family: str, params: dict, seed: int = 0) -> WeightedGraph:
-    """Dispatch by family name; unknown families and bad params raise."""
+def _family(family: str, params: dict, seed: int):
+    """The generator function of ``family`` and its arguments read from
+    ``params``; an unknown family or a parameter that does not convert
+    raises."""
+    def weight():
+        return float(params.get("weight", 1.0))
+
     if family == "path":
-        return path_graph(int(params.get("n", 3)), float(params.get("weight", 1.0)))
+        return path_graph, (int(params.get("n", 3)), weight())
     if family == "cycle":
-        return cycle_graph(
-            int(params.get("n", 6)), int(params.get("k", 2)), float(params.get("weight", 1.0))
-        )
+        return cycle_graph, (int(params.get("n", 6)), int(params.get("k", 2)), weight())
     if family == "star":
-        return star_graph(int(params.get("k", 3)), float(params.get("weight", 1.0)))
+        return star_graph, (int(params.get("k", 3)), weight())
     if family == "complete-binary-tree":
-        return complete_binary_tree(
-            int(params.get("depth", 3)), float(params.get("weight", 1.0))
-        )
+        return complete_binary_tree, (int(params.get("depth", 3)), weight())
     if family == "grid":
-        return grid_graph(
-            int(params.get("width", 4)),
-            int(params.get("height", 4)),
-            str(params.get("terminals", "corner")),
-            int(params.get("k", 4)),
-            seed,
-            float(params.get("weight", 1.0)),
-        )
+        return grid_graph, (int(params.get("width", 4)), int(params.get("height", 4)),
+                            str(params.get("terminals", "corner")), int(params.get("k", 4)),
+                            seed, weight())
     if family == "random-weighted":
         wr = params.get("weight_range", (0.5, 1.5))
-        return random_weighted_graph(
-            int(params.get("n", 30)),
-            float(params.get("edge_prob", 0.2)),
-            int(params.get("k", 4)),
-            seed,
-            (float(wr[0]), float(wr[1])),
-        )
+        return random_weighted_graph, (int(params.get("n", 30)),
+                                       float(params.get("edge_prob", 0.2)),
+                                       int(params.get("k", 4)), seed,
+                                       (float(wr[0]), float(wr[1])))
     raise GraphError(f"unknown generator family {family!r}; known: {', '.join(FAMILIES)}")
+
+
+def check_size(family: str, params: dict) -> None:
+    """Refuse, with ``GraphError``, a family and parameters that ask for more
+    than ``MAX_GRAPH_SIZE`` vertices, or, for random-weighted, which draws
+    every vertex pair one at a time, that many pairs, before anything is
+    built.  Parameters that ``generate`` cannot read pass here, and
+    ``generate`` refuses them."""
+    try:
+        make, args = _family(family, params, 0)
+    except (ValueError, TypeError, OverflowError, LookupError):
+        return
+    if make is complete_binary_tree:
+        # 2^(depth+1) - 1 vertices; a huge depth is refused before the power
+        size = 2 ** (args[0] + 1) - 1 if args[0] < MAX_GRAPH_SIZE.bit_length() else math.inf
+    elif make is grid_graph:
+        size = args[0] * args[1]
+    elif make is star_graph:
+        size = args[0] + 1
+    elif make is random_weighted_graph:
+        size = args[0] * (args[0] - 1) // 2
+    else:
+        size = args[0]
+    if size > MAX_GRAPH_SIZE:
+        what = "vertex pairs" if make is random_weighted_graph else "vertices"
+        raise GraphError(f"a {family} graph of more than {MAX_GRAPH_SIZE} {what}")
+
+
+def generate(family: str, params: dict, seed: int = 0) -> WeightedGraph:
+    """Dispatch by family name; unknown families, bad params and a size over
+    ``MAX_GRAPH_SIZE`` raise."""
+    check_size(family, params)
+    make, args = _family(family, params, seed)
+    return make(*args)
 
 
 def scaled(graph: WeightedGraph, factor: float) -> WeightedGraph:

@@ -4,19 +4,25 @@ The graph is immutable after construction.  All operations here are pure
 functions; results depend only on their inputs, so graphs and distance maps
 can be shared freely across threads.
 
-One set of rules, ``_GraphRules``, checks each record of every graph once,
-fed by ``WeightedGraph.build`` or, line by line, by ``parse_graph_text``.
+One set of rules, ``_GraphRules``, checks every graph, fed by
+``WeightedGraph.build`` or by ``parse_graph_text``: it checks whole columns
+at once, and feeds the records one by one, in input order, only to word
+the first fault.
 
 Vertex ids are nonnegative integers.  Loaders and generators hand out dense
 ids 0..n-1; operations such as ``induced_subgraph`` keep the original ids.
 ``WeightedGraph.index`` maps each id to its position in ``vertices``, and
-``vertices`` is sorted, so position order is id order.  The position
-adjacency (``(position, weight)`` rows, built once from ``edges``) is the
-only one the package reads: the distance kernel below, the connectivity
-check, the clustering engine, the partition check and contraction
-(``minor``), the covering check, the closest-terminal-pair search,
-``canonical_path`` and ``ClusterReplay`` all run on positions, and give ids
-back only in what they return.
+``vertices`` is sorted, so position order is id order.  A graph is its edge
+columns (``edge_columns``: the end positions and float64 weights of the
+canonical edges); ids stay Python integers, so only positions go into
+numpy.  One sort of the columns by (position, neighbour) gives the CSR
+arrays of the position adjacency (``_csr``), and its ``(position, weight)``
+rows are their slices.  The position adjacency is the only one the package
+reads: the distance kernel below, the connectivity check, the clustering
+engine, the partition check (``minor``), the covering check, the
+closest-terminal-pair search, ``canonical_path`` and ``ClusterReplay`` all
+run on positions, and give ids back only in what they return; contraction
+gathers the clusters of the columns' ends.
 
 Who reads which distances.  The k x k ``terminal_block``, d(t_i, t_j), serves
 contraction and distortion, and the nearest-terminal row by position serves
@@ -62,10 +68,12 @@ but its interior is filled from both sides; a dead end (a degree-one end) is
 an end like any other; a cycle of degree-two positions without any end
 stays in the reduced graph, unreached, at ``math.inf``.  A graph without
 such a chain gets a table that folds nothing: the kernel runs on the graph's
-own CSR arrays.  A minor is its graph (``InducedMinor.graph``, vertices
+own CSR arrays, and each final column is copied once, straight into its
+``array('d')``.  A minor is its graph (``InducedMinor.graph``, vertices
 1..k, every one a terminal, built by ``WeightedGraph.build`` like any
 other), so its ``distance_matrix`` is that graph's k terminal rows,
-``array('d')`` rows of k entries, and its table always folds nothing.
+``array('d')`` rows of k entries, and its table always folds nothing: it
+reads the CSR arrays and never builds the rows.
 
 Its values are exact, not merely close.  Every label is always the
 left-to-right float sum of the weights of a real path.  The sweeps stop only
@@ -98,13 +106,18 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import repeat
 
 import numpy as np
+
+
+# The most vertices a generated or subdivided graph may have, checked before
+# any is made: beyond it a mistyped size would take the machine's memory, or
+# hours, before it failed.
+MAX_GRAPH_SIZE = 1_000_000
 
 
 class GraphError(ValueError):
@@ -124,14 +137,28 @@ class WeightedGraph:
     """Undirected graph with positive edge weights and ordered terminals.
 
     ``edges`` are canonical: ``u < v``, sorted, at most one per pair, no
-    self-loops, every weight positive and finite.  ``terminals`` is an
-    ordered list; terminal j (1-based) is ``terminals[j-1]``.
+    self-loops, every weight positive and finite.  ``edge_columns`` holds
+    them as arrays, in the same order: the positions of ``u`` and of ``v``
+    (``np.intp``) and the float64 weights; the position adjacency, its CSR
+    arrays and contraction read these.  ``terminals`` is an ordered list;
+    terminal j (1-based) is ``terminals[j-1]``.
     """
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, float], ...]
     terminals: tuple[int, ...]
     labels: dict[int, str] = field(default_factory=dict)
+    edge_columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False
+    )
+
+    def __post_init__(self):
+        if self.edge_columns is None:  # a graph made without the rules
+            index, m = self.index, len(self.edges)
+            columns = [np.fromiter((index[e[end]] for e in self.edges), np.intp, m)
+                       for end in (0, 1)]
+            columns.append(np.fromiter((e[2] for e in self.edges), np.float64, m))
+            object.__setattr__(self, "edge_columns", tuple(columns))
 
     @staticmethod
     def build(
@@ -142,15 +169,28 @@ class WeightedGraph:
     ) -> "WeightedGraph":
         """The graph, checked by ``_GraphRules``: all vertices, then all
         edges, then all terminals."""
-        rules = _GraphRules()
-        vertex, edge, terminal = rules.vertex, rules.edge, rules.terminal
-        for v in vertices:
-            vertex(v)
-        for u, v, w in edges:
-            edge(u, v, w)
-        for t in terminals:
-            terminal(t)
-        return rules.graph(labels)
+        vertices, edges, terminals = list(vertices), list(edges), list(terminals)
+        graph = None
+        try:
+            edges = list(map(tuple, edges))
+            if set(map(len, edges)) <= {3}:
+                u, v, w = zip(*edges) if edges else ((), (), ())
+                graph = _GraphRules.graph(
+                    list(map(int, vertices)), list(map(int, u)), list(map(int, v)),
+                    list(map(float, w)), list(map(int, terminals)), labels,
+                )
+        except (TypeError, ValueError, OverflowError):
+            pass  # a record that does not convert, worded below
+        if graph is None:
+            rules = _GraphRules()
+            for v in vertices:
+                rules.vertex(v)
+            for u, v, w in edges:
+                rules.edge(u, v, w)
+            for t in terminals:
+                rules.terminal(t)
+            rules.finish()
+        return graph
 
     @property
     def n(self) -> int:
@@ -177,27 +217,44 @@ class WeightedGraph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def _index_adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """``(position, weight)`` of every neighbour, per position.
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The position adjacency, each edge from both ends, as CSR arrays
+        with the index in ``edges`` of each entry's edge in place of its
+        weight: row starts, neighbour positions and edge indices.  One sort
+        of the edge columns by (position, neighbour) gives every row in
+        position order."""
+        lo, hi, _ = self.edge_columns
+        tail, head = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+        order = (tail * self.n + head).argsort()
+        indptr = _row_starts(np.bincount(tail, minlength=self.n))
+        return indptr, head[order], order % max(lo.size, 1)
 
-        ``edges`` are sorted with ``u < v``, so each row receives its lower
-        neighbours, then its higher ones, each in ascending order: rows come
-        out sorted, in id order.
-        """
-        index = self.index
-        adj: list[list[tuple[int, float]]] = [[] for _ in self.vertices]
-        for u, v, w in self.edges:
-            i, j = index[u], index[v]
-            adj[i].append((j, w))
-            adj[j].append((i, w))
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The position adjacency as CSR arrays: row starts, neighbour
+        positions and float64 weights."""
+        indptr, nbr, edge = self._entries
+        return indptr, nbr, self.edge_columns[2][edge]
+
+    @cached_property
+    def _index_adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """``(position, weight)`` of every neighbour, per position: the rows
+        of ``_entries``, in position order.  The entries share their ints
+        and floats with ``index`` and ``edges``, as rows built edge by edge
+        did, instead of holding copies."""
+        indptr, nbr, edge = self._entries
+        position, weight = list(self.index.values()), [e[2] for e in self.edges]
+        entries = tuple(zip(map(position.__getitem__, nbr.tolist()),
+                            map(weight.__getitem__, edge.tolist())))
+        starts = indptr.tolist()
         # tuples, not lists: the garbage collector stops tracking tuples of
         # atoms, so a cached graph adds nothing to every full collection
-        return tuple(map(tuple, adj))
+        return tuple(map(entries.__getitem__, map(slice, starts, starts[1:])))
 
     @cached_property
     def _chains(self) -> _Chains:
         """The kernel's chain table, with the terminals as sources."""
-        return _fold_chains(self._index_adjacency, [self.index[t] for t in self.terminals])
+        return _fold_chains(self._csr, [self.index[t] for t in self.terminals])
 
     @cached_property
     def terminal_distance_maps(self) -> tuple[array, ...]:
@@ -261,17 +318,21 @@ class WeightedGraph:
 
 
 class _GraphRules:
-    """The rules of a valid graph.  ``vertex``, ``edge`` and ``terminal``
-    each convert one record, from numbers or text, and check it against the
-    records fed before, in this order: a vertex id is nonnegative and new;
-    an edge joins two declared vertices, is no self-loop, has a positive
-    finite weight and is the first for its pair; a terminal is a declared
-    vertex, listed once.  ``graph`` requires a terminal and builds the graph.
+    """The rules of a valid graph: a vertex id is nonnegative and new; an
+    edge joins two vertices declared before it, is no self-loop, has a
+    positive finite weight and is the first for its pair; a terminal is a
+    vertex declared before it, listed once; a graph has a terminal.
+
+    ``graph`` checks the records' columns at once and builds the graph, or
+    returns None when a rule fails.  Only then are the records fed, in
+    input order, to ``vertex``, ``edge`` and ``terminal``, which convert one
+    record each, from numbers or text, and raise its first fault against the
+    records fed before; ``finish`` raises the fault of a graph without
+    terminals.
     """
 
     def __init__(self):
-        # edges and terminals in input order; the terminals are dict keys, for lookup
-        self.vertices, self.pairs, self.edges, self.terminals = set(), set(), [], {}
+        self.vertices, self.pairs, self.terminals = set(), set(), set()
 
     def vertex(self, v) -> int:
         v, vertices = int(v), self.vertices
@@ -297,7 +358,6 @@ class _GraphRules:
         if (u, v) in pairs:
             raise GraphError(f"duplicate edge ({u},{v})")
         pairs.add((u, v))
-        self.edges.append((u, v, w))
 
     def terminal(self, t) -> None:
         t = int(t)
@@ -305,17 +365,62 @@ class _GraphRules:
             raise GraphError(f"terminal {t} not declared as vertex")
         if t in self.terminals:
             raise GraphError(f"duplicate terminal {t}")
-        self.terminals[t] = None
+        self.terminals.add(t)
 
-    def graph(self, labels: dict[int, str] | None) -> WeightedGraph:
+    def finish(self) -> None:
         if not self.terminals:
             raise GraphError("at least one terminal required")
-        self.edges.sort()
+        # ``graph`` refused records that every rule accepts one by one
+        raise AssertionError("the graph rules disagree")
+
+    @staticmethod
+    def graph(vertices, u, v, weight, terminals, labels, order=None) -> WeightedGraph | None:
+        """The graph of the converted columns, or None if a rule fails.
+
+        ``vertices``, ``u``, ``v`` and ``terminals`` are lists of ints,
+        ``weight`` a list of floats.  Without ``order`` every vertex comes
+        before every edge and terminal; ``order`` gives each vertex, edge and
+        terminal record its place in the input instead, and a record that
+        names a vertex declared after it breaks a rule.
+        """
+        n, ids = len(vertices), sorted(vertices)
+        if (not terminals or len(set(terminals)) < len(terminals) or len(set(vertices)) < n
+                or (n and ids[0] < 0)):
+            return None
+        index = dict(zip(ids, range(n)))
+        try:
+            lo = np.fromiter(map(index.__getitem__, u), np.intp, len(u))
+            hi = np.fromiter(map(index.__getitem__, v), np.intp, len(v))
+            at = np.fromiter(map(index.__getitem__, terminals), np.intp, len(terminals))
+        except KeyError:
+            return None  # an undeclared vertex
+        w = np.array(weight, dtype=np.float64)
+        if (lo == hi).any() or not ((0.0 < w) & (w < math.inf)).all():
+            return None
+        if order is not None:
+            vertex_at, edge_at, terminal_at = order
+            declared = np.empty(n, dtype=np.intp)
+            declared[np.fromiter(map(index.__getitem__, vertices), np.intp, n)] = vertex_at
+            if ((declared[lo] > edge_at) | (declared[hi] > edge_at)).any() or (
+                declared[at] > terminal_at
+            ).any():
+                return None
+        # (lo, hi) as one key: the pair's rank in canonical order
+        key = np.minimum(lo, hi) * n + np.maximum(lo, hi)
+        rank = key.argsort()
+        key = key[rank]
+        if (key[1:] == key[:-1]).any():
+            return None  # a duplicate edge
+        lo, hi = np.divmod(key, n)
+        # the edges hold the given id and weight objects, not copies
+        edges = zip(map(ids.__getitem__, lo.tolist()), map(ids.__getitem__, hi.tolist()),
+                    map(weight.__getitem__, rank.tolist()))
         return WeightedGraph(
-            vertices=tuple(sorted(self.vertices)),
-            edges=tuple(self.edges),
-            terminals=tuple(self.terminals),
+            vertices=tuple(ids),
+            edges=tuple(edges),
+            terminals=tuple(terminals),
             labels=dict(labels) if labels else {},
+            edge_columns=(lo, hi, w[rank]),
         )
 
 
@@ -329,20 +434,10 @@ _SORT_SHARE = 32   # dedupe by sorting below 1/32 of the label array
 _FOLD_MIN = 8
 
 
-_ENTRY = np.dtype([("nbr", np.intp), ("weight", np.float64)])
-
-
-def _csr_arrays(adj: Sequence[Sequence[tuple[int, float]]]):
-    """Row starts, neighbour positions and float64 weights of ``adj``."""
-    indptr = _row_starts(adj)
-    # numpy reads the (position, weight) tuples as records, row after row
-    entries = np.fromiter(chain.from_iterable(adj), _ENTRY, int(indptr[-1]))
-    return indptr, entries["nbr"].copy(), entries["weight"].copy()
-
-
-def _row_starts(rows) -> np.ndarray:
-    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, rows), np.intp, len(rows)), out=indptr[1:])
+def _row_starts(sizes: np.ndarray) -> np.ndarray:
+    """CSR row starts of rows with ``sizes`` entries each."""
+    indptr = np.zeros(sizes.size + 1, dtype=np.intp)
+    np.cumsum(sizes, out=indptr[1:])
     return indptr
 
 
@@ -377,10 +472,12 @@ class _Chains:
             for a, b, inner, weight in self.groups
         ]
         for j in range(labels.shape[1]):
-            # a chain interior (compact -1) takes a stand-in label, then its fold
-            column = labels[:, j].take(self.compact)
-            for inner, best in folds:
-                column[inner] = best[j]
+            column = labels[:, j]
+            if folds:
+                # a chain interior (compact -1) takes a stand-in label, then its fold
+                column = column.take(self.compact)
+                for inner, best in folds:
+                    column[inner] = best[j]
             yield array("d", column.tobytes())
 
 
@@ -396,44 +493,55 @@ def _prefix_folds(start: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return sums[..., 1:]
 
 
-def _fold_chains(adj, sources) -> _Chains:
-    """The chain table of ``adj``, the positions ``sources`` ending chains:
-    every chain with at least ``_FOLD_MIN`` interior positions is folded.
-    With no such chain the table folds nothing.
+def _fold_chains(csr, sources) -> _Chains:
+    """The chain table of the CSR arrays ``csr``, the positions ``sources``
+    ending chains: every chain with at least ``_FOLD_MIN`` interior
+    positions is folded.  With no such chain the table folds nothing and
+    keeps ``csr``.
 
     A chain is a maximal path whose interior positions have exactly two
     neighbours and are not sources.  Its two ends may be one position (a
     cycle through it), and a degree-one end is a dead end.  A cycle of
     degree-two positions with no end stays in the reduced graph, unreached.
     """
-    n = len(adj)
-    is_end = bytearray(map((2).__ne__, map(len, adj)))
-    for s in sources:
-        is_end[s] = 1
+    indptr, nbr, weight = csr
+    n = indptr.size - 1
+    degree = np.diff(indptr)
+    is_end = degree != 2
+    is_end[list(sources)] = True
+    inner = np.flatnonzero(~is_end)
+    is_end = is_end.tobytes()
+    rows = indptr.tolist(), nbr.tolist(), weight.tolist()
+    start, to, by = rows
     seen = bytearray(n)
     chains = []
-    for p in np.flatnonzero(np.frombuffer(is_end, dtype=np.uint8) == 0).tolist():
+    for p in inner.tolist():
         if seen[p]:
             continue
         # walk out both ways from p to the chain's ends
-        (x, wx), (y, wy) = adj[p]
-        back, back_weights, a = _walk(adj, is_end, seen, p, x, wx)
+        s = start[p]
+        back, back_weights, a = _walk(rows, is_end, seen, p, to[s], by[s])
         if a == p:
             continue  # a cycle without ends
-        ahead, weights, b = _walk(adj, is_end, seen, p, y, wy)
+        ahead, weights, b = _walk(rows, is_end, seen, p, to[s + 1], by[s + 1])
         path = back[::-1] + [p] + ahead
         if len(path) >= _FOLD_MIN:
             chains.append((a, b, path, back_weights[::-1] + weights))
     if not chains:
-        return _Chains(compact=np.arange(n), csr=_csr_arrays(adj), fold_csr=None, groups=())
+        return _Chains(compact=np.arange(n), csr=csr, fold_csr=None, groups=())
     compact = np.zeros(n, dtype=np.intp)
     for _, _, path, _ in chains:
         compact[path] = -1
     kept = np.flatnonzero(compact == 0)
     compact[kept] = np.arange(kept.size)
+    # the reduced graph's plain edges: the entries between kept positions
+    tail = compact.repeat(degree)
+    head = compact[nbr]
+    plain = (tail >= 0) & (head >= 0)
+    reduced = (_row_starts(np.bincount(tail[plain], minlength=kept.size)), head[plain],
+               weight[plain])
     cid = compact.tolist()
-    radj = tuple(tuple((cid[q], w) for q, w in adj[p] if cid[q] >= 0) for p in kept.tolist())
-    folds: list[list] = [[] for _ in radj]
+    folds: list[list] = [[] for _ in range(kept.size)]
     groups: dict[int, list] = {}
     for a, b, path, weights in chains:
         a, b = cid[a], cid[b]
@@ -446,9 +554,9 @@ def _fold_chains(adj, sources) -> _Chains:
     hops = np.fromiter((len(weights) for _, weights in flat), np.intp, len(flat))
     return _Chains(
         compact=compact,
-        csr=_csr_arrays(radj),
+        csr=reduced,
         fold_csr=(
-            _row_starts(folds),
+            _row_starts(np.fromiter(map(len, folds), np.intp, len(folds))),
             np.fromiter((b for b, _ in flat), np.intp, len(flat)),
             hops,
             hops.cumsum() - hops,
@@ -462,21 +570,23 @@ def _fold_chains(adj, sources) -> _Chains:
     )
 
 
-def _walk(adj, is_end, seen, start, p, w):
-    """Walk from ``start`` over the edge of weight ``w`` to ``p`` and on,
+def _walk(rows, is_end, seen, first, p, w):
+    """Walk from ``first`` over the edge of weight ``w`` to ``p`` and on,
     marking each position in ``seen``, to the first end (or back to
-    ``start``).  Returns the positions passed, the weights crossed and the
-    position where the walk stopped."""
-    seen[start] = 1
-    prev, path, weights = start, [], [w]
-    while not is_end[p] and p != start:
+    ``first``).  ``rows`` holds the CSR arrays as lists.  Returns the
+    positions passed, the weights crossed and the position where the walk
+    stopped."""
+    start, to, by = rows
+    seen[first] = 1
+    prev, path, weights = first, [], [w]
+    while not is_end[p] and p != first:
         seen[p] = 1
         path.append(p)
-        (x, wx), (y, wy) = adj[p]
-        if x == prev:
-            prev, p, w = p, y, wy
-        else:
-            prev, p, w = p, x, wx
+        # a position inside a chain has two entries: leave by the other one
+        s = start[p]
+        if to[s] == prev:
+            s += 1
+        prev, p, w = p, to[s], by[s]
         weights.append(w)
     return path, weights, p
 
@@ -781,6 +891,12 @@ def subdivide_edges(graph: WeightedGraph, threshold: float) -> SubdivideResult:
     """
     if not (threshold > 0 and math.isfinite(threshold)):
         raise GraphError(f"threshold must be positive and finite, got {threshold}")
+    with np.errstate(over="ignore"):  # a count past the float range is inf, refused
+        added = (np.ceil(graph.edge_columns[2] / threshold) - 1).sum()
+    if graph.n + added > MAX_GRAPH_SIZE:
+        raise GraphError(
+            f"subdividing at {threshold!r} makes more than {MAX_GRAPH_SIZE} vertices"
+        )
     next_id = max(graph.vertices) + 1 if graph.vertices else 0
     vertices = list(graph.vertices)
     new_edges: list[tuple[int, int, float]] = []
@@ -809,40 +925,82 @@ def subdivide_edges(graph: WeightedGraph, threshold: float) -> SubdivideResult:
 # ---------------------------------------------------------------------------
 
 _RECORDS = {"v": "v <id> [label]", "t": "t <id>", "e": "e <u> <v> <weight>"}
+_TAGS = {tag: code for code, tag in enumerate(_RECORDS)}
 
 
 def parse_graph_text(text: str) -> WeightedGraph:
-    """The graph of ``text``, each record checked by ``_GraphRules`` at its
-    line: a fault raises ``ParseError`` with that line's number, and only a
-    text without terminals is refused at line 0."""
-    rules = _GraphRules()
-    vertex, edge, terminal = rules.vertex, rules.edge, rules.terminal
-    labels: dict[int, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
-        if not parts:
-            continue
-        tag = parts[0]
-        try:
-            if tag == "e" and len(parts) == 4:
-                _, u, v, w = parts
-                edge(u, v, w)
-            elif tag == "v" and len(parts) in (2, 3):
-                vid = vertex(parts[1])
-                if len(parts) == 3:
-                    labels[vid] = parts[2]
-            elif tag == "t" and len(parts) == 2:
-                terminal(parts[1])
-            elif tag in _RECORDS:
-                raise ValueError(f"expected '{_RECORDS[tag]}'")
-            else:
-                raise ValueError(f"unknown record type {tag!r}")
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
+    """The graph of ``text``, its records checked by ``_GraphRules``: a
+    fault raises ``ParseError`` with the number of the first line that
+    breaks a rule, and only a text without terminals is refused at line 0.
+    Lines are those of ``str.splitlines``."""
     try:
-        return rules.graph(labels)
-    except GraphError as exc:
-        raise ParseError(0, str(exc)) from None
+        graph = _parse_records(text)
+    except ValueError:
+        graph = None  # a token that does not convert
+    if graph is None:
+        rules = _GraphRules()
+        for line_no, raw in enumerate(_lines(text), start=1):
+            parts = raw.split()
+            if not parts:
+                continue
+            tag = parts[0]
+            try:
+                if tag == "e" and len(parts) == 4:
+                    rules.edge(*parts[1:])
+                elif tag == "v" and len(parts) in (2, 3):
+                    rules.vertex(parts[1])
+                elif tag == "t" and len(parts) == 2:
+                    rules.terminal(parts[1])
+                elif tag in _RECORDS:
+                    raise ValueError(f"expected '{_RECORDS[tag]}'")
+                else:
+                    raise ValueError(f"unknown record type {tag!r}")
+            except ValueError as exc:
+                raise ParseError(line_no, str(exc)) from None
+        try:
+            rules.finish()
+        except GraphError as exc:
+            raise ParseError(0, str(exc)) from None
+    return graph
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of ``text`` without their comments."""
+    lines = text.splitlines()
+    return [raw.partition("#")[0] for raw in lines] if "#" in text else lines
+
+
+def _parse_records(text: str) -> WeightedGraph | None:
+    """The graph of ``text`` by ``_GraphRules.graph``, each token converted
+    by ``int`` or ``float``; None if a record has an unknown type or the
+    wrong number of tokens, or a rule fails.
+
+    The tokens of all lines are one flat list, and the records are found by
+    each line's token count, so no per-line list outlives its line.  Only
+    the converted columns outlive the tokens.
+    """
+    lines = _lines(text)
+    sizes = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    tokens = " ".join(lines).split()
+    del lines
+    line = np.flatnonzero(sizes)  # the records' lines, from 0
+    start = (sizes.cumsum() - sizes)[line]
+    tag = np.fromiter(map(_TAGS.get, map(tokens.__getitem__, start.tolist()), repeat(-1)),
+                      np.intp, start.size)
+    v, t, e = (tag == _TAGS["v"], tag == _TAGS["t"], tag == _TAGS["e"])
+    size = sizes[line]
+    if not ((tag >= 0).all() and ((size[v] == 2) | (size[v] == 3)).all()
+            and (size[t] == 2).all() and (size[e] == 4).all()):
+        return None
+
+    def column(rows, offset, convert=int):
+        return list(map(convert, map(tokens.__getitem__, (start[rows] + offset).tolist())))
+
+    labelled = v & (size == 3)
+    labels = dict(zip(column(labelled, 1), column(labelled, 2, str)))
+    columns = column(v, 1), column(e, 1), column(e, 2), column(e, 3, float), column(t, 1)
+    del tokens
+    return _GraphRules.graph(*columns, labels, order=(line[v], line[e], line[t]))
 
 
 def format_graph_text(graph: WeightedGraph) -> str:

@@ -19,7 +19,9 @@ from math import inf
 from operator import truediv
 from typing import NamedTuple
 
-from .graph import GraphError, WeightedGraph, parse_graph_text
+import numpy as np
+
+from .graph import GraphError, WeightedGraph, _distinct, parse_graph_text
 
 
 @dataclass(frozen=True)
@@ -55,30 +57,39 @@ def validate_partition(
     Violations are data, not exceptions: totality, terminal placement, and
     per-cluster connectivity are each reported with a witness.
     """
-    return _check_partition(graph, partition)[0]
+    return _check_partition(graph, *_position_labels(graph, partition.assignment))
 
 
-def _check_partition(
-    graph: WeightedGraph, partition: TerminalPartition
-) -> tuple[list[PartitionViolation], list]:
-    """``validate_partition``'s violations and the cluster index of every
-    vertex position.
-
-    Each cluster is searched from its terminal over the position adjacency.
-    The clusters are disjoint, so one seen-flag per position serves them
-    all, and a cluster's lowest unreached position is its lowest unreached
-    vertex id.
-    """
-    violations: list[PartitionViolation] = []
-    assignment = partition.assignment
-    k, index, vertices = graph.k, graph.index, graph.vertices
-    # the per-vertex loops run only when a set comparison finds a fault
+def _position_labels(
+    graph: WeightedGraph, assignment: dict
+) -> tuple[list, list[PartitionViolation]]:
+    """The cluster index of every vertex position (None where unassigned),
+    and a violation for every id of ``assignment`` outside the graph."""
+    index = graph.index
+    unknown = []
+    # the loop runs only when a set comparison finds a fault
     if not assignment.keys() <= index.keys():
-        violations += [
+        unknown = [
             PartitionViolation("unknown-vertex", f"vertex {v} not in graph", (v,))
             for v in assignment if v not in index
         ]
-    label = list(map(assignment.get, vertices))
+    return list(map(assignment.get, graph.vertices)), unknown
+
+
+def _check_partition(
+    graph: WeightedGraph, label: list, violations=()
+) -> list[PartitionViolation]:
+    """``violations``, then those of the cluster index ``label`` of every
+    vertex position (None where unassigned).
+
+    Each cluster is searched from its terminal over the position adjacency,
+    once the labels themselves are valid.  The clusters are disjoint, so
+    one seen-flag per position serves them all, and a cluster's lowest
+    unreached position is its lowest unreached vertex id.
+    """
+    violations = list(violations)
+    k, index, vertices = graph.k, graph.index, graph.vertices
+    # the per-vertex loop runs only when a set comparison finds a fault
     if not set(label) <= set(range(1, k + 1)):
         for v, j in zip(vertices, label):
             if j is None:
@@ -93,7 +104,7 @@ def _check_partition(
                     )
                 )
     for idx, t in enumerate(graph.terminals, start=1):
-        j = assignment.get(t)
+        j = label[index[t]]
         if j is not None and j != idx:
             violations.append(
                 PartitionViolation(
@@ -103,7 +114,7 @@ def _check_partition(
                 )
             )
     if violations:
-        return violations, label
+        return violations
     adj = graph._index_adjacency
     seen = bytearray(graph.n)
     for idx, t in enumerate(graph.terminals, start=1):
@@ -131,7 +142,7 @@ def _check_partition(
                 (idx, start, stranded[idx]),
             )
         )
-    return violations, label
+    return violations
 
 
 class InducedMinor:
@@ -187,20 +198,22 @@ def parse_minor_text(text: str) -> InducedMinor:
 
 
 def contract(graph: WeightedGraph, partition: TerminalPartition) -> InducedMinor:
-    """Contract each cluster to its terminal; one scan over the position rows."""
-    violations, label = _check_partition(graph, partition)
+    """Contract each cluster to its terminal; the crossing cluster pairs
+    come from one gather and sort over the edge columns."""
+    label, unknown = _position_labels(graph, partition.assignment)
+    violations = _check_partition(graph, label, unknown)
     if violations:
         raise InvalidPartitionError(violations)
-    # every crossing edge is read from both ends; keep the one with i < j
-    crossing: set[tuple[int, int]] = set()
-    for i, row in zip(label, graph._index_adjacency):
-        for q, _ in row:
-            j = label[q]
-            if i < j:
-                crossing.add((i, j))
+    lo, hi, _ = graph.edge_columns
+    cluster = np.array(label, dtype=np.intp)
+    i, j = cluster[lo], cluster[hi]
+    crossing = i != j
+    i, j = i[crossing], j[crossing]
+    # (i, j) with i < j as one key, each pair once, in (i, j) order
+    pairs = _distinct(np.minimum(i, j) * (graph.k + 1) + np.maximum(i, j))
     block = graph.terminal_block
     edges = []
-    for i, j in sorted(crossing):
+    for i, j in zip(*map(np.ndarray.tolist, np.divmod(pairs, graph.k + 1))):
         d = block[i - 1][j - 1]
         if d == inf:
             raise GraphError(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .engine import RunTrace, SprParams, round_increments, run_rng
 from .graph import ClusterReplay, WeightedGraph
-from .minor import TerminalPartition, validate_partition
+from .minor import TerminalPartition, _check_partition, validate_partition
 
 REL_TOL = 1e-9
 
@@ -183,11 +183,16 @@ def verify_trace(
             # the replayed distances, never the recorded ones, seed later steps
             replay.claim(j, got_new, dist)
 
-    # final partition must be a valid terminal partition
+    # final partition must be a valid terminal partition.  Without a foreign
+    # id every position is claimed, and the replay's owners are its labels;
+    # a foreign id takes the id-keyed check, which names it
     if replay.claimed + len(foreign) == graph.n:
-        assignment = {v: j for v, j in zip(graph.vertices, replay.owner) if j}
-        partition = TerminalPartition(assignment=assignment | foreign)
-        for viol in validate_partition(graph, partition):
-            violations.append(f"final partition invalid: {viol}")
+        if foreign:
+            assignment = {v: j for v, j in zip(graph.vertices, replay.owner) if j}
+            partition = TerminalPartition(assignment=assignment | foreign)
+            faults = validate_partition(graph, partition)
+        else:
+            faults = _check_partition(graph, replay.owner)
+        violations += [f"final partition invalid: {viol}" for viol in faults]
 
     return VerifyResult(tuple(violations))

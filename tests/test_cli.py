@@ -5,7 +5,7 @@ import pytest
 
 from sprkit import RunTrace, SprParams, charging, cli, oracle, verify_trace
 from sprkit.cli import main
-from sprkit.graph import canonical_path, parse_graph_text
+from sprkit.graph import GraphError, canonical_path, parse_graph_text
 from sprkit.oracle import best_partition
 
 
@@ -570,3 +570,64 @@ def test_env_seed_default(tmp_path, monkeypatch, capsys):
     out = tmp_path / "trace.json"
     assert main(["run", "--graph", str(gpath), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["params"]["seed"] == 77
+
+
+@pytest.mark.parametrize(
+    "config, seeds",
+    [
+        ({"family": "grid", "width": 99999999999999999999, "height": 4}, 1),
+        ({"family": "grid", "width": "99999999999999999999", "height": 4}, 1),
+        ({"family": "grid", "width": 1001, "height": 1000, "terminals": "random", "k": 4}, 1),
+        ({"family": "path", "n": 1e20}, 1),
+        ({"family": "star", "k": 1000000}, 1),
+        ({"family": "complete-binary-tree", "depth": 99999999999999999999}, 1),
+        ({"family": "random-weighted", "n": 1500}, 1),
+        ({"family": "star", "k": 4}, 99999999999999999999),
+    ],
+    ids=["huge-grid", "huge-grid-text", "grid-over-cap", "huge-path", "star-over-cap",
+         "deep-tree", "random-pairs-over-cap", "huge-seeds"],
+)
+def test_experiment_spec_over_the_size_cap_is_refused_before_generating(
+    tmp_path, capsys, monkeypatch, config, seeds
+):
+    def generate(*args, **kwargs):
+        raise AssertionError("generated")
+
+    monkeypatch.setattr("sprkit.experiment.generate", generate)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"configs": [config], "seeds_per_config": seeds}))
+    assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert "over the cap" in line or "more than" in line
+    assert not (tmp_path / "out").exists()
+
+
+def test_size_cap_boundary_and_gen(capsys):
+    from sprkit.generators import MAX_GRAPH_SIZE, check_size
+
+    # at the cap passes, one over is refused; nothing is generated here
+    check_size("grid", {"width": 1000, "height": 1000})
+    check_size("complete-binary-tree", {"depth": 18})  # 524,287 vertices
+    check_size("random-weighted", {"n": 1414})  # 998,991 pairs
+    check_size("grid", {"width": "x"})  # generate refuses it itself
+    for family, params in [("grid", {"width": 1000, "height": 1001}),
+                           ("complete-binary-tree", {"depth": 19}),
+                           ("random-weighted", {"n": 1415}),
+                           ("path", {"n": MAX_GRAPH_SIZE + 1})]:
+        with pytest.raises(GraphError, match="more than"):
+            check_size(family, params)
+    assert main(["gen", "--family", "grid", "--width", "100000", "--height", "100000"]) == 2
+    assert "more than 1000000 vertices" in capsys.readouterr().err
+
+
+def test_run_subdivide_over_the_size_cap_is_refused(tmp_path, capsys):
+    # the weight-1e12 edge would be split into about 10^12 segments, and a
+    # weight near the float maximum into infinitely many
+    for weight in ("1e12", "1e308"):
+        gpath = tmp_path / "g.txt"
+        gpath.write_text(f"v 0\nv 1\nv 2\nt 0\nt 1\ne 0 1 1.0\ne 1 2 {weight}\n")
+        argv = ["run", "--graph", str(gpath), "--subdivide", "--out", str(tmp_path / "t.json")]
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: subdividing at ") and "more than 1000000" in line
+        assert not (tmp_path / "t.json").exists()

@@ -292,7 +292,7 @@ def canonical_column(g, sources):
 
 def all_source_table(g):
     """The chain table with every position a source: it folds nothing."""
-    return graph_module._fold_chains(g._index_adjacency, range(g.n))
+    return graph_module._fold_chains(g._csr, range(g.n))
 
 
 def kernel_columns(g, columns, chains=None, chunk=graph_module._CHUNK):
@@ -436,7 +436,7 @@ def test_folded_kernel_equals_canonical_searches(g, chunk, fold_min):
     # rows and the all-terminal column, at every chunk size, bit for bit
     sources = [g.index[t] for t in g.terminals]
     with mock.patch.object(graph_module, "_FOLD_MIN", fold_min):
-        chains = graph_module._fold_chains(g._index_adjacency, sources)
+        chains = graph_module._fold_chains(g._csr, sources)
     columns = [(t,) for t in g.terminals] + [g.terminals]
     expected = [canonical_column(g, col) for col in columns]
     interior = set(np.flatnonzero(chains.compact < 0).tolist())
@@ -463,7 +463,7 @@ def test_fold_chains_table():
     assert g._chains.fold_csr is None  # every chain is shorter than _FOLD_MIN
     index = g.index
     with mock.patch.object(graph_module, "_FOLD_MIN", 1):
-        chains = graph_module._fold_chains(g._index_adjacency, [index[0], index[31]])
+        chains = graph_module._fold_chains(g._csr, [index[0], index[31]])
     reduced = np.flatnonzero(chains.compact >= 0)
     kept = [g.vertices[p] for p in reduced]
     assert kept == [0, 1, 22, 31, 40, 41, 42]
@@ -523,7 +523,7 @@ def test_chain_free_graphs_run_one_path():
         chains = graph._chains
         assert chains.fold_csr is None and chains.groups == ()
         assert chains.compact.tolist() == list(range(graph.n))
-        assert_same_arrays(chains.csr, generator_csr_arrays(graph._index_adjacency))
+        assert_same_arrays(chains.csr, generator_csr_arrays(edge_rows(graph)))
     expected = [canonical_column(g, (t,)) for t in g.terminals]
     assert [[d.hex() for d in row] for row in g.terminal_distance_maps] == expected
 
@@ -566,10 +566,22 @@ def test_terminal_block_examples_cover_folds_and_unreachable_pairs():
     assert g.terminal_block[0][1] == math.inf and g.terminal_block[0][0] == 0.0
 
 
+def edge_rows(g):
+    """The position rows as ``_index_adjacency`` built them before: every
+    edge of ``g.edges`` appended to the rows of both its ends."""
+    adj = [[] for _ in g.vertices]
+    for u, v, w in g.edges:
+        i, j = g.index[u], g.index[v]
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    return tuple(map(tuple, adj))
+
+
 def generator_csr_arrays(adj):
     """The CSR arrays as ``_csr_arrays`` built them before: one
     ``np.fromiter`` over a per-entry generator for each array."""
-    indptr = graph_module._row_starts(adj)
+    indptr = np.zeros(len(adj) + 1, dtype=np.intp)
+    np.cumsum([len(row) for row in adj], out=indptr[1:])
     m = int(indptr[-1])
     nbr = np.fromiter((u for row in adj for u, _ in row), np.intp, m)
     weight = np.fromiter((w for row in adj for _, w in row), np.float64, m)
@@ -586,10 +598,12 @@ def assert_same_arrays(got, expected):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(kernel_graphs(), chain_graphs()))
 def test_csr_arrays_equal_the_generator_build(g):
-    # the graph's own rows, and the reduced rows of its chain table, rebuilt
-    # from the table's position map
-    adj = g._index_adjacency
-    assert_same_arrays(graph_module._csr_arrays(adj), generator_csr_arrays(adj))
+    # the rows and CSR arrays sorted from the edge columns, against the rows
+    # built edge by edge; and the reduced rows of the chain table, rebuilt
+    # from its position map
+    adj = edge_rows(g)
+    assert g._index_adjacency == adj
+    assert_same_arrays(g._csr, generator_csr_arrays(adj))
     compact = g._chains.compact.tolist()
     reduced = [[(compact[q], w) for q, w in row if compact[q] >= 0]
                for p, row in enumerate(adj) if compact[p] >= 0]
@@ -597,31 +611,41 @@ def test_csr_arrays_equal_the_generator_build(g):
 
 
 def test_minor_csr_arrays_equal_the_generator_build():
+    # the minor's graph folds nothing and takes its CSR arrays straight from
+    # its edge columns, without building the position rows
     g = random_connected_graph(300, 40, seed=5, extra_edges=600)
     minor, _, _ = sprkit.run_and_contract(g, sprkit.SprParams.for_graph(g, seed=2))
     adj = [[] for _ in range(minor.k)]
     for i, j, w in minor.edges:
         adj[i - 1].append((j - 1, w))
         adj[j - 1].append((i - 1, w))
-    chains = graph_module._fold_chains(adj, range(minor.k))
-    assert_same_arrays(chains.csr, generator_csr_arrays(adj))
-    for empty in ([], [()], [(), ()]):
-        assert_same_arrays(graph_module._csr_arrays(empty), generator_csr_arrays(empty))
+    minor.distance_matrix
+    assert "_index_adjacency" not in minor.graph.__dict__
+    assert minor.graph._chains.csr is minor.graph._csr
+    assert_same_arrays(minor.graph._csr, generator_csr_arrays(adj))
+    for n in (1, 2):
+        empty = WeightedGraph.build(range(n), [], [0])
+        assert_same_arrays(empty._csr, generator_csr_arrays([()] * n))
+        assert empty._index_adjacency == ((),) * n
 
 
 def test_distance_layer_does_not_import_scipy():
     # importing scipy.sparse.csgraph doubles the process's peak RSS, so the
-    # distance layer runs on numpy alone
+    # distance layer runs on numpy alone; and numpy.ma (which np.unique
+    # imports) adds 1.7 MB, so neither the parse nor the run loads it
     code = (
         "import sys\n"
         "import sprkit\n"
         "from sprkit import SprParams, check_covering, run_and_contract\n"
         "from sprkit.generators import grid_graph\n"
-        "g = grid_graph(6, 6, 'random', k=4, seed=0)\n"
+        "from sprkit.graph import format_graph_text, parse_graph_text\n"
+        "text = format_graph_text(grid_graph(6, 6, 'random', k=4, seed=0))\n"
+        "g = parse_graph_text(text)\n"
         "params = SprParams.for_graph(g, seed=1)\n"
         "_, _, trace = run_and_contract(g, params)\n"
         "check_covering(trace, g, params)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     src = str(Path(sprkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -845,6 +869,47 @@ def test_parse_matches_reference_on_one_token_mutations(text, data):
         assert new_exc.line_no == max(twins) and line_no in twins
     else:
         assert new_exc.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # ids beyond any fixed-width integer
+        "v 99999999999999999999\nv 18446744073709551616\nt 99999999999999999999\n"
+        "e 18446744073709551616 99999999999999999999 1.5\n",
+        # weights as Python's float reads them, and one it refuses
+        "v 0\nv 1\nt 0\ne 0 1 1_0\n",
+        "v 0\nv 1\nt 0\ne 0 1 +1.5\n",
+        "v 0\nv 1\nt 0\ne 0 1 1e3\n",
+        "v 0\nv 1\nt 0\ne 0 1 0x1\n",
+        # tabs and double spaces between tokens
+        "v\t0\nv  1\t lbl\nt \t0\ne\t0  1\t 2.5\n",
+        # line breaks other than \n, and a fault after them
+        "v 0\r\nv 1\r\nt 0\r\ne 0 1 2.0\r\n",
+        "v 0\x1cv 1\x1ct 0\x1ce 0 1 2.0\n",
+        "v 0\x1cv 1\u2028t 0\x1ce 0 2 2.0\n",
+        # labels and trailing comments
+        "v 0 root\nv 1 leaf\nv 2\nt 0\ne 0 1 1.0\ne 2 1 0.5\n",
+        "v 0 # zero\nv 1 lbl # one\nt 0#t\ne 0 1 2.0 # an edge\n#\n",
+        # an edge before its vertex line, and a terminal before its vertex
+        "v 0\ne 0 1 1.0\nv 1\nt 0\n",
+        "t 0\nv 0\n",
+        # a record short of tokens as the last line
+        "v 0\nt 0\nv\n",
+        "v 0\nv 1\nt 0\ne 0 1\n",
+        "v 0\nt\n",
+    ],
+)
+def test_parse_matches_reference_on_pinned_texts(text):
+    ref, ref_exc = _outcome(graph_text_reference.parse_graph_text, text)
+    new, new_exc = _outcome(parse_graph_text, text)
+    if ref_exc is None:
+        assert new_exc is None and _same_graph(ref, new)
+        assert all(type(x) is int for x in (*new.vertices, *new.terminals))
+        assert all(type(e[2]) is float and type(e[0]) is type(e[1]) is int for e in new.edges)
+    else:
+        assert new_exc is not None
+        assert (new_exc.line_no, str(new_exc)) == (ref_exc.line_no, str(ref_exc))
 
 
 # The build fault kinds, each injected once into valid lists.

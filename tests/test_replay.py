@@ -15,6 +15,7 @@ from conftest import (
 )
 from replay_reference import events_by_step, reference_verify_trace, region_search
 from sprkit import RunTrace, SprParams, run_spr, verify_trace
+from sprkit import verify as verify_module
 from sprkit.cli import main
 from sprkit.graph import ClusterReplay, WeightedGraph, format_graph_text, subdivide_edges
 
@@ -269,6 +270,19 @@ def test_verify_reports_claim_through_another_clusters_territory():
     g, trace = _claim_through_other_cluster()
     result = verify_trace(g, trace)
     assert "step (1,1) claims [2] but ball replay gives []" in result.violations
+    assert result == reference_verify_trace(g, trace)[0]
+
+
+def test_verify_checks_the_final_partition_on_positions(monkeypatch):
+    # with no foreign id the replay's owner list is the label list: the
+    # id-keyed check is never built, and the violation reads as before
+    g, trace = _claim_through_other_cluster()
+    monkeypatch.setattr(verify_module, "validate_partition", None)
+    result = verify_trace(g, trace)
+    assert result.violations[-1] == (
+        "final partition invalid: disconnected-cluster: "
+        "cluster 1 splits into components containing 0 and 2"
+    )
     assert result == reference_verify_trace(g, trace)[0]
 
 
