@@ -367,7 +367,8 @@ def preprocess_subdivide(graph: WeightedGraph, params: SprParams) -> PreprocessR
     A single global threshold (weight_factor / ln k) * d_min, with d_min the
     minimum terminal-pair distance, dominates the per-pair requirement for
     every pair simultaneously.  This inflates vertex counts heavily for
-    widely spread terminal distances; the new vertex count is up to the
+    widely spread terminal distances: ``subdivide_edges`` refuses to add
+    more than ``graph.MAX_GRAPH_SIZE`` vertices, and any fewer are up to the
     caller to budget.  With fewer than two terminals the graph is returned
     unchanged.
     """

@@ -16,9 +16,9 @@ ids 0..n-1; operations such as ``induced_subgraph`` keep the original ids.
 columns (``edge_columns``: the end positions and float64 weights of the
 canonical edges); ids stay Python integers, so only positions go into
 numpy.  One sort of the columns by (position, neighbour) gives the CSR
-arrays of the position adjacency (``_csr``), and its ``(position, weight)``
-rows are their slices.  The position adjacency is the only one the package
-reads: the distance kernel below, the connectivity check, the clustering
+arrays of the position adjacency (``_csr()``), and its ``(position,
+weight)`` rows are their slices.  The position adjacency is the only one
+the package reads: the distance kernel below, the connectivity check, the clustering
 engine, the partition check (``minor``), the covering check, the
 closest-terminal-pair search, ``canonical_path`` and ``ClusterReplay`` all
 run on positions, and give ids back only in what they return; contraction
@@ -68,8 +68,9 @@ but its interior is filled from both sides; a dead end (a degree-one end) is
 an end like any other; a cycle of degree-two positions without any end
 stays in the reduced graph, unreached, at ``math.inf``.  A graph without
 such a chain gets a table that folds nothing: the kernel runs on the graph's
-own CSR arrays, and each final column is copied once, straight into its
-``array('d')``.  A minor is its graph (``InducedMinor.graph``, vertices
+own CSR arrays, and each final column skips the ``take`` through an
+identity ``compact``: ``tobytes`` and the ``array('d')`` copy it, once
+each.  A minor is its graph (``InducedMinor.graph``, vertices
 1..k, every one a terminal, built by ``WeightedGraph.build`` like any
 other), so its ``distance_matrix`` is that graph's k terminal rows,
 ``array('d')`` rows of k entries, and its table always folds nothing: it
@@ -114,9 +115,9 @@ from itertools import repeat
 import numpy as np
 
 
-# The most vertices a generated or subdivided graph may have, checked before
-# any is made: beyond it a mistyped size would take the machine's memory, or
-# hours, before it failed.
+# The most vertices a generated graph may have, or a subdivision may add,
+# checked before any is made: beyond it a mistyped size would take the
+# machine's memory, or hours, before it failed.
 MAX_GRAPH_SIZE = 1_000_000
 
 
@@ -140,7 +141,9 @@ class WeightedGraph:
     self-loops, every weight positive and finite.  ``edge_columns`` holds
     them as arrays, in the same order: the positions of ``u`` and of ``v``
     (``np.intp``) and the float64 weights; the position adjacency, its CSR
-    arrays and contraction read these.  ``terminals`` is an ordered list;
+    arrays and contraction read these.  ``_GraphRules.graph``, the only
+    caller of this constructor, always fills them.  ``terminals`` is an
+    ordered list;
     terminal j (1-based) is ``terminals[j-1]``.
     """
 
@@ -151,14 +154,6 @@ class WeightedGraph:
     edge_columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False
     )
-
-    def __post_init__(self):
-        if self.edge_columns is None:  # a graph made without the rules
-            index, m = self.index, len(self.edges)
-            columns = [np.fromiter((index[e[end]] for e in self.edges), np.intp, m)
-                       for end in (0, 1)]
-            columns.append(np.fromiter((e[2] for e in self.edges), np.float64, m))
-            object.__setattr__(self, "edge_columns", tuple(columns))
 
     @staticmethod
     def build(
@@ -216,24 +211,25 @@ class WeightedGraph:
         """Position of every vertex id in ``vertices``."""
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @cached_property
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The position adjacency, each edge from both ends, as CSR arrays
         with the index in ``edges`` of each entry's edge in place of its
         weight: row starts, neighbour positions and edge indices.  One sort
         of the edge columns by (position, neighbour) gives every row in
-        position order."""
+        position order.  Not cached: ``_csr()`` and ``_index_adjacency`` each
+        sort once, and no edge index outlives them."""
         lo, hi, _ = self.edge_columns
         tail, head = np.concatenate((lo, hi)), np.concatenate((hi, lo))
         order = (tail * self.n + head).argsort()
         indptr = _row_starts(np.bincount(tail, minlength=self.n))
         return indptr, head[order], order % max(lo.size, 1)
 
-    @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The position adjacency as CSR arrays: row starts, neighbour
-        positions and float64 weights."""
-        indptr, nbr, edge = self._entries
+        positions and float64 weights.  Not cached: the chain table keeps
+        them when it folds nothing, and drops them once it has the reduced
+        graph's arrays."""
+        indptr, nbr, edge = self._entries()
         return indptr, nbr, self.edge_columns[2][edge]
 
     @cached_property
@@ -242,7 +238,7 @@ class WeightedGraph:
         of ``_entries``, in position order.  The entries share their ints
         and floats with ``index`` and ``edges``, as rows built edge by edge
         did, instead of holding copies."""
-        indptr, nbr, edge = self._entries
+        indptr, nbr, edge = self._entries()
         position, weight = list(self.index.values()), [e[2] for e in self.edges]
         entries = tuple(zip(map(position.__getitem__, nbr.tolist()),
                             map(weight.__getitem__, edge.tolist())))
@@ -254,7 +250,7 @@ class WeightedGraph:
     @cached_property
     def _chains(self) -> _Chains:
         """The kernel's chain table, with the terminals as sources."""
-        return _fold_chains(self._csr, [self.index[t] for t in self.terminals])
+        return _fold_chains(self._csr(), [self.index[t] for t in self.terminals])
 
     @cached_property
     def terminal_distance_maps(self) -> tuple[array, ...]:
@@ -510,23 +506,7 @@ def _fold_chains(csr, sources) -> _Chains:
     is_end = degree != 2
     is_end[list(sources)] = True
     inner = np.flatnonzero(~is_end)
-    is_end = is_end.tobytes()
-    rows = indptr.tolist(), nbr.tolist(), weight.tolist()
-    start, to, by = rows
-    seen = bytearray(n)
-    chains = []
-    for p in inner.tolist():
-        if seen[p]:
-            continue
-        # walk out both ways from p to the chain's ends
-        s = start[p]
-        back, back_weights, a = _walk(rows, is_end, seen, p, to[s], by[s])
-        if a == p:
-            continue  # a cycle without ends
-        ahead, weights, b = _walk(rows, is_end, seen, p, to[s + 1], by[s + 1])
-        path = back[::-1] + [p] + ahead
-        if len(path) >= _FOLD_MIN:
-            chains.append((a, b, path, back_weights[::-1] + weights))
+    chains = _find_chains(csr, inner) if inner.size else []
     if not chains:
         return _Chains(compact=np.arange(n), csr=csr, fold_csr=None, groups=())
     compact = np.zeros(n, dtype=np.intp)
@@ -570,23 +550,53 @@ def _fold_chains(csr, sources) -> _Chains:
     )
 
 
-def _walk(rows, is_end, seen, first, p, w):
+def _find_chains(csr, inner) -> list:
+    """Every chain through the interior positions ``inner`` of the CSR
+    arrays ``csr`` with at least ``_FOLD_MIN`` of them, as its two ends,
+    its interior positions and its weights, in walking order."""
+    indptr, nbr, weight = csr
+    # the two entries of each interior position, as lists by its rank in
+    # ``inner`` (its slot); an end's slot is -1
+    slot = np.full(indptr.size - 1, -1, dtype=np.intp)
+    slot[inner] = np.arange(inner.size)
+    entry = indptr[inner]
+    rows = (slot.tolist(), nbr[entry].tolist(), weight[entry].tolist(),
+            nbr[entry + 1].tolist(), weight[entry + 1].tolist())
+    _, to, by, to_other, by_other = rows
+    seen = bytearray(indptr.size - 1)
+    chains = []
+    for i, p in enumerate(inner.tolist()):
+        if seen[p]:
+            continue
+        # walk out both ways from p to the chain's ends
+        back, back_weights, a = _walk(rows, seen, p, to[i], by[i])
+        if a == p:
+            continue  # a cycle without ends
+        ahead, weights, b = _walk(rows, seen, p, to_other[i], by_other[i])
+        path = back[::-1] + [p] + ahead
+        if len(path) >= _FOLD_MIN:
+            chains.append((a, b, path, back_weights[::-1] + weights))
+    return chains
+
+
+def _walk(rows, seen, first, p, w):
     """Walk from ``first`` over the edge of weight ``w`` to ``p`` and on,
     marking each position in ``seen``, to the first end (or back to
-    ``first``).  ``rows`` holds the CSR arrays as lists.  Returns the
-    positions passed, the weights crossed and the position where the walk
-    stopped."""
-    start, to, by = rows
+    ``first``).  ``rows`` holds each position's slot and, by slot, the
+    interior positions' two entries as lists (see ``_find_chains``).
+    Returns the positions passed, the weights crossed and the position
+    where the walk stopped."""
+    slot, to, by, to_other, by_other = rows
     seen[first] = 1
     prev, path, weights = first, [], [w]
-    while not is_end[p] and p != first:
+    while p != first and (i := slot[p]) >= 0:
         seen[p] = 1
         path.append(p)
         # a position inside a chain has two entries: leave by the other one
-        s = start[p]
-        if to[s] == prev:
-            s += 1
-        prev, p, w = p, to[s], by[s]
+        if to[i] == prev:
+            prev, p, w = p, to_other[i], by_other[i]
+        else:
+            prev, p, w = p, to[i], by[i]
         weights.append(w)
     return path, weights, p
 
@@ -887,16 +897,16 @@ def subdivide_edges(graph: WeightedGraph, threshold: float) -> SubdivideResult:
     non-terminal vertices of degree two.  Distances between original
     vertices are preserved (the split is an exact partition of the weight,
     up to float rounding).  Fresh ids are handed out from max(id)+1 in
-    canonical edge order, so the result is deterministic.
+    canonical edge order, so the result is deterministic.  More than
+    ``MAX_GRAPH_SIZE`` fresh vertices raise before any is made; the input
+    graph's own size is not capped.
     """
     if not (threshold > 0 and math.isfinite(threshold)):
         raise GraphError(f"threshold must be positive and finite, got {threshold}")
     with np.errstate(over="ignore"):  # a count past the float range is inf, refused
         added = (np.ceil(graph.edge_columns[2] / threshold) - 1).sum()
-    if graph.n + added > MAX_GRAPH_SIZE:
-        raise GraphError(
-            f"subdividing at {threshold!r} makes more than {MAX_GRAPH_SIZE} vertices"
-        )
+    if added > MAX_GRAPH_SIZE:
+        raise GraphError(f"subdividing at {threshold!r} adds more than {MAX_GRAPH_SIZE} vertices")
     next_id = max(graph.vertices) + 1 if graph.vertices else 0
     vertices = list(graph.vertices)
     new_edges: list[tuple[int, int, float]] = []

@@ -5,7 +5,9 @@ import pytest
 
 from sprkit import RunTrace, SprParams, charging, cli, oracle, verify_trace
 from sprkit.cli import main
-from sprkit.graph import GraphError, canonical_path, parse_graph_text
+from sprkit.graph import (
+    GraphError, WeightedGraph, canonical_path, parse_graph_text, subdivide_edges,
+)
 from sprkit.oracle import best_partition
 
 
@@ -629,5 +631,20 @@ def test_run_subdivide_over_the_size_cap_is_refused(tmp_path, capsys):
         argv = ["run", "--graph", str(gpath), "--subdivide", "--out", str(tmp_path / "t.json")]
         assert main(argv) == 2
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: subdividing at ") and "more than 1000000" in line
+        assert line.startswith("error: subdividing at ") and "adds more than 1000000" in line
         assert not (tmp_path / "t.json").exists()
+
+
+def test_subdivide_caps_only_the_vertices_it_adds(monkeypatch):
+    # the cap bounds the fresh vertices, not the input graph: with the cap
+    # lowered to 3, a 5-vertex path subdivides when it adds none or 3
+    # vertices, and is refused when it would add 10
+    from sprkit import graph as graph_module
+
+    monkeypatch.setattr(graph_module, "MAX_GRAPH_SIZE", 3)
+    g = WeightedGraph.build(range(5), [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 4.0)],
+                            [0, 4])
+    assert subdivide_edges(g, 4.0).graph.n == 5
+    assert subdivide_edges(g, 1.0).graph.n == 8
+    with pytest.raises(GraphError, match="adds more than 3 vertices"):
+        subdivide_edges(g, 0.5)

@@ -292,7 +292,7 @@ def canonical_column(g, sources):
 
 def all_source_table(g):
     """The chain table with every position a source: it folds nothing."""
-    return graph_module._fold_chains(g._csr, range(g.n))
+    return graph_module._fold_chains(g._csr(), range(g.n))
 
 
 def kernel_columns(g, columns, chains=None, chunk=graph_module._CHUNK):
@@ -436,7 +436,7 @@ def test_folded_kernel_equals_canonical_searches(g, chunk, fold_min):
     # rows and the all-terminal column, at every chunk size, bit for bit
     sources = [g.index[t] for t in g.terminals]
     with mock.patch.object(graph_module, "_FOLD_MIN", fold_min):
-        chains = graph_module._fold_chains(g._csr, sources)
+        chains = graph_module._fold_chains(g._csr(), sources)
     columns = [(t,) for t in g.terminals] + [g.terminals]
     expected = [canonical_column(g, col) for col in columns]
     interior = set(np.flatnonzero(chains.compact < 0).tolist())
@@ -463,7 +463,7 @@ def test_fold_chains_table():
     assert g._chains.fold_csr is None  # every chain is shorter than _FOLD_MIN
     index = g.index
     with mock.patch.object(graph_module, "_FOLD_MIN", 1):
-        chains = graph_module._fold_chains(g._csr, [index[0], index[31]])
+        chains = graph_module._fold_chains(g._csr(), [index[0], index[31]])
     reduced = np.flatnonzero(chains.compact >= 0)
     kept = [g.vertices[p] for p in reduced]
     assert kept == [0, 1, 22, 31, 40, 41, 42]
@@ -603,7 +603,7 @@ def test_csr_arrays_equal_the_generator_build(g):
     # from its position map
     adj = edge_rows(g)
     assert g._index_adjacency == adj
-    assert_same_arrays(g._csr, generator_csr_arrays(adj))
+    assert_same_arrays(g._csr(), generator_csr_arrays(adj))
     compact = g._chains.compact.tolist()
     reduced = [[(compact[q], w) for q, w in row if compact[q] >= 0]
                for p, row in enumerate(adj) if compact[p] >= 0]
@@ -621,11 +621,11 @@ def test_minor_csr_arrays_equal_the_generator_build():
         adj[j - 1].append((i - 1, w))
     minor.distance_matrix
     assert "_index_adjacency" not in minor.graph.__dict__
-    assert minor.graph._chains.csr is minor.graph._csr
-    assert_same_arrays(minor.graph._csr, generator_csr_arrays(adj))
+    assert minor.graph._chains.fold_csr is None
+    assert_same_arrays(minor.graph._chains.csr, generator_csr_arrays(adj))
     for n in (1, 2):
         empty = WeightedGraph.build(range(n), [], [0])
-        assert_same_arrays(empty._csr, generator_csr_arrays([()] * n))
+        assert_same_arrays(empty._csr(), generator_csr_arrays([()] * n))
         assert empty._index_adjacency == ((),) * n
 
 
