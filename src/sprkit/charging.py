@@ -7,14 +7,15 @@ vertex u and extends by the fewest vertices needed for its external length
 (interval_factor * delta / ln k) * D(u); minimality keeps the internal
 length (distance between Q's own endpoints) at or below the same bound.
 
-Replaying a run trace against the path yields the charging ledger.  A step
-that claims at least one still-active path vertex deactivates the whole
-index span between the lowest and highest claimed active vertices (a
-detour), charges the interval holding the active vertex that was cheapest
-for the growing cluster to reach, and erases any older detour strictly
-inside the new span together with its charge.  Slices are maximal runs of
-active vertices inside one interval; a step that fails to wipe out its
-trigger slice is labeled a failure.  The final cost is
+Replaying a run trace against the path yields the charging ledger; its
+steps come from ``verify.replay_steps``, so a trace verify rejects is
+refused.  A step that claims at least one still-active path vertex
+deactivates the whole index span between the lowest and highest claimed
+active vertices (a detour), charges the interval holding the active vertex
+that was cheapest for the growing cluster to reach, and erases any older
+detour strictly inside the new span together with its charge.  Slices are
+maximal runs of active vertices inside one interval; a step that fails to
+wipe out its trigger slice is labeled a failure.  The final cost is
 f = sum over intervals of (surviving charges) * (external length).
 
 The slice bookkeeping reads the active flags as one bytearray.  A detour
@@ -34,7 +35,8 @@ from functools import cached_property
 from operator import mul
 
 from .engine import RunTrace, SprParams
-from .graph import ClusterReplay, GraphError, WeightedGraph, canonical_path
+from .graph import GraphError, WeightedGraph, canonical_path
+from .verify import replay_steps
 
 COST_BOUND_FACTOR = 43.0  # exceedance threshold for the final cost, in units of d(t, t')
 
@@ -238,81 +240,43 @@ def reconstruct_ledger(
 ) -> DetourLedger:
     """Replay the trace in order and rebuild the full charging ledger.
 
-    The minimal increments q_v are recomputed at replay time from the
-    recorded pre-step state: q_v is the current region distance from the
-    stepping terminal to v minus the cluster's pre-step radius.  Ties for
-    the trigger vertex break toward the lowest path index.  Region distances
-    come from ``graph.ClusterReplay``; every claiming step runs a ball search
-    to the radius so that each claim carries the ledger's own distance, never
-    the trace's, into later searches.  A trace whose radius events are not
-    every (round, step) in order, or whose claims name another terminal than
-    their step's, is refused with ``LedgerError``.
+    The steps come from ``verify.replay_steps`` without the seeded-stream
+    check; a trace with any fault it finds is refused with ``LedgerError``
+    naming the first.  The minimal increments q_v are recomputed from the
+    pre-step state: q_v is the region distance from the stepping terminal
+    to v, searched on the stream's replay before the step's claims, minus
+    the cluster's pre-step radius.  Ties for the trigger vertex break toward
+    the lowest path index.  The ledger's own refusals are its bookkeeping
+    checks: a trigger that is missing, inside the pre-step radius, outside
+    its detour's span or unreachable from its terminal (``GraphError``),
+    live detours out of step with the active vertices, and three slice checks.
     """
-    if trace.terminal_ids != graph.terminals:
-        raise LedgerError("trace terminals do not match graph terminals")
-    if trace.k != graph.k:
-        raise LedgerError(f"trace terminal count {trace.k} does not match the graph's {graph.k}")
-    if len(trace.radius_round) != trace.rounds * trace.k:
-        raise LedgerError(
-            f"trace has {len(trace.radius_round)} radius events for {trace.rounds} rounds "
-            f"of {trace.k} steps"
-        )
-    if not trace.radius_steps_in_order():
-        raise LedgerError("radius events do not enumerate every (round, step) in order")
-    vertex, index = trace.cover_vertex, graph.index
-    unknown = set(vertex).difference(index)
-    if unknown:
-        raise LedgerError(
-            f"trace covers vertices not in this graph (e.g. {sorted(unknown)[:3]}); "
-            "was the run preprocessed with subdivision? analyze against the "
-            "subdivided graph"
-        )
-    pos = list(map(index.__getitem__, vertex))
     path = partition.path
     # a path vertex outside the graph (a partition of another graph) is None
-    path_pos = list(map(index.get, path))
+    path_pos = list(map(graph.index.get, path))
     path_index = dict(zip(path_pos, range(len(path))))
     last = len(path) - 1
     active = bytearray(b"\0" + b"\1" * (last - 1) + b"\0")  # flags indexed like path
     active_vertices = set(path_pos[1:-1])  # the position of path[i] for every active i
     intervals, interval_of = partition.intervals, partition.interval_of_index
 
-    replay = ClusterReplay(graph)
-    radii = {j: 0.0 for j in range(1, trace.k + 1)}
     charges = [0] * partition.phi
     live: list[Detour] = []
     detours: list[Detour] = []
     steps: list[ChargeStep] = []
-    runs_by_step = trace.runs_by_step()
-    ratio = params.ratio
     extra = partition.max_length_in * (1 + 1e-9) + 1e-15
 
-    seen_cover = bytearray(graph.n)
+    violations: list[str] = []
     live_span_total = 0
-    for rnd, j, q_step in zip(trace.radius_round, trace.radius_step, trace.radius_q):
-        pre_radius = radii[j]
-        radii[j] += q_step
-        runs = runs_by_step.get((rnd, j))
-        if not runs:
-            continue
-        t_j = graph.terminals[j - 1]
-        for _, _, t in runs:
-            if t != t_j:
-                raise LedgerError(f"cover event at step ({rnd},{j}) names terminal {t}, "
-                                  f"expected {t_j}")
-        claimed = [p for start, stop, _ in runs for p in pos[start:stop]]
-        for p in claimed:
-            if seen_cover[p]:
-                raise LedgerError(f"vertex {graph.vertices[p]} covered twice in trace")
-            seen_cover[p] = 1
-        # the claims' distances, which seed later steps' searches
-        ball, _ = replay.search(j, limit=radii[j])
+    for replay, rnd, j, q_step, pre_radius, claimed in replay_steps(graph, trace, violations):
+        if violations:
+            raise LedgerError(violations[0])
         newly_active = [path_index[p] for p in active_vertices.intersection(claimed)]
         if not newly_active:
-            replay.claim(j, claimed, ball)
             continue
 
         # charging step: find the trigger vertex from the pre-step state
+        t_j = graph.terminals[j - 1]
         _, stops = replay.search(j, stop=active_vertices, extra=extra)
         if not stops:
             raise LedgerError(
@@ -406,7 +370,7 @@ def reconstruct_ledger(
         d_trig = graph.terminal_distance_maps[j - 1][path_pos[trigger_idx]]
         if d_trig == math.inf:
             raise GraphError(f"vertex {path[trigger_idx]} is not reachable from {t_j}")
-        qualifies = rnd >= math.log(params.early_factor * d_trig) / math.log(ratio)
+        qualifies = rnd >= math.log(params.early_factor * d_trig) / math.log(params.ratio)
         steps.append(
             ChargeStep(
                 detour_id=det.ident, round=rnd, step=j, terminal=t_j,
@@ -417,11 +381,8 @@ def reconstruct_ledger(
                 slices_after=tuple(after.items()),
             )
         )
-        replay.claim(j, claimed, ball)
-
-    if replay.claimed < graph.n:
-        missing = [v for v, j in zip(graph.vertices, replay.owner) if not j]
-        raise LedgerError(f"trace is incomplete; vertices never covered: {missing[:5]}")
+    if violations:
+        raise LedgerError(violations[0])
 
     cost = sum(map(mul, charges, partition.lengths_out))
     return DetourLedger(

@@ -2,9 +2,9 @@
 
 Subcommands: gen, run, distort, verify, oracle, analyze, experiment.
 Exit codes: 0 success, 1 invariant violation found by verify, 2 usage or
-input error (including a malformed trace), 3 I/O error, 4 round guard
-exceeded by run (the partial trace is still written to --out).  SPR_SEED
-provides the default seed.
+input error (a malformed trace, or in analyze any trace verify rejects), 3
+I/O error, 4 round guard exceeded by run (the partial trace is still written
+to --out).  SPR_SEED provides the default seed.
 """
 
 from __future__ import annotations
@@ -230,9 +230,13 @@ def cmd_analyze(args) -> int:
     [delta] = deltas
     params = SprParams(k=graph.k, delta=delta)
     partitions = _terminal_free_partitions(graph, t, t_prime, params)
-    # covering before the ledgers: a claimed terminal is named as such
+    # covering before verify and the ledgers: a claimed terminal is named as such
     checks = [check_covering(tr, graph, SprParams(k=graph.k, delta=delta, seed=tr.seed))
               for tr in traces]
+    for tr in traces:  # the charging argument holds only for runs the algorithm can make
+        result = verify_trace(graph, tr, SprParams(k=tr.k, delta=tr.delta, seed=tr.seed))
+        if not result.ok:
+            raise GraphError(result.violations[0])
     results = [_analyze_segment(graph, part, traces, params) for part in partitions]
     covering = summarize_covering(checks)
     k = graph.k

@@ -435,8 +435,10 @@ def default_round_guard(graph: WeightedGraph, params: SprParams) -> int:
     extra = 10 * math.ceil(math.log(params.k))
     if max_d <= 0:
         return max(extra, 1)
-    base = math.ceil(math.log(DEADLINE_FACTOR * max_d) / math.log(params.ratio))
-    return max(base, 0) + max(extra, 1)
+    base = math.log(DEADLINE_FACTOR * max_d) / math.log(params.ratio)
+    if base == math.inf:
+        raise GraphError(f"nearest-terminal distance {max_d!r} is too large to bound the rounds")
+    return max(math.ceil(base), 0) + max(extra, 1)
 
 
 def run_spr(

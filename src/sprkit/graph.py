@@ -460,21 +460,24 @@ class _Chains:
 
     def unfold(self, labels: np.ndarray):
         """One ``array('d')`` over every position per column of the final
-        reduced labels (reduced vertex x column)."""
+        reduced labels (reduced vertex x column), the chain folds summed now."""
         # the fold from either end, position by position, for every column
         folds = [
             (inner, np.minimum(_prefix_folds(labels[a], weight[:, :-1]),
                                _prefix_folds(labels[b], weight[:, :0:-1])[..., ::-1]))
             for a, b, inner, weight in self.groups
         ]
-        for j in range(labels.shape[1]):
-            column = labels[:, j]
-            if folds:
-                # a chain interior (compact -1) takes a stand-in label, then its fold
-                column = column.take(self.compact)
-                for inner, best in folds:
-                    column[inner] = best[j]
-            yield array("d", column.tobytes())
+
+        def columns():
+            for j in range(labels.shape[1]):
+                column = labels[:, j]
+                if folds:
+                    # a chain interior (compact -1) takes a stand-in label, then its fold
+                    column = column.take(self.compact)
+                    for inner, best in folds:
+                        column[inner] = best[j]
+                yield array("d", column.tobytes())
+        return columns()
 
 
 def _prefix_folds(start: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -618,6 +621,8 @@ def _distance_columns(chains: _Chains, columns):
 
 
 def _sweep_chunk(chains, columns):
+    """The columns' distances, as ``_Chains.unfold`` gives them; returned,
+    not yielded, so the overflow setting that makes a sum inf ends here."""
     csr = chains.csr
     c = len(columns)
     size = (csr[0].size - 1) * c
@@ -628,23 +633,24 @@ def _sweep_chunk(chains, columns):
     )
     labels[active] = 0.0
     mark = np.zeros(size, dtype=bool)
-    while active.size:
-        # every block expands the labels the sweep started with
-        base = labels[active]
-        blocks = []
-        for lo in range(0, active.size, _BLOCK):
-            pairs, start = active[lo:lo + _BLOCK], base[lo:lo + _BLOCK]
-            blocks.append(_expand(labels, csr, c, pairs, start))
-            if chains.fold_csr is not None:
-                blocks.append(_expand_folds(labels, chains, c, pairs, start))
-        target = np.concatenate(blocks)
-        if target.size * _SORT_SHARE < size:
-            active = _distinct(target)
-        else:
-            mark[target] = True
-            active = np.flatnonzero(mark)
-            mark[active] = False
-    yield from chains.unfold(labels.reshape(-1, c))
+    with np.errstate(over="ignore"):
+        while active.size:
+            # every block expands the labels the sweep started with
+            base = labels[active]
+            blocks = []
+            for lo in range(0, active.size, _BLOCK):
+                pairs, start = active[lo:lo + _BLOCK], base[lo:lo + _BLOCK]
+                blocks.append(_expand(labels, csr, c, pairs, start))
+                if chains.fold_csr is not None:
+                    blocks.append(_expand_folds(labels, chains, c, pairs, start))
+            target = np.concatenate(blocks)
+            if target.size * _SORT_SHARE < size:
+                active = _distinct(target)
+            else:
+                mark[target] = True
+                active = np.flatnonzero(mark)
+                mark[active] = False
+        return chains.unfold(labels.reshape(-1, c))
 
 
 def _out_edges(indptr, vertex):

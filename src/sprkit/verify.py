@@ -23,12 +23,14 @@ The checks run in bulk: set operations decide distinct cover vertices,
 unknown ids, claimed terminals and completeness, and each step compares
 its replayed distances with the recorded ones as lists, and the largest
 with the radius.  The per-event loops run only when such a test finds a
-fault, to word its violations in event order.
+fault, to word its violations in event order.  The replay is one stream of
+steps, ``replay_steps``, read by ``verify_trace`` and the charging ledger.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
 
 from .engine import RunTrace, SprParams, round_increments, run_rng
@@ -55,15 +57,25 @@ class VerifyResult:
         return not self.violations
 
 
-def verify_trace(
-    graph: WeightedGraph, trace: RunTrace, params: SprParams | None = None
-) -> VerifyResult:
-    violations: list[str] = []
+def replay_steps(
+    graph: WeightedGraph, trace: RunTrace, violations: list[str], params: SprParams | None = None
+) -> Generator[tuple, None, tuple[ClusterReplay, dict[int, int]]]:
+    """Every check of ``verify_trace`` but the final partition check, the
+    seeded stream's only with ``params``, appending to ``violations`` in
+    ``verify_trace``'s order.  Each radius event whose ball is searched
+    yields ``(replay, round, step, q, pre-step radius, claimed positions)``
+    with its faults appended and the ``ClusterReplay`` before its claims,
+    which it makes when resumed.  Returns the replay and the claims of ids
+    outside the graph (id to cluster)."""
     k = trace.k
+    replay = ClusterReplay(graph)
+    foreign: dict[int, int] = {}
     if trace.terminal_ids != graph.terminals:
-        return VerifyResult(("trace terminals do not match graph terminals",))
+        violations.append("trace terminals do not match graph terminals")
+        return replay, foreign
     if k != graph.k:
-        return VerifyResult((f"trace terminal count {k} does not match the graph's {graph.k}",))
+        violations.append(f"trace terminal count {k} does not match the graph's {graph.k}")
+        return replay, foreign
     term_index = {t: j for j, t in enumerate(graph.terminals, start=1)}
 
     # coverage uniqueness and vertex validity
@@ -92,18 +104,19 @@ def verify_trace(
     if trace.k == 1:
         if trace.radius_round:
             violations.append("single-terminal trace must have no radius events")
-        return VerifyResult(tuple(violations))
+        return replay, foreign
 
     # radius accumulation per terminal, and sampling stream agreement
     if not trace.radius_steps_in_order():
         violations.append("radius events do not enumerate every (round, step) in order")
-        return VerifyResult(tuple(violations))
-    radius_events = list(zip(trace.radius_round, trace.radius_step, trace.radius_q,
-                             trace.radius_R))
+        return replay, foreign
+    steps = []
     radii = {j: 0.0 for j in range(1, k + 1)}
-    for rnd, j, q, radius in radius_events:
+    for rnd, j, q, radius in zip(trace.radius_round, trace.radius_step, trace.radius_q,
+                                 trace.radius_R):
         if q < 0:
             violations.append(f"negative increment at round {rnd} step {j}")
+        steps.append((rnd, j, q, radii[j], radii[j] + q))
         radii[j] += q
         if radius != radii[j]:
             violations.append(
@@ -132,15 +145,10 @@ def verify_trace(
     # A step's recorded distances are compared with the replayed ones as
     # lists, and the largest with the radius; the loop over its events runs
     # only when that finds a fault, to word it.
-    replay = ClusterReplay(graph)
-    foreign: dict[int, int] = {}
     runs_by_step = trace.runs_by_step()
     recorded = trace.cover_dist
-    radii = {j: 0.0 for j in range(1, k + 1)}
-    for rnd, j, q, _ in radius_events:
-        radii[j] += q
-        radius = radii[j]
-        runs = runs_by_step.get((rnd, j), ())
+    for rnd, j, q, pre_radius, radius in steps:
+        runs = runs_by_step.pop((rnd, j), ())
         t_j = graph.terminals[j - 1]
         for start, stop, t in runs:
             if t != t_j:
@@ -180,12 +188,30 @@ def verify_trace(
                     if pos[i] is None:
                         foreign.setdefault(vertex[i], j)
                 got_new.discard(None)
+            yield replay, rnd, j, q, pre_radius, got_new
             # the replayed distances, never the recorded ones, seed later steps
             replay.claim(j, got_new, dist)
+    for rnd, j in runs_by_step:  # never replayed, so never claimed
+        violations.append(f"cover events at step ({rnd},{j}) have no radius event")
+    return replay, foreign
+
+
+def verify_trace(
+    graph: WeightedGraph, trace: RunTrace, params: SprParams | None = None
+) -> VerifyResult:
+    """The violations of the drained ``replay_steps``, then the partition check's."""
+    violations: list[str] = []
+    steps = replay_steps(graph, trace, violations, params)
+    try:
+        while True:
+            next(steps)
+    except StopIteration as end:
+        replay, foreign = end.value
 
     # final partition must be a valid terminal partition.  Without a foreign
     # id every position is claimed, and the replay's owners are its labels;
-    # a foreign id takes the id-keyed check, which names it
+    # a foreign id takes the id-keyed check, which names it; an early stop
+    # claimed only terminals, each a valid cluster of its own
     if replay.claimed + len(foreign) == graph.n:
         if foreign:
             assignment = {v: j for v, j in zip(graph.vertices, replay.owner) if j}

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,33 @@ def test_run_zero_max_rounds_finishes_a_graph_of_terminals(tmp_path):
     assert RunTrace.from_json(out.read_text()).rounds == 0
 
 
+def test_run_weights_near_the_float_maximum_are_usage_errors(tmp_path, capsys):
+    # 4 times the nearest-terminal distance 1e308 is past the float range,
+    # so no round guard can be set
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("v 0\nv 1\nv 2\nt 0\nt 2\ne 0 1 1e308\ne 1 2 1e308\n")
+    capsys.readouterr()
+    assert main(["run", "--graph", str(gpath), "--out", str(tmp_path / "trace.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: nearest-terminal distance 1e+308 is too large to bound the rounds"
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt"]
+
+
+def test_run_distance_sums_past_the_float_range_warn_nothing(tmp_path, capsys):
+    # the kernel relaxes 0 -> 1 -> 0 to 1e308 + 1e308, which is inf, as a
+    # Python float sum would be, without a numpy warning
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("v 0\nv 1\nt 0\nt 1\ne 0 1 1e308\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--graph", str(gpath), "--out", str(tmp_path / "trace.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_distort_roundtrip(tmp_path, capsys):
     gpath = _gen(tmp_path)
     out = tmp_path / "trace.json"
@@ -196,8 +224,8 @@ def test_distort_minor_with_wrong_ids_is_usage_error(tmp_path, capsys, lines):
 @pytest.mark.parametrize("field", ["rounds", "k"])
 def test_verify_and_analyze_do_not_size_memory_by_trace_counts(tmp_path, capsys, field):
     # a count field far beyond the events is reported at once, without
-    # building a list or dict of that size: verify finds a violation, and the
-    # charging ledger of analyze refuses the trace
+    # building a list or dict of that size: verify finds a violation, and
+    # analyze refuses the trace with it
     gpath = _gen(tmp_path, n=8)
     tdir = tmp_path / "traces"
     tdir.mkdir()
@@ -216,9 +244,6 @@ def test_verify_and_analyze_do_not_size_memory_by_trace_counts(tmp_path, capsys,
         "k": f"trace terminal count {10**12} does not match the graph's 2",
     }[field]
     assert capsys.readouterr().err.splitlines() == [f"violation: {expected}"]
-    if field == "rounds":
-        events = sum(ev["type"] == "radius" for ev in doc["events"])
-        expected = f"trace has {events} radius events for {10**12} rounds of 2 steps"
     assert main([
         "analyze", "--graph", str(gpath), "--pair", "0", "7", "--traces", str(tdir),
     ]) == 2
@@ -227,12 +252,16 @@ def test_verify_and_analyze_do_not_size_memory_by_trace_counts(tmp_path, capsys,
 
 @pytest.mark.parametrize(
     "field, value",
-    [("step", 0), ("step", 9), ("round", 99), ("round", -2), ("terminal", None)],
-    ids=["step-0", "step-9", "round-99", "round-minus-2", "other-terminal"],
+    [("step", 0), ("step", 9), ("round", 99), ("round", -2), ("terminal", None),
+     ("R", 1.0), ("q", None), ("dist", 1.0), ("seed", 1)],
+    ids=["step-0", "step-9", "round-99", "round-minus-2", "other-terminal",
+         "radius-mismatch", "negative-increment", "recorded-distance", "seeded-stream"],
 )
 def test_analyze_refuses_traces_that_verify_flags(tmp_path, capsys, field, value):
-    # one radius event's step or round, or one cover event's terminal, is
-    # wrong: verify reports a violation and the charging ledger refuses it
+    # one field of an engine trace is wrong: a radius event's step, round,
+    # radius or increment, a cover event's terminal or distance, or the
+    # seed.  verify reports a violation, and analyze refuses the trace with
+    # the first and writes nothing
     gpath = tmp_path / "grid.txt"
     assert main(["gen", "--family", "grid", "--width", "5", "--height", "5", "--k", "4",
                  "--out", str(gpath)]) == 0
@@ -240,24 +269,41 @@ def test_analyze_refuses_traces_that_verify_flags(tmp_path, capsys, field, value
     assert main(["run", "--graph", str(gpath), "--seed", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     t, t_prime = doc["params"]["terminals"][:2]
+    radius = next(ev for ev in doc["events"] if ev["type"] == "radius")
+    cover = next(ev for ev in doc["events"] if ev["type"] == "cover")
     if field == "terminal":
-        event = next(ev for ev in doc["events"] if ev["type"] == "cover")
-        value = next(x for x in doc["params"]["terminals"] if x != event["terminal"])
-        expected = (f"cover event at step ({event['round']},{event['step']}) names "
-                    f"terminal {value}, expected {event['terminal']}")
+        value = next(x for x in doc["params"]["terminals"] if x != cover["terminal"])
+        expected = (f"cover event at step ({cover['round']},{cover['step']}) names "
+                    f"terminal {value}, expected {cover['terminal']}")
+        cover[field] = value
+    elif field == "R":
+        expected = (f"radius mismatch at round 0 step 1: recorded {radius['R'] + value!r}, "
+                    f"accumulated {radius['R']!r}")
+        radius[field] += value
+    elif field == "q":
+        expected = "negative increment at round 0 step 1"
+        radius[field] = -radius[field]
+    elif field == "dist":
+        expected = (f"recorded distance {cover['dist'] + value!r} for vertex {cover['vertex']} "
+                    f"differs from replayed {cover['dist']!r}")
+        cover[field] += value
+    elif field == "seed":
+        expected = "increment at round 0 step 1 does not match the seeded stream"
+        doc["params"][field] += value
     else:
-        event = next(ev for ev in doc["events"] if ev["type"] == "radius")
         expected = "radius events do not enumerate every (round, step) in order"
-    event[field] = value
+        radius[field] = value
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "--graph", str(gpath), "--trace", str(out)]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err.splitlines()[0] == f"violation: {expected}"
+    report = tmp_path / "analysis.json"
     assert main(["analyze", "--graph", str(gpath), "--pair", str(t), str(t_prime),
-                 "--traces", str(out)]) == 2
+                 "--traces", str(out), "--out", str(report)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {expected}"]
+    assert not report.exists()
 
 
 def test_oracle_runs_the_exhaustive_search_once(tmp_path, monkeypatch):

@@ -4,7 +4,8 @@ One or two tokens of a small graph text, minor text, run trace or
 experiment spec are replaced by a hostile value, and every subcommand that
 reads that input runs in process through ``cli.main``.  Each must return
 0-4 (see the ``cli`` module docstring) and raise nothing but
-``SystemExit``.
+``SystemExit``.  Inputs that ``verify`` rejects (1), ``analyze`` must
+refuse (2) without writing its output.
 """
 
 from __future__ import annotations
@@ -112,7 +113,10 @@ def test_mutated_inputs_end_in_a_documented_exit_code(inputs):
         path = root / f"mutated-{kind}"
         path.write_text(text)
         (root / "out").mkdir(exist_ok=True)
+        out = root / "out" / "x.json"
+        codes = {}
         for argv in _commands(kind, path, root):
+            out.unlink(missing_ok=True)
             previous = signal.signal(signal.SIGALRM, _alarm)
             signal.alarm(CASE_SECONDS)
             try:
@@ -125,5 +129,9 @@ def test_mutated_inputs_end_in_a_documented_exit_code(inputs):
                 signal.alarm(0)
                 signal.signal(signal.SIGALRM, previous)
             assert code in (0, 1, 2, 3, 4), (argv[0], text)
+            codes[argv[0]] = code
+            if argv[0] == "analyze" and codes["verify"] == 1:
+                assert code == 2, text
+                assert not out.exists(), text
 
     case()

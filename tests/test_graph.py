@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from array import array
 from pathlib import Path
 from unittest import mock
@@ -510,6 +511,21 @@ def test_fold_is_a_left_to_right_sum():
     assert [[d.hex() for d in row] for row in g.terminal_distance_maps] == [
         canonical_column(g, (t,)) for t in g.terminals
     ]
+
+
+def test_sums_past_the_float_range_are_inf_without_a_warning():
+    # a folded chain of 1e307 edges: its sums pass the float range after 17
+    # hops and are inf, as hop-by-hop Python float sums are, with no numpy
+    # overflow warning from the sweep or the unfolding
+    g = WeightedGraph.build(range(41), [(v, v + 1, 1e307) for v in range(40)], [0, 40])
+    assert g._chains.fold_csr is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = g.terminal_distance_maps
+    assert [[d.hex() for d in row] for row in rows] == [
+        canonical_column(g, (t,)) for t in g.terminals
+    ]
+    assert rows[0][17] < math.inf == rows[0][18]
 
 
 def test_chain_free_graphs_run_one_path():
