@@ -9,9 +9,10 @@ Usage, from the repository root:
 For each size (n=2k k=16, n=20k k=64, n=50k k=256) a fresh child process
 builds the sparse graph of ``perfbench/inputs.sparse_graph_text`` (graph
 seed 0) and runs the traced ``compress-cold`` unit of
-``perfbench/workloads.py`` on it with run seed 0, then the covering check,
-three times.  The traced unit warms every terminal row and the covering
-check reads them, so a second child per size runs the untraced unit
+``perfbench/workloads.py`` on it with run seed 0, then the covering check
+and ``verify_trace`` of its trace, three times.  The traced unit warms
+every terminal row and the covering check reads them, so a second child
+per size runs the untraced unit
 (``workloads.compress_unit``, which keeps only the terminal block) once and
 records its peak RSS as ``run_peak_rss_mb``.  One more child builds the
 ``analyze-pair`` graph and one trace (run seed 0) with that workload's
@@ -80,7 +81,7 @@ def time_size(n: int, k: int) -> dict:
     """One size, in this process: per-layer medians, counts and peak RSS."""
     import workloads
     from inputs import sparse_graph_text
-    from sprkit import SprParams, check_covering, parse_graph_text
+    from sprkit import SprParams, check_covering, parse_graph_text, verify_trace
 
     seconds: dict[str, list[float]] = {}
 
@@ -104,16 +105,20 @@ def time_size(n: int, k: int) -> dict:
             text = sparse_graph_text(n, k, GRAPH_SEED)
         out = workloads.compress_traced_unit({"texts": [text], "seeds": [RUN_SEED]}, 0, span)
         graph, trace = graphs.pop(), out["trace"]
+        params = SprParams.for_graph(graph, seed=RUN_SEED)
         with span("covering.check_covering"):
-            check_covering(trace, graph, SprParams.for_graph(graph, seed=RUN_SEED))
+            check_covering(trace, graph, params)
+        with span("verify.verify_trace"):
+            verified = verify_trace(graph, trace, params)
         counts = {
             "graph.edges": out["m"],
             "engine.rounds": trace.rounds,
             "engine.steps": len(trace.radius_round),
             "engine.cover_events": len(trace.cover_vertex),
             "minor.edges": len(out["minor"].edges),
+            "verify.violations": len(verified.violations),
         }
-        del text, out, graph, trace
+        del text, out, graph, trace, verified
     return {
         "n": n,
         "k": k,

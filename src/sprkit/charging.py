@@ -9,11 +9,15 @@ length (distance between Q's own endpoints) at or below the same bound.
 
 Replaying a run trace against the path yields the charging ledger; its
 steps come from ``verify.replay_steps``, so a trace verify rejects is
-refused.  A step that claims at least one still-active path vertex
-deactivates the whole index span between the lowest and highest claimed
-active vertices (a detour), charges the interval holding the active vertex
-that was cheapest for the growing cluster to reach, and erases any older
-detour strictly inside the new span together with its charge.  Slices are
+refused.  On a trace verify's certificate accepts, the stream yields only
+the claiming steps, each with its recorded ball, and the ledger's trigger
+searches run on a replay those claims reproduce bit for bit; any other
+trace is replayed step by step.  A step that claims at least one
+still-active path vertex deactivates the whole index span between the
+lowest and highest claimed active vertices (a detour), charges the
+interval holding the active vertex that was cheapest for the growing
+cluster to reach, and erases any older detour strictly inside the new
+span together with its charge.  Slices are
 maximal runs of active vertices inside one interval; a step that fails to
 wipe out its trigger slice is labeled a failure.  The final cost is
 f = sum over intervals of (surviving charges) * (external length).

@@ -784,6 +784,10 @@ class ClusterReplay:
     ``fl(a + w)`` is monotone in ``a``, continuing from the member's distance
     gives the same sums.  Stop positions settle in (distance, position)
     order, which is (distance, id) order, as in the fresh search.
+
+    Its searches serve the charging ledger's trigger searches and the step
+    replay of any trace the certificate of ``verify`` refuses; a certified
+    trace claims its recorded balls, the doubles a search would give.
     """
 
     def __init__(self, graph: WeightedGraph):

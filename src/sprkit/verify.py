@@ -6,25 +6,66 @@ the engine claimed: radius accumulation, the seeded increments (one
 of every coverage event, uniqueness and monotonicity of coverage, cluster
 connectivity, and completeness.  A step's cover events are the trace's runs
 of events with equal (round, step, terminal).  The replay never calls back
-into the engine, so a bug in the hot loop cannot vouch for itself, and never
-reads the trace's recorded distances.
+into the engine, so a bug in the hot loop cannot vouch for itself.
 
-Each step's ball comes from ``graph.ClusterReplay``: a search from the
-stepping cluster's boundary members over the unclaimed vertices, seeded with
-the distances verify itself computed for those members at their claiming
-steps.  While every earlier step's claims equal its replayed ball, this
-gives the same set and the same doubles as a fresh search from the terminal
-through the cluster and the unclaimed vertices (the argument is in the
-``ClusterReplay`` docstring).  At the first step whose claims differ, verify
-reports the difference; a claim it did not reproduce has no distance and
-never seeds a later search.
+The structural checks run in bulk: set operations decide distinct cover
+vertices, unknown ids, claimed terminals and completeness, and list
+comparisons the order of the radius events.  The per-event loops run only when such a
+test finds a fault, to word its violations in event order.  The replay is
+one stream of steps, ``replay_steps``, read by ``verify_trace`` and the
+charging ledger.
 
-The checks run in bulk: set operations decide distinct cover vertices,
-unknown ids, claimed terminals and completeness, and each step compares
-its replayed distances with the recorded ones as lists, and the largest
-with the radius.  The per-event loops run only when such a test finds a
-fault, to word its violations in event order.  The replay is one stream of
-steps, ``replay_steps``, read by ``verify_trace`` and the charging ledger.
+**The certificate.**  When the structural checks pass (every cover vertex
+distinct, known, no terminal, all of them covered; the radius events in
+order; every cover event's (round, step) among them; every increment
+``>= 0``, which rules out NaN; every recorded distance a ``float``), the
+stream first tries to certify the whole trace at once, with numpy over the
+graph's edge columns, as a shortest-path certificate checks recorded
+distances against the edges' optimality conditions.  Let j(p) be the
+cluster that claims position p (a terminal is its own cluster's), g(p) =
+round * k + step - 1 the index of the claiming step (j - 1 - k for the
+terminal of cluster j), d(p) the recorded distance (0.0 for a terminal),
+and R[g] the accumulated radius step g searches with.  For both directions
+(u, x) of every edge of weight w, let s = d(u) + w in float64.  The trace is
+certified when
+
+(a) every claim p has a finite d(p) <= R[g(p)];
+(b) every edge with j(u) = j(x) and a non-terminal x has d(x) <= s, and
+    every claim x has a witness: such an edge with s == d(x) and
+    (g(u), d(u)) < (g(x), d(x));
+(c) every edge to a non-terminal x with g(x) > g(u) has R[g'] < s, where
+    g' = g(u) + k * floor((g(x) - 1 - g(u)) / k) is the last step of u's
+    cluster before x's claim (an edge with g' < 0 is skipped).
+
+Why that is enough, step by step in order.  (a) and (b) walk each claim's
+witnesses back to its terminal through positions the stepping cluster
+holds or claims at this step, with float sums equal to the records, so
+every claim lies in the replayed ball at a distance no larger than its
+record.  Along a shortest path of the step's region, (b) keeps every
+recorded distance no larger than the path's sum while the path stays
+among those positions, since ``fl(a + w)`` is monotone in ``a`` (the
+argument of the ``ClusterReplay`` docstring); a path that leaves them for
+a later claim x has, by (c) and radii that never decrease, a sum beyond the
+step's radius from there on.  So each step's ball is exactly its claims,
+at exactly the recorded doubles, and the witnesses make every cluster
+connected.
+
+A certified stream takes each claiming step's ball from the record, skips
+the steps that claim nothing, and ``verify_trace`` skips the partition
+check.  A trace that fails any of these conditions, or the structural
+checks, is replayed step by step, unchanged: each step's ball comes from
+``graph.ClusterReplay``, a search from the stepping cluster's boundary
+members over the unclaimed vertices, seeded with the distances verify
+itself computed for those members at their claiming steps, never with the
+recorded ones.  While every earlier step's claims equal its replayed ball,
+this gives the same set and the same doubles as a fresh search from the
+terminal through the cluster and the unclaimed vertices.  At the first step
+whose claims differ, verify reports the difference; a claim it did not
+reproduce has no distance and never seeds a later search.  Each step
+compares its replayed distances with the recorded ones as lists, and the
+largest with the radius.  That replay words every violation; the
+certificate refuses faulty traces, and valid ones whose only witness ties
+(a weight absorbed by a distance, ``fl(d + w) == d``).
 """
 
 from __future__ import annotations
@@ -32,6 +73,8 @@ from __future__ import annotations
 import math
 from collections.abc import Generator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .engine import RunTrace, SprParams, round_increments, run_rng
 from .graph import ClusterReplay, WeightedGraph
@@ -48,6 +91,51 @@ def _in_runs(column, runs) -> list:
     return [x for start, stop, _ in runs for x in column[start:stop]]
 
 
+def _far(d: float, recorded) -> bool:
+    """Whether ``recorded`` differs from the replayed ``d`` beyond
+    ``REL_TOL``; an int past the float range is far from every double."""
+    try:
+        return not math.isclose(d, recorded, rel_tol=REL_TOL, abs_tol=1e-12)
+    except OverflowError:
+        return True
+
+
+def _certified(graph: WeightedGraph, trace: RunTrace, pos: list[int], radii) -> bool:
+    """Whether conditions (a)-(c) of the module docstring hold, for a trace
+    that passed the structural checks; ``radii`` are the accumulated radii
+    of the steps in order.  Each edge direction is checked on its own."""
+    k, claims = trace.k, np.array(pos, dtype=np.intp)
+    terminals = np.fromiter(map(graph.index.__getitem__, graph.terminals), np.intp, k)
+    step = np.asarray(trace.cover_step, dtype=np.int64)
+    owner = np.empty(graph.n, dtype=np.int64)
+    owner[terminals], owner[claims] = np.arange(1, k + 1), step
+    g = np.empty(graph.n, dtype=np.int64)
+    g[terminals] = np.arange(-k, 0)
+    g[claims] = np.asarray(trace.cover_round, dtype=np.int64) * k + step - 1
+    d = np.zeros(graph.n)
+    d[claims] = trace.cover_dist
+    radius = np.fromiter(radii, float, len(trace.radius_q))
+    if not (d[claims] <= radius[g[claims]]).all() or not np.isfinite(d).all():
+        return False  # (a)
+    lo, hi, w = graph.edge_columns
+    witnessed = np.zeros(graph.n, dtype=bool)
+    for u, x in ((lo, hi), (hi, lo)):
+        gu, gx, du, dx = g[u], g[x], d[u], d[x]
+        s = du + w
+        same = (gx >= 0) & (owner[u] == owner[x])
+        if not (dx[same] <= s[same]).all():
+            return False  # (b), the bound
+        witness = same & (s == dx) & ((gu < gx) | ((gu == gx) & (du < dx)))
+        witnessed[x[witness]] = True
+        later = (gx >= 0) & (gx > gu)
+        gu, gx, s = gu[later], gx[later], s[later]
+        last = gu + k * ((gx - 1 - gu) // k)  # g' of (c)
+        kept = last >= 0
+        if not (radius[last[kept]] < s[kept]).all():
+            return False  # (c)
+    return bool(witnessed[claims].all())  # (b), the witnesses
+
+
 @dataclass(frozen=True)
 class VerifyResult:
     violations: tuple[str, ...]
@@ -59,23 +147,24 @@ class VerifyResult:
 
 def replay_steps(
     graph: WeightedGraph, trace: RunTrace, violations: list[str], params: SprParams | None = None
-) -> Generator[tuple, None, tuple[ClusterReplay, dict[int, int]]]:
+) -> Generator[tuple, None, tuple[ClusterReplay, dict[int, int], bool]]:
     """Every check of ``verify_trace`` but the final partition check, the
     seeded stream's only with ``params``, appending to ``violations`` in
     ``verify_trace``'s order.  Each radius event whose ball is searched
     yields ``(replay, round, step, q, pre-step radius, claimed positions)``
     with its faults appended and the ``ClusterReplay`` before its claims,
-    which it makes when resumed.  Returns the replay and the claims of ids
-    outside the graph (id to cluster)."""
+    which it makes when resumed; a certified trace yields its claiming
+    steps only.  Returns the replay, the claims of ids outside the graph (id
+    to cluster) and whether the trace was certified."""
     k = trace.k
     replay = ClusterReplay(graph)
     foreign: dict[int, int] = {}
     if trace.terminal_ids != graph.terminals:
         violations.append("trace terminals do not match graph terminals")
-        return replay, foreign
+        return replay, foreign, False
     if k != graph.k:
         violations.append(f"trace terminal count {k} does not match the graph's {graph.k}")
-        return replay, foreign
+        return replay, foreign, False
     term_index = {t: j for j, t in enumerate(graph.terminals, start=1)}
 
     # coverage uniqueness and vertex validity
@@ -96,7 +185,8 @@ def replay_steps(
 
     # completeness: every non-terminal vertex covered exactly once; n - k
     # distinct non-terminals are all of them
-    if not (distinct and len(covered) == graph.n - k):
+    complete = distinct and len(covered) == graph.n - k
+    if not complete:
         for v in graph.vertices:
             if v not in term_index and v not in covered:
                 violations.append(f"vertex {v} never covered")
@@ -104,12 +194,12 @@ def replay_steps(
     if trace.k == 1:
         if trace.radius_round:
             violations.append("single-terminal trace must have no radius events")
-        return replay, foreign
+        return replay, foreign, False
 
     # radius accumulation per terminal, and sampling stream agreement
     if not trace.radius_steps_in_order():
         violations.append("radius events do not enumerate every (round, step) in order")
-        return replay, foreign
+        return replay, foreign, False
     steps = []
     radii = {j: 0.0 for j in range(1, k + 1)}
     for rnd, j, q, radius in zip(trace.radius_round, trace.radius_step, trace.radius_q,
@@ -147,6 +237,15 @@ def replay_steps(
     # only when that finds a fault, to word it.
     runs_by_step = trace.runs_by_step()
     recorded = trace.cover_dist
+    # the certificate reads only columns these checks have bounded: every
+    # increment >= 0 (so no radius decreases), every (round, step) a step's,
+    # every distance a float
+    certified = (
+        complete and all(q >= 0 for q in trace.radius_q)
+        and runs_by_step.keys() <= set(zip(trace.radius_round, trace.radius_step))
+        and all(type(d) is float for d in recorded)
+        and _certified(graph, trace, pos, [radius for *_, radius in steps])
+    )
     for rnd, j, q, pre_radius, radius in steps:
         runs = runs_by_step.pop((rnd, j), ())
         t_j = graph.terminals[j - 1]
@@ -156,7 +255,13 @@ def replay_steps(
                     f"cover event at step ({rnd},{j}) names terminal {t}, expected {t_j}"
                 ] * (stop - start)
 
-        if runs or replay.claimed + len(foreign) < graph.n:
+        if certified:
+            if runs:
+                new_pos = _in_runs(pos, runs)
+                got_new = set(new_pos)
+                yield replay, rnd, j, q, pre_radius, got_new
+                replay.claim(j, got_new, dict(zip(new_pos, _in_runs(recorded, runs))))
+        elif runs or replay.claimed + len(foreign) < graph.n:
             dist, _ = replay.search(j, limit=radius)
             new_pos = _in_runs(pos, runs)
             got_new = set(new_pos)  # a foreign id maps to None, in no ball
@@ -173,7 +278,7 @@ def replay_steps(
                     if d is None:
                         continue
                     v = vertex[i]
-                    if not math.isclose(d, recorded[i], rel_tol=REL_TOL, abs_tol=1e-12):
+                    if _far(d, recorded[i]):
                         violations.append(
                             f"recorded distance {recorded[i]!r} for vertex {v} "
                             f"differs from replayed {d!r}"
@@ -193,26 +298,28 @@ def replay_steps(
             replay.claim(j, got_new, dist)
     for rnd, j in runs_by_step:  # never replayed, so never claimed
         violations.append(f"cover events at step ({rnd},{j}) have no radius event")
-    return replay, foreign
+    return replay, foreign, certified
 
 
 def verify_trace(
     graph: WeightedGraph, trace: RunTrace, params: SprParams | None = None
 ) -> VerifyResult:
-    """The violations of the drained ``replay_steps``, then the partition check's."""
+    """The violations of the drained ``replay_steps``, then the partition
+    check's, which a certified trace needs not."""
     violations: list[str] = []
     steps = replay_steps(graph, trace, violations, params)
     try:
         while True:
             next(steps)
     except StopIteration as end:
-        replay, foreign = end.value
+        replay, foreign, certified = end.value
 
-    # final partition must be a valid terminal partition.  Without a foreign
-    # id every position is claimed, and the replay's owners are its labels;
-    # a foreign id takes the id-keyed check, which names it; an early stop
-    # claimed only terminals, each a valid cluster of its own
-    if replay.claimed + len(foreign) == graph.n:
+    # final partition must be a valid terminal partition.  A certified trace
+    # claims every position, and its witnesses connect each cluster.  Without
+    # a foreign id every position is claimed, and the replay's owners are its
+    # labels; a foreign id takes the id-keyed check, which names it; an early
+    # stop claimed only terminals, each a valid cluster of its own
+    if not certified and replay.claimed + len(foreign) == graph.n:
         if foreign:
             assignment = {v: j for v, j in zip(graph.vertices, replay.owner) if j}
             partition = TerminalPartition(assignment=assignment | foreign)

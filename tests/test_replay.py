@@ -1,6 +1,7 @@
 """The incremental cluster replay against the from-terminal reference, and
 ``verify_trace`` on malformed traces."""
 
+import json
 import math
 
 import pytest
@@ -8,16 +9,34 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    fine_pair_graph,
     make_trace,
     random_connected_graph,
     small_integer_weighted_graphs,
     trace_with_events,
 )
+from ledger_reference import reference_reconstruct_ledger
 from replay_reference import events_by_step, reference_verify_trace, region_search
-from sprkit import RunTrace, SprParams, run_spr, verify_trace
+from test_charging import _ledger_outcome
+from sprkit import (
+    RunTrace,
+    SprParams,
+    build_interval_partition,
+    reconstruct_ledger,
+    run_spr,
+    verify_trace,
+)
 from sprkit import verify as verify_module
+from sprkit.charging import InteriorTerminalError
 from sprkit.cli import main
-from sprkit.graph import ClusterReplay, WeightedGraph, format_graph_text, subdivide_edges
+from sprkit.generators import grid_graph
+from sprkit.graph import (
+    ClusterReplay,
+    GraphError,
+    WeightedGraph,
+    format_graph_text,
+    subdivide_edges,
+)
 
 
 @st.composite
@@ -295,3 +314,173 @@ def test_analyze_claim_through_another_clusters_territory_is_usage_error(tmp_pat
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# --- the edge-column certificate against the step replay -----------------------
+
+
+@st.composite
+def certificate_graphs(draw):
+    """``replay_graphs``, or one of its shapes with weights that mix 1e16 with
+    ones a distance that large absorbs (``fl(d + w) == d``), so that witness
+    ties are common."""
+    g = draw(replay_graphs())
+    if draw(st.booleans()):
+        return g
+    weight = st.sampled_from([1e16, 1e-300, 1.0, 3.0])
+    return WeightedGraph.build(g.vertices, [(u, v, draw(weight)) for u, v, _ in g.edges],
+                               g.terminals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificate_graphs(), st.integers(0, 2**32),
+       st.sampled_from((None, *MUTATIONS, "scale-q-radius")), st.data())
+def test_certificate_matches_the_step_replay(g, seed, kind, data):
+    # "scale-q-radius" scales an increment and re-accumulates the recorded
+    # radii, so no radius mismatch is reported and the balls decide
+    try:
+        params, trace = _engine_run(g, seed)
+    except GraphError:
+        assume(False)
+    if kind == "scale-q-radius":
+        assume(trace.radius_q)
+        i = data.draw(st.integers(0, len(trace.radius_q) - 1))
+        trace.radius_q[i] *= data.draw(st.sampled_from([0.0, 0.5, 2.0, 50.0]))
+        radii = dict.fromkeys(range(1, g.k + 1), 0.0)
+        for m, (j, q) in enumerate(zip(trace.radius_step, trace.radius_q)):
+            radii[j] += q
+            trace.radius_R[m] = radii[j]
+    elif kind is not None:
+        trace = _mutate(g, trace, kind, data)
+    try:
+        partition = build_interval_partition(g, g.terminals[0], g.terminals[1], params)
+    except InteriorTerminalError:
+        partition = None
+    got = verify_trace(g, trace, params)
+    ledger = partition and _ledger_outcome(reconstruct_ledger, trace, g, partition, params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_module, "_certified", lambda *args: False)
+        assert verify_trace(g, trace, params) == got
+        assert ledger == (partition and _ledger_outcome(reconstruct_ledger, trace, g,
+                                                        partition, params))
+
+
+def _spy_on_searches(monkeypatch) -> list:
+    """A list to which every later ``ClusterReplay.search`` appends whether
+    it had a ``stop`` set (the ledger's set shrinks later, so it is read at
+    the call)."""
+    stops, search = [], ClusterReplay.search
+
+    def spy(self, cluster, limit=math.inf, stop=frozenset(), extra=0.0):
+        stops.append(bool(stop))
+        return search(self, cluster, limit, stop, extra)
+
+    monkeypatch.setattr(ClusterReplay, "search", spy)
+    return stops
+
+
+def _no_partition_check(*args):
+    raise AssertionError("partition check on a certified trace")
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(fine_pair_graph(8, seed=1, fineness=1.0), id="analyze-pair-tiny"),
+    pytest.param(grid_graph(12, 12, "random", k=6, seed=2), id="grid-12x12"),
+])
+def test_engine_traces_are_certified(monkeypatch, g):
+    # the certified stream searches only for the ledger's triggers, each with
+    # a stop set, and verify checks no partition
+    for pair in ((t, u) for t in g.terminals for u in g.terminals if t < u):
+        try:
+            partition = build_interval_partition(g, *pair, SprParams.for_graph(g))
+            break
+        except InteriorTerminalError:
+            continue
+    stops = _spy_on_searches(monkeypatch)
+    monkeypatch.setattr(verify_module, "_check_partition", _no_partition_check)
+    for seed in range(3):
+        params, trace = _engine_run(g, seed)
+        assert verify_trace(g, trace, params).ok
+        ledger = reconstruct_ledger(trace, g, partition, params)
+        assert ledger.steps and stops and all(stops)
+        stops.clear()
+
+
+def test_a_trace_whose_only_witness_ties_takes_the_step_replay(monkeypatch):
+    # d(2) = fl(1e16 + 1.0) = 1e16 = d(1): vertex 2's only witness ties, so
+    # the certificate refuses a valid trace, which the step replay accepts
+    g = WeightedGraph.build(range(4), [(0, 1, 1e16), (1, 2, 1.0), (2, 3, 1e16)], [0, 3])
+    trace = _hand_trace(g, [(0, 1, 2e16, 2e16), (0, 2, 0.5, 0.5)],
+                        [(1, 0, 0, 1, 1e16), (2, 0, 0, 1, 1e16)], rounds=1)
+    params = SprParams.for_graph(g)
+    partition = build_interval_partition(g, 0, 3, params)
+    stops = _spy_on_searches(monkeypatch)
+    assert verify_trace(g, trace).ok
+    assert False in stops
+    outcome = _ledger_outcome(reconstruct_ledger, trace, g, partition, params)
+    assert outcome[0] and outcome == _ledger_outcome(reference_reconstruct_ledger, trace, g,
+                                                     partition, params)
+
+
+def test_the_certificate_refuses_a_distance_a_shorter_edge_undercuts():
+    # vertex 2 is recorded at 2.0 through vertex 1, an exact witness, but the
+    # edge 0-2 reaches it at 1.0: only the bound of condition (b) sees it
+    g = WeightedGraph.build(range(4), [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 10.0)],
+                            [0, 3])
+    trace = _hand_trace(g, [(0, 1, 2.5, 2.5), (0, 2, 0.5, 0.5)],
+                        [(1, 0, 0, 1, 1.0), (2, 0, 0, 1, 2.0)], rounds=1)
+    expected = ("recorded distance 2.0 for vertex 2 differs from replayed 1.0",)
+    assert verify_trace(g, trace).violations == expected
+    assert reference_verify_trace(g, trace)[0].violations == expected
+
+
+@pytest.mark.parametrize("column, value, violations", [
+    ("cover_round", 10**20, ("step (27,3) claims [] but ball replay gives [7]",
+                             f"cover events at step ({10**20},3) have no radius event")),
+    ("cover_step", 10**20, ("step (27,3) claims [] but ball replay gives [7]",
+                            f"cover events at step (27,{10**20}) have no radius event")),
+    ("cover_dist", 3, ("recorded distance 3 for vertex 7 differs from replayed "
+                       "3.1768490335590736",)),
+])
+def test_columns_the_certificate_cannot_hold_take_the_step_replay(column, value, violations):
+    # an integer past int64 or a distance that is no float never reaches the
+    # certificate's arrays: the step replay words the faults
+    g, params, trace = _engine_trace(75)
+    assert trace.cover_vertex[-1] == 7
+    getattr(trace, column)[-1] = value
+    assert verify_trace(g, trace, params).violations == violations
+
+
+def test_an_integer_distance_past_two_to_the_53_is_replayed():
+    # 2**53 + 1 is no double, and within REL_TOL of the replayed 2**53
+    g = WeightedGraph.build([0, 1, 2], [(0, 1, 2.0**53), (1, 2, 2.0**53)], [0, 2])
+    trace = _hand_trace(g, [(0, 1, 2.0**54, 2.0**54), (0, 2, 1.0, 1.0)],
+                        [(1, 0, 0, 1, 2**53 + 1)], rounds=1)
+    assert verify_trace(g, trace).ok and reference_verify_trace(g, trace)[0].ok
+
+
+def test_verify_words_a_distance_past_the_float_range():
+    g, params, trace = _engine_trace(75)
+    trace.cover_dist[-1] = 10**400
+    v = trace.cover_vertex[-1]
+    assert any(f.startswith(f"recorded distance {10**400} for vertex {v} differs from replayed ")
+               for f in verify_trace(g, trace, params).violations)
+
+
+@pytest.mark.parametrize("field, value", [("round", 10**20), ("dist", 10**400)],
+                         ids=["round-past-int64", "dist-past-float"])
+def test_cli_refuses_columns_past_the_certificate(tmp_path, capsys, field, value):
+    g, _, trace = _engine_trace(75)
+    events = json.loads(trace.to_json())
+    [*_, last] = (ev for ev in events["events"] if ev["type"] == "cover")
+    last[field] = value
+    gpath, tpath = tmp_path / "g.txt", tmp_path / "trace.json"
+    gpath.write_text(format_graph_text(g))
+    tpath.write_text(json.dumps(events))
+    assert main(["verify", "--graph", str(gpath), "--trace", str(tpath)]) == 1
+    pair = [str(t) for t in g.terminals[:2]]
+    argv = ["analyze", "--graph", str(gpath), "--pair", *pair, "--traces", str(tpath),
+            "--out", str(tmp_path / "a.json")]
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "a.json").exists()
