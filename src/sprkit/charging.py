@@ -7,12 +7,12 @@ vertex u and extends by the fewest vertices needed for its external length
 (interval_factor * delta / ln k) * D(u); minimality keeps the internal
 length (distance between Q's own endpoints) at or below the same bound.
 
-Replaying a run trace against the path yields the charging ledger; its
-steps come from ``verify.replay_steps``, so a trace verify rejects is
-refused.  On a trace verify's certificate accepts, the stream yields only
-the claiming steps, each with its recorded ball, and the ledger's trigger
-searches run on a replay those claims reproduce bit for bit; any other
-trace is replayed step by step.  A step that claims at least one
+The charging ledger charges a run's claiming steps along the path.  The
+steps come from ``verify.replay_trace``, so a trace verify rejects is
+refused.  Each holds its ball, the recorded one on a certified trace and
+the step replay's otherwise; on a trace verify accepts the two agree.  The
+ledger claims the balls on a replay of its own, on which its trigger
+searches run.  A step that claims at least one
 still-active path vertex deactivates the whole index span between the
 lowest and highest claimed active vertices (a detour), charges the
 interval holding the active vertex that was cheapest for the growing
@@ -39,8 +39,8 @@ from functools import cached_property
 from operator import mul
 
 from .engine import RunTrace, SprParams
-from .graph import GraphError, WeightedGraph, canonical_path
-from .verify import replay_steps
+from .graph import ClusterReplay, GraphError, WeightedGraph, canonical_path
+from .verify import replay_trace
 
 COST_BOUND_FACTOR = 43.0  # exceedance threshold for the final cost, in units of d(t, t')
 
@@ -236,24 +236,31 @@ def _runs_in(active: bytearray, q: Interval) -> int:
     return flags.count(b"\0\1") + flags.startswith(b"\1")
 
 
-def reconstruct_ledger(
-    trace: RunTrace,
-    graph: WeightedGraph,
-    partition: IntervalPartition,
-    params: SprParams,
-) -> DetourLedger:
-    """Replay the trace in order and rebuild the full charging ledger.
+def reconstruct_ledger(trace: RunTrace, graph: WeightedGraph, partition: IntervalPartition,
+                       params: SprParams) -> DetourLedger:
+    """The charging ledger of ``trace``: its claiming steps, replayed by
+    ``verify.replay_trace`` without the seeded-stream check, charged by
+    ``charge_steps``.  A trace the replay finds any fault in is refused with
+    ``LedgerError`` naming the first."""
+    violations, steps = replay_trace(graph, trace)
+    if violations:
+        raise LedgerError(violations[0])
+    return charge_steps(steps, graph, partition, params)
 
-    The steps come from ``verify.replay_steps`` without the seeded-stream
-    check; a trace with any fault it finds is refused with ``LedgerError``
-    naming the first.  The minimal increments q_v are recomputed from the
-    pre-step state: q_v is the region distance from the stepping terminal
-    to v, searched on the stream's replay before the step's claims, minus
-    the cluster's pre-step radius.  Ties for the trigger vertex break toward
-    the lowest path index.  The ledger's own refusals are its bookkeeping
-    checks: a trigger that is missing, inside the pre-step radius, outside
-    its detour's span or unreachable from its terminal (``GraphError``),
-    live detours out of step with the active vertices, and three slice checks.
+
+def charge_steps(claiming: list[tuple], graph: WeightedGraph, partition: IntervalPartition,
+                 params: SprParams) -> DetourLedger:
+    """Charge the claiming steps of a trace verify accepts, as
+    ``verify.replay_trace`` returns them, in order, and rebuild the ledger.
+
+    The minimal increments q_v are recomputed from the pre-step state: q_v
+    is the region distance from the stepping terminal to v, searched on the
+    ledger's own ``ClusterReplay`` before the step's claims, minus the
+    cluster's pre-step radius.  Ties for the trigger vertex break toward the
+    lowest path index.  The ledger's own refusals are its bookkeeping checks:
+    a trigger that is missing, inside the pre-step radius, outside its
+    detour's span or unreachable from its terminal (``GraphError``), live
+    detours out of step with the active vertices, and three slice checks.
     """
     path = partition.path
     # a path vertex outside the graph (a partition of another graph) is None
@@ -270,18 +277,18 @@ def reconstruct_ledger(
     steps: list[ChargeStep] = []
     extra = partition.max_length_in * (1 + 1e-9) + 1e-15
 
-    violations: list[str] = []
+    replay = ClusterReplay(graph)
     live_span_total = 0
-    for replay, rnd, j, q_step, pre_radius, claimed in replay_steps(graph, trace, violations):
-        if violations:
-            raise LedgerError(violations[0])
+    for rnd, j, q_step, pre_radius, claimed, claimed_dist in claiming:
         newly_active = [path_index[p] for p in active_vertices.intersection(claimed)]
+        if newly_active:  # the trigger search runs on the pre-step state
+            _, stops = replay.search(j, stop=active_vertices, extra=extra)
+        replay.claim(j, claimed, dict(zip(claimed, claimed_dist)))
         if not newly_active:
             continue
 
-        # charging step: find the trigger vertex from the pre-step state
+        # charging step: the trigger vertex
         t_j = graph.terminals[j - 1]
-        _, stops = replay.search(j, stop=active_vertices, extra=extra)
         if not stops:
             raise LedgerError(
                 f"step ({rnd},{j}) covers active path vertices but none "
@@ -385,8 +392,6 @@ def reconstruct_ledger(
                 slices_after=tuple(after.items()),
             )
         )
-    if violations:
-        raise LedgerError(violations[0])
 
     cost = sum(map(mul, charges, partition.lengths_out))
     return DetourLedger(

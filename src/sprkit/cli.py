@@ -20,9 +20,9 @@ from .charging import (
     InteriorTerminalError,
     IntervalPartition,
     build_interval_partition,
+    charge_steps,
     cost_bound_check,
     failure_rate,
-    reconstruct_ledger,
 )
 from .covering import check_covering, summarize_covering
 from .engine import (
@@ -42,7 +42,7 @@ from .generators import FAMILIES, generate
 from .graph import GraphError, WeightedGraph, format_graph_text, parse_graph_text
 from .minor import distortion, parse_minor_text
 from .oracle import best_partition, compare_to_spr
-from .verify import verify_trace
+from .verify import replay_trace, verify_trace
 
 
 def _default_seed() -> int:
@@ -175,10 +175,10 @@ def _check_entry(name, statistic, bound, slack, n_trials, seed=None):
     }
 
 
-def _analyze_segment(graph, partition, traces, params):
+def _analyze_segment(graph, partition, replays, params):
     import math
 
-    ledgers = [reconstruct_ledger(tr, graph, partition, params) for tr in traces]
+    ledgers = [charge_steps(steps, graph, partition, params) for _, steps in replays]
     fail = failure_rate(ledgers)
     cost = cost_bound_check(ledgers)
     k = graph.k
@@ -230,14 +230,15 @@ def cmd_analyze(args) -> int:
     [delta] = deltas
     params = SprParams(k=graph.k, delta=delta)
     partitions = _terminal_free_partitions(graph, t, t_prime, params)
-    # covering before verify and the ledgers: a claimed terminal is named as such
+    # covering before the replays and the ledgers: a claimed terminal is named as such
     checks = [check_covering(tr, graph, SprParams(k=graph.k, delta=delta, seed=tr.seed))
               for tr in traces]
-    for tr in traces:  # the charging argument holds only for runs the algorithm can make
-        result = verify_trace(graph, tr, SprParams(k=tr.k, delta=tr.delta, seed=tr.seed))
-        if not result.ok:
-            raise GraphError(result.violations[0])
-    results = [_analyze_segment(graph, part, traces, params) for part in partitions]
+    replays = [replay_trace(graph, tr, SprParams(k=tr.k, delta=tr.delta, seed=tr.seed))
+               for tr in traces]  # one per trace, charged on every segment
+    for violations, _ in replays:  # the charging argument holds only for runs it can make
+        if violations:
+            raise GraphError(violations[0])
+    results = [_analyze_segment(graph, part, replays, params) for part in partitions]
     covering = summarize_covering(checks)
     k = graph.k
     covering_checks = [

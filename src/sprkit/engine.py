@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import compress, groupby, repeat
@@ -78,8 +79,8 @@ class RoundsGuardError(RuntimeError):
 
 def check_delta(delta: float) -> None:
     """The rule for delta wherever one is given: positive and finite."""
-    if not (0 < delta and math.isfinite(delta)):
-        raise GraphError(f"delta must be positive, got {delta}")
+    if not 0 < delta <= sys.float_info.max:
+        raise GraphError(f"delta must be positive and finite, got {delta}")
 
 
 def check_max_rounds(max_rounds: int | None) -> None:

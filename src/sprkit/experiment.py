@@ -121,10 +121,8 @@ class ExperimentSpec:
             if type(value) not in types:
                 raise GraphError(f"experiment spec: '{name}' must be {kind}")
             fields[name] = value
-        try:
-            fields["delta"] = float(fields["delta"])
-        except OverflowError as exc:
-            raise GraphError(f"experiment spec: {exc}") from None
+        check_delta(fields["delta"])  # an integer past the float range never converts
+        fields["delta"] = float(fields["delta"])
         return ExperimentSpec(configs=tuple(configs), **fields)
 
 

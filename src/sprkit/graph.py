@@ -785,9 +785,9 @@ class ClusterReplay:
     gives the same sums.  Stop positions settle in (distance, position)
     order, which is (distance, id) order, as in the fresh search.
 
-    Its searches serve the charging ledger's trigger searches and the step
-    replay of any trace the certificate of ``verify`` refuses; a certified
-    trace claims its recorded balls, the doubles a search would give.
+    ``verify.replay_trace`` builds one only for a trace its certificate
+    refuses.  The charging ledger builds its own, claims on it the balls
+    that replay returns, and runs its trigger searches on it.
     """
 
     def __init__(self, graph: WeightedGraph):

@@ -11,18 +11,18 @@ into the engine, so a bug in the hot loop cannot vouch for itself.
 The structural checks run in bulk: set operations decide distinct cover
 vertices, unknown ids, claimed terminals and completeness, and list
 comparisons the order of the radius events.  The per-event loops run only when such a
-test finds a fault, to word its violations in event order.  The replay is
-one stream of steps, ``replay_steps``, read by ``verify_trace`` and the
-charging ledger.
+test finds a fault, to word its violations in event order.
+``replay_trace`` returns the violations, which ``verify_trace`` reports,
+and the claiming steps, which the charging ledger charges.
 
 **The certificate.**  When the structural checks pass (every cover vertex
 distinct, known, no terminal, all of them covered; the radius events in
 order; every cover event's (round, step) among them; every increment
-``>= 0``, which rules out NaN; every recorded distance a ``float``), the
-stream first tries to certify the whole trace at once, with numpy over the
-graph's edge columns, as a shortest-path certificate checks recorded
-distances against the edges' optimality conditions.  Let j(p) be the
-cluster that claims position p (a terminal is its own cluster's), g(p) =
+``>= 0``, which rules out NaN, and every radius finite; every recorded
+distance a ``float``), the replay first tries to certify the whole trace,
+with numpy over the graph's edge columns, as a shortest-path certificate
+checks recorded distances against the edges' optimality conditions.  Let
+j(p) be the cluster that claims position p (its own for a terminal), g(p) =
 round * k + step - 1 the index of the claiming step (j - 1 - k for the
 terminal of cluster j), d(p) the recorded distance (0.0 for a terminal),
 and R[g] the accumulated radius step g searches with.  For both directions
@@ -50,28 +50,26 @@ step's radius from there on.  So each step's ball is exactly its claims,
 at exactly the recorded doubles, and the witnesses make every cluster
 connected.
 
-A certified stream takes each claiming step's ball from the record, skips
-the steps that claim nothing, and ``verify_trace`` skips the partition
-check.  A trace that fails any of these conditions, or the structural
-checks, is replayed step by step, unchanged: each step's ball comes from
-``graph.ClusterReplay``, a search from the stepping cluster's boundary
-members over the unclaimed vertices, seeded with the distances verify
-itself computed for those members at their claiming steps, never with the
-recorded ones.  While every earlier step's claims equal its replayed ball,
-this gives the same set and the same doubles as a fresh search from the
-terminal through the cluster and the unclaimed vertices.  At the first step
-whose claims differ, verify reports the difference; a claim it did not
-reproduce has no distance and never seeds a later search.  Each step
-compares its replayed distances with the recorded ones as lists, and the
-largest with the radius.  That replay words every violation; the
-certificate refuses faulty traces, and valid ones whose only witness ties
-(a weight absorbed by a distance, ``fl(d + w) == d``).
+A certified trace takes each claiming step's ball from the record, builds
+no replay, and needs no partition check.  A trace that fails any of these
+conditions, or the structural checks, is replayed step by step: each
+step's ball comes from ``graph.ClusterReplay``, a search from the stepping
+cluster's boundary members over the unclaimed vertices, seeded with the
+distances verify itself computed for those members at their claiming
+steps, never with the recorded ones.  While every earlier step's claims
+equal its replayed ball, this gives the same set and the same doubles as a
+fresh search from the terminal through the cluster and the unclaimed
+vertices.  At the first step whose claims differ, verify reports the
+difference; a claim it did not reproduce has no distance and never seeds a
+later search.  Each step compares its replayed distances with the recorded
+ones as lists, and the largest with the radius.  That replay words every
+violation; the certificate refuses faulty traces, and valid ones whose only
+witness ties (a weight absorbed by a distance, ``fl(d + w) == d``).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,26 +143,22 @@ class VerifyResult:
         return not self.violations
 
 
-def replay_steps(
-    graph: WeightedGraph, trace: RunTrace, violations: list[str], params: SprParams | None = None
-) -> Generator[tuple, None, tuple[ClusterReplay, dict[int, int], bool]]:
-    """Every check of ``verify_trace`` but the final partition check, the
-    seeded stream's only with ``params``, appending to ``violations`` in
-    ``verify_trace``'s order.  Each radius event whose ball is searched
-    yields ``(replay, round, step, q, pre-step radius, claimed positions)``
-    with its faults appended and the ``ClusterReplay`` before its claims,
-    which it makes when resumed; a certified trace yields its claiming
-    steps only.  Returns the replay, the claims of ids outside the graph (id
-    to cluster) and whether the trace was certified."""
+def replay_trace(
+    graph: WeightedGraph, trace: RunTrace, params: SprParams | None = None
+) -> tuple[list[str], list[tuple]]:
+    """The violations of ``trace``, the seeded stream's only with ``params``,
+    and its claiming steps in order, each ``(round, step, q, pre-step radius,
+    claimed positions, their distances)``: the recorded ones on a certified
+    trace, else the step replay's (None for a claim it did not reproduce)."""
     k = trace.k
-    replay = ClusterReplay(graph)
-    foreign: dict[int, int] = {}
+    violations: list[str] = []
+    claiming: list[tuple] = []
     if trace.terminal_ids != graph.terminals:
         violations.append("trace terminals do not match graph terminals")
-        return replay, foreign, False
+        return violations, claiming
     if k != graph.k:
         violations.append(f"trace terminal count {k} does not match the graph's {graph.k}")
-        return replay, foreign, False
+        return violations, claiming
     term_index = {t: j for j, t in enumerate(graph.terminals, start=1)}
 
     # coverage uniqueness and vertex validity
@@ -194,20 +188,25 @@ def replay_steps(
     if trace.k == 1:
         if trace.radius_round:
             violations.append("single-terminal trace must have no radius events")
-        return replay, foreign, False
+        return violations, claiming
 
     # radius accumulation per terminal, and sampling stream agreement
     if not trace.radius_steps_in_order():
         violations.append("radius events do not enumerate every (round, step) in order")
-        return replay, foreign, False
+        return violations, claiming
     steps = []
     radii = {j: 0.0 for j in range(1, k + 1)}
     for rnd, j, q, radius in zip(trace.radius_round, trace.radius_step, trace.radius_q,
                                  trace.radius_R):
         if q < 0:
             violations.append(f"negative increment at round {rnd} step {j}")
-        steps.append((rnd, j, q, radii[j], radii[j] + q))
-        radii[j] += q
+        try:
+            grown = radii[j] + q
+        except OverflowError:  # an integer past the float range
+            violations.append(f"increment at round {rnd} step {j} is past the float range")
+            grown = math.inf
+        steps.append((rnd, j, q, radii[j], grown))
+        radii[j] = grown
         if radius != radii[j]:
             violations.append(
                 f"radius mismatch at round {rnd} step {j}: "
@@ -238,14 +237,17 @@ def replay_steps(
     runs_by_step = trace.runs_by_step()
     recorded = trace.cover_dist
     # the certificate reads only columns these checks have bounded: every
-    # increment >= 0 (so no radius decreases), every (round, step) a step's,
-    # every distance a float
+    # increment >= 0 (so no radius decreases) and every final radius finite,
+    # every (round, step) a step's, every distance a float
     certified = (
         complete and all(q >= 0 for q in trace.radius_q)
+        and all(map(math.isfinite, radii.values()))
         and runs_by_step.keys() <= set(zip(trace.radius_round, trace.radius_step))
         and all(type(d) is float for d in recorded)
         and _certified(graph, trace, pos, [radius for *_, radius in steps])
     )
+    replay = None if certified else ClusterReplay(graph)
+    foreign: dict[int, int] = {}
     for rnd, j, q, pre_radius, radius in steps:
         runs = runs_by_step.pop((rnd, j), ())
         t_j = graph.terminals[j - 1]
@@ -257,10 +259,8 @@ def replay_steps(
 
         if certified:
             if runs:
-                new_pos = _in_runs(pos, runs)
-                got_new = set(new_pos)
-                yield replay, rnd, j, q, pre_radius, got_new
-                replay.claim(j, got_new, dict(zip(new_pos, _in_runs(recorded, runs))))
+                claiming.append((rnd, j, q, pre_radius, _in_runs(pos, runs),
+                                 _in_runs(recorded, runs)))
         elif runs or replay.claimed + len(foreign) < graph.n:
             dist, _ = replay.search(j, limit=radius)
             new_pos = _in_runs(pos, runs)
@@ -293,32 +293,19 @@ def replay_steps(
                     if pos[i] is None:
                         foreign.setdefault(vertex[i], j)
                 got_new.discard(None)
-            yield replay, rnd, j, q, pre_radius, got_new
+                replayed = [d for p, d in zip(new_pos, replayed) if p is not None]
+                new_pos = [p for p in new_pos if p is not None]
+            if runs:
+                claiming.append((rnd, j, q, pre_radius, new_pos, replayed))
             # the replayed distances, never the recorded ones, seed later steps
             replay.claim(j, got_new, dist)
     for rnd, j in runs_by_step:  # never replayed, so never claimed
         violations.append(f"cover events at step ({rnd},{j}) have no radius event")
-    return replay, foreign, certified
-
-
-def verify_trace(
-    graph: WeightedGraph, trace: RunTrace, params: SprParams | None = None
-) -> VerifyResult:
-    """The violations of the drained ``replay_steps``, then the partition
-    check's, which a certified trace needs not."""
-    violations: list[str] = []
-    steps = replay_steps(graph, trace, violations, params)
-    try:
-        while True:
-            next(steps)
-    except StopIteration as end:
-        replay, foreign, certified = end.value
 
     # final partition must be a valid terminal partition.  A certified trace
     # claims every position, and its witnesses connect each cluster.  Without
     # a foreign id every position is claimed, and the replay's owners are its
-    # labels; a foreign id takes the id-keyed check, which names it; an early
-    # stop claimed only terminals, each a valid cluster of its own
+    # labels; a foreign id takes the id-keyed check, which names it
     if not certified and replay.claimed + len(foreign) == graph.n:
         if foreign:
             assignment = {v: j for v, j in zip(graph.vertices, replay.owner) if j}
@@ -327,5 +314,11 @@ def verify_trace(
         else:
             faults = _check_partition(graph, replay.owner)
         violations += [f"final partition invalid: {viol}" for viol in faults]
+    return violations, claiming
 
-    return VerifyResult(tuple(violations))
+
+def verify_trace(
+    graph: WeightedGraph, trace: RunTrace, params: SprParams | None = None
+) -> VerifyResult:
+    """The violations of ``replay_trace``."""
+    return VerifyResult(tuple(replay_trace(graph, trace, params)[0]))

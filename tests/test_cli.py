@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sprkit import RunTrace, SprParams, charging, cli, oracle, verify_trace
+from sprkit import RunTrace, SprParams, charging, cli, oracle, verify, verify_trace
 from sprkit.cli import main
 from sprkit.graph import (
     GraphError, WeightedGraph, canonical_path, parse_graph_text, subdivide_edges,
@@ -428,6 +428,31 @@ def test_analyze_searches_each_segment_once(tmp_path, monkeypatch):
     assert main(["analyze", "--graph", str(gpath), "--pair", "0", "7",
                  "--traces", str(tpath), "--out", str(tmp_path / "split.json")]) == 0
     assert calls == [(0, 7), (0, 3), (3, 7)]
+
+
+def test_analyze_replays_each_trace_once(tmp_path, monkeypatch):
+    # the chain above, two traces, two segments: each trace is replayed (and
+    # so certified) once, and its claiming steps serve both segments' ledgers
+    gpath = tmp_path / "chain.txt"
+    gpath.write_text("\n".join([*(f"v {i}" for i in range(8)), "t 0", "t 7", "t 3",
+                                *(f"e {i} {i + 1} 1.0" for i in range(7))]) + "\n")
+    tdir = tmp_path / "traces"
+    tdir.mkdir()
+    for seed in range(2):
+        assert main(["run", "--graph", str(gpath), "--seed", str(seed),
+                     "--out", str(tdir / f"t{seed}.json")]) == 0
+    calls = []
+    certified = verify._certified
+
+    def spy(graph, trace, *args):
+        calls.append(trace.seed)
+        return certified(graph, trace, *args)
+
+    monkeypatch.setattr(verify, "_certified", spy)
+    assert main(["analyze", "--graph", str(gpath), "--pair", "0", "7",
+                 "--traces", str(tdir), "--out", str(tmp_path / "split.json")]) == 0
+    doc = json.loads((tmp_path / "split.json").read_text())
+    assert len(doc["segments"]) == 2 and calls == [0, 1]
 
 
 @pytest.mark.parametrize("pair", [("0", "2"), ("0", "99"), ("99", "7"), ("3", "3")])

@@ -27,9 +27,11 @@ from sprkit.generators import grid_graph
 from sprkit.graph import format_graph_text
 
 HUGE = "99999999999999999999"
-TEXT_VALUES = ["0", "-1", HUGE, "1e308", "NaN", "Infinity", "-Infinity", "null", "x", "[]"]
-JSON_VALUES = ["0", "-1", HUGE, "1e308", "NaN", "Infinity", "-Infinity", "null", '"x"', "[]",
-               "[1, 2]", "{}"]
+PAST_FLOAT = "1" + "0" * 400  # an integer no double holds
+TEXT_VALUES = ["0", "-1", HUGE, PAST_FLOAT, "1e308", "NaN", "Infinity", "-Infinity", "null",
+               "x", "[]"]
+JSON_VALUES = ["0", "-1", HUGE, PAST_FLOAT, "1e308", "NaN", "Infinity", "-Infinity", "null",
+               '"x"', "[]", "[1, 2]", "{}"]
 # a JSON number, string or literal
 JSON_TOKEN = re.compile(r'-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|"(?:[^"\\]|\\.)*"|true|false|null')
 # a case that runs this long has hung

@@ -358,11 +358,15 @@ def test_certificate_matches_the_step_replay(g, seed, kind, data):
         partition = None
     got = verify_trace(g, trace, params)
     ledger = partition and _ledger_outcome(reconstruct_ledger, trace, g, partition, params)
+    claiming = verify_module.replay_trace(g, trace, params)[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify_module, "_certified", lambda *args: False)
         assert verify_trace(g, trace, params) == got
         assert ledger == (partition and _ledger_outcome(reconstruct_ledger, trace, g,
                                                         partition, params))
+        # the ledger's input: the same claiming steps, balls and doubles
+        if got.ok:
+            assert verify_module.replay_trace(g, trace, params)[1] == claiming
 
 
 def _spy_on_searches(monkeypatch) -> list:
@@ -383,13 +387,17 @@ def _no_partition_check(*args):
     raise AssertionError("partition check on a certified trace")
 
 
+def _no_replay(*args):
+    raise AssertionError("ClusterReplay built for a certified trace")
+
+
 @pytest.mark.parametrize("g", [
     pytest.param(fine_pair_graph(8, seed=1, fineness=1.0), id="analyze-pair-tiny"),
     pytest.param(grid_graph(12, 12, "random", k=6, seed=2), id="grid-12x12"),
 ])
 def test_engine_traces_are_certified(monkeypatch, g):
-    # the certified stream searches only for the ledger's triggers, each with
-    # a stop set, and verify checks no partition
+    # a certified trace is searched only for the ledger's triggers, each with
+    # a stop set, and verify builds no replay and checks no partition
     for pair in ((t, u) for t in g.terminals for u in g.terminals if t < u):
         try:
             partition = build_interval_partition(g, *pair, SprParams.for_graph(g))
@@ -398,6 +406,7 @@ def test_engine_traces_are_certified(monkeypatch, g):
             continue
     stops = _spy_on_searches(monkeypatch)
     monkeypatch.setattr(verify_module, "_check_partition", _no_partition_check)
+    monkeypatch.setattr(verify_module, "ClusterReplay", _no_replay)
     for seed in range(3):
         params, trace = _engine_run(g, seed)
         assert verify_trace(g, trace, params).ok
@@ -467,17 +476,28 @@ def test_verify_words_a_distance_past_the_float_range():
                for f in verify_trace(g, trace, params).violations)
 
 
-@pytest.mark.parametrize("field, value", [("round", 10**20), ("dist", 10**400)],
-                         ids=["round-past-int64", "dist-past-float"])
-def test_cli_refuses_columns_past_the_certificate(tmp_path, capsys, field, value):
+@pytest.mark.parametrize("kind, field, value, verify_code", [
+    ("cover", "round", 10**20, 1), ("cover", "dist", 10**400, 1),
+    ("radius", "q", 10**400, 1), ("params", "delta", 10**400, 2),
+], ids=["round-past-int64", "dist-past-float", "q-past-float", "delta-past-float"])
+def test_cli_refuses_columns_past_the_certificate(tmp_path, capsys, kind, field, value,
+                                                  verify_code):
+    # a trace's delta is checked as a parameter (exit 2), an event's field by
+    # the replay (exit 1)
     g, _, trace = _engine_trace(75)
     events = json.loads(trace.to_json())
-    [*_, last] = (ev for ev in events["events"] if ev["type"] == "cover")
-    last[field] = value
+    if kind == "params":
+        events[kind][field] = value
+    else:
+        [*_, last] = (ev for ev in events["events"] if ev["type"] == kind)
+        last[field] = value
     gpath, tpath = tmp_path / "g.txt", tmp_path / "trace.json"
     gpath.write_text(format_graph_text(g))
     tpath.write_text(json.dumps(events))
-    assert main(["verify", "--graph", str(gpath), "--trace", str(tpath)]) == 1
+    assert main(["verify", "--graph", str(gpath), "--trace", str(tpath)]) == verify_code
+    if kind == "radius":  # worded as a violation of its step
+        assert (f"violation: increment at round {last['round']} step {last['step']} is past "
+                "the float range") in capsys.readouterr().err
     pair = [str(t) for t in g.terminals[:2]]
     argv = ["analyze", "--graph", str(gpath), "--pair", *pair, "--traces", str(tpath),
             "--out", str(tmp_path / "a.json")]
