@@ -9,6 +9,8 @@ two run seeds each, and the interval partition they replay against.  The
 analyze entry hashes the three files ``sprkit analyze --format csv`` writes
 for a pair that splits at an interior terminal, and the oracle entry the
 JSON that ``sprkit oracle --seeds 3`` writes for a small grid.  The
+graph-text entry hashes the graph text that ``sprkit gen`` and ``sprkit run
+--subdivide`` write.  The
 expected digests live in ``tests/golden/hashes.json``; see the README there
 before touching them.  Run this file as a script to print the digests of the
 current build.
@@ -91,6 +93,10 @@ ANALYZE_CASE = "analyze-split-chain-csv"
 
 # the exhaustive floor and three seeded runs compared against it
 ORACLE_CASE = "oracle-grid-3x3-seeds3"
+
+# the graph text that ``sprkit gen`` writes for a family with non-round
+# weights, and the one ``sprkit run --subdivide`` writes for a subdivided case
+GRAPH_TEXT_CASE = "graph-text"
 
 
 def _sha(text: str) -> str:
@@ -176,6 +182,23 @@ def oracle_json_hash(work: Path) -> dict[str, str]:
     return {"json": _sha(out.read_text())}
 
 
+def graph_text_hashes(work: Path) -> dict[str, str]:
+    """The text of ``sprkit gen`` for the ``random-n40-k5`` graph, and the
+    ``*.subdivided.txt`` of ``sprkit run --subdivide`` on the
+    ``random-subdivided-n10-k3`` graph; ``work`` is an empty working
+    directory."""
+    gen, sub = work / "gen.txt", work / "sub.txt"
+    assert main(["gen", "--family", "random-weighted", "--n", "40", "--edge-prob", "0.15",
+                 "--k", "5", "--seed", "11", "--out", str(gen)]) == 0
+    assert main(["gen", "--family", "random-weighted", "--n", "10", "--edge-prob", "0.3",
+                 "--k", "3", "--seed", "5", "--out", str(sub)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--graph", str(sub), "--seed", "17", "--delta", "1.0",
+                     "--subdivide", "--out", str(work / "run.json")]) == 0
+    return {"gen-random-n40-k5": _sha(gen.read_text()),
+            "random-subdivided-n10-k3": _sha((work / "run.subdivided.txt").read_text())}
+
+
 @pytest.mark.parametrize("case_id", sorted(CASES))
 def test_golden_artefacts_unchanged(case_id):
     expected = json.loads(HASHES_PATH.read_text())
@@ -198,9 +221,14 @@ def test_golden_oracle_json_unchanged(tmp_path):
     assert oracle_json_hash(tmp_path) == expected[ORACLE_CASE]
 
 
+def test_golden_graph_text_unchanged(tmp_path):
+    expected = json.loads(HASHES_PATH.read_text())
+    assert graph_text_hashes(tmp_path) == expected[GRAPH_TEXT_CASE]
+
+
 def test_golden_file_covers_every_case():
     assert sorted(json.loads(HASHES_PATH.read_text())) == sorted(
-        [*CASES, *LEDGER_CASES, ANALYZE_CASE, ORACLE_CASE])
+        [*CASES, *LEDGER_CASES, ANALYZE_CASE, ORACLE_CASE, GRAPH_TEXT_CASE])
 
 
 if __name__ == "__main__":
@@ -210,5 +238,7 @@ if __name__ == "__main__":
         doc[ANALYZE_CASE] = analyze_csv_hashes(Path(work))
     with tempfile.TemporaryDirectory() as work:
         doc[ORACLE_CASE] = oracle_json_hash(Path(work))
+    with tempfile.TemporaryDirectory() as work:
+        doc[GRAPH_TEXT_CASE] = graph_text_hashes(Path(work))
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
