@@ -416,13 +416,13 @@ def min_terminal_pair_distance(graph: WeightedGraph) -> float:
         for q, w in adj[p]:
             if label[q] < 0:
                 heappush(heap, (d + w, q, src))
-    best = math.inf
-    for u, v, w in graph.edges:
-        i, j = index[u], index[v]
-        if label[i] >= 0 and label[j] >= 0 and label[i] != label[j]:
-            # the minimizing pair's shortest path changes label at some edge,
-            # and there dist[u] + w + dist[v] equals the pair distance
-            best = min(best, dist[i] + w + dist[j])
+    # the minimizing pair's shortest path changes label at some edge, where
+    # (dist[lo] + w) + dist[hi] is its distance; an unreached end sums to inf
+    lo, hi, w = graph.edge_columns
+    label, dist = np.array(label), np.array(dist)
+    cross = label[lo] != label[hi]
+    with np.errstate(over="ignore"):
+        best = float(np.min((dist[lo[cross]] + w[cross]) + dist[hi[cross]], initial=math.inf))
     if not math.isfinite(best):
         raise GraphError("terminals are not mutually reachable")
     return best

@@ -215,7 +215,7 @@ def scaled(graph: WeightedGraph, factor: float) -> WeightedGraph:
     """Uniformly rescale all edge weights."""
     if not (factor > 0 and math.isfinite(factor)):
         raise GraphError(f"scale factor must be positive, got {factor}")
-    edges = [(u, v, w * factor) for u, v, w in graph.edges]
+    edges = [(u, v, w * factor) for u, v, w in graph._id_edges()]
     return WeightedGraph.build(graph.vertices, edges, graph.terminals, graph.labels)
 
 

@@ -14,8 +14,9 @@ ids 0..n-1; operations such as ``induced_subgraph`` keep the original ids.
 ``WeightedGraph.index`` maps each id to its position in ``vertices``, and
 ``vertices`` is sorted, so position order is id order.  A graph is its edge
 columns (``edge_columns``: the end positions and float64 weights of the
-canonical edges); ids stay Python integers, so only positions go into
-numpy.  One sort of the columns by (position, neighbour) gives the CSR
+canonical edges), its only edge store: the id triples of ``edges`` are a
+view built on first read.  Ids stay Python integers, so only positions go
+into numpy.  One sort of the columns by (position, neighbour) gives the CSR
 arrays of the position adjacency (``_csr()``), and its ``(position,
 weight)`` rows are their slices.  The position adjacency is the only one
 the package reads: the distance kernel below, the connectivity check, the clustering
@@ -137,23 +138,17 @@ class ParseError(GraphError):
 class WeightedGraph:
     """Undirected graph with positive edge weights and ordered terminals.
 
-    ``edges`` are canonical: ``u < v``, sorted, at most one per pair, no
-    self-loops, every weight positive and finite.  ``edge_columns`` holds
-    them as arrays, in the same order: the positions of ``u`` and of ``v``
-    (``np.intp``) and the float64 weights; the position adjacency, its CSR
-    arrays and contraction read these.  ``_GraphRules.graph``, the only
-    caller of this constructor, always fills them.  ``terminals`` is an
-    ordered list;
-    terminal j (1-based) is ``terminals[j-1]``.
+    ``edge_columns``, the only edge store, holds the end positions ``lo < hi``
+    (``np.intp``) and the float64 weight of each edge, sorted by (lo, hi): at
+    most one edge per pair, no self-loops, every weight positive and finite.
+    Only ``_GraphRules.graph`` calls this constructor.  ``edges`` is a view
+    of the columns built on first read; terminal j (1-based) is ``terminals[j-1]``.
     """
 
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int, float], ...]
+    edge_columns: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
     terminals: tuple[int, ...]
     labels: dict[int, str] = field(default_factory=dict)
-    edge_columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False
-    )
 
     @staticmethod
     def build(
@@ -196,15 +191,23 @@ class WeightedGraph:
         return len(self.terminals)
 
     @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as ``(u, v, w)`` id triples, ``u < v``, in column order,
+        which is sorted.  No reader in the package but ``InducedMinor.edges``."""
+        return tuple(self._id_edges())
+
+    def _id_edges(self):
+        """The edges as id triples, one at a time; nothing is cached."""
+        at, (lo, hi, w) = self.vertices.__getitem__, self.edge_columns
+        return zip(map(at, lo.tolist()), map(at, hi.tolist()), w.tolist())
+
+    @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        """``(neighbour id, weight)`` rows keyed by id.  No reader in the
-        package; kept only while the benchmark (``perfbench/workloads.py``)
-        warms it."""
-        adj: dict[int, list[tuple[int, float]]] = {v: [] for v in self.vertices}
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        """The rows of ``_index_adjacency`` keyed by id, as ``(neighbour id,
+        weight)``.  No reader in the package; kept only while the benchmark
+        (``perfbench/workloads.py``) warms it."""
+        ids = self.vertices
+        return {v: tuple((ids[q], w) for q, w in row) for v, row in zip(ids, self._index_adjacency)}
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -213,7 +216,7 @@ class WeightedGraph:
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The position adjacency, each edge from both ends, as CSR arrays
-        with the index in ``edges`` of each entry's edge in place of its
+        with the column index of each entry's edge in place of its
         weight: row starts, neighbour positions and edge indices.  One sort
         of the edge columns by (position, neighbour) gives every row in
         position order.  Not cached: ``_csr()`` and ``_index_adjacency`` each
@@ -236,10 +239,9 @@ class WeightedGraph:
     def _index_adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         """``(position, weight)`` of every neighbour, per position: the rows
         of ``_entries``, in position order.  The entries share their ints
-        and floats with ``index`` and ``edges``, as rows built edge by edge
-        did, instead of holding copies."""
+        with ``index``, and both ends of an edge share one weight float."""
         indptr, nbr, edge = self._entries()
-        position, weight = list(self.index.values()), [e[2] for e in self.edges]
+        position, weight = list(self.index.values()), self.edge_columns[2].tolist()
         entries = tuple(zip(map(position.__getitem__, nbr.tolist()),
                             map(weight.__getitem__, edge.tolist())))
         starts = indptr.tolist()
@@ -408,15 +410,11 @@ class _GraphRules:
         if (key[1:] == key[:-1]).any():
             return None  # a duplicate edge
         lo, hi = np.divmod(key, n)
-        # the edges hold the given id and weight objects, not copies
-        edges = zip(map(ids.__getitem__, lo.tolist()), map(ids.__getitem__, hi.tolist()),
-                    map(weight.__getitem__, rank.tolist()))
         return WeightedGraph(
             vertices=tuple(ids),
-            edges=tuple(edges),
+            edge_columns=(lo, hi, w[rank]),
             terminals=tuple(terminals),
             labels=dict(labels) if labels else {},
-            edge_columns=(lo, hi, w[rank]),
         )
 
 
@@ -887,7 +885,7 @@ def induced_subgraph(graph: WeightedGraph, keep) -> WeightedGraph:
     unknown = keep_set.difference(graph.index)
     if unknown:
         raise GraphError(f"keep set contains unknown vertices {sorted(unknown)}")
-    edges = [(u, v, w) for u, v, w in graph.edges if u in keep_set and v in keep_set]
+    edges = [(u, v, w) for u, v, w in graph._id_edges() if u in keep_set and v in keep_set]
     terms = [t for t in graph.terminals if t in keep_set]
     labels = {v: s for v, s in graph.labels.items() if v in keep_set}
     return WeightedGraph.build(sorted(keep_set), edges, terms, labels)
@@ -921,7 +919,7 @@ def subdivide_edges(graph: WeightedGraph, threshold: float) -> SubdivideResult:
     vertices = list(graph.vertices)
     new_edges: list[tuple[int, int, float]] = []
     host: dict[int, tuple[int, int]] = {}
-    for u, v, w in graph.edges:
+    for u, v, w in graph._id_edges():
         if w <= threshold:
             new_edges.append((u, v, w))
             continue
@@ -1032,6 +1030,6 @@ def format_graph_text(graph: WeightedGraph) -> str:
             lines.append(f"v {v}")
     for t in graph.terminals:
         lines.append(f"t {t}")
-    for u, v, w in graph.edges:
+    for u, v, w in graph._id_edges():
         lines.append(f"e {u} {v} {w!r}")
     return "\n".join(lines) + "\n"

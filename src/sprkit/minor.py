@@ -194,7 +194,7 @@ def parse_minor_text(text: str) -> InducedMinor:
             orig.append(int(label.removeprefix("orig=")) if label.startswith("orig=") else i)
         except ValueError:
             raise GraphError(f"minor vertex {i}: label {label!r} is not orig=<integer>") from None
-    return InducedMinor(orig, g.edges)
+    return InducedMinor(orig, g._id_edges())
 
 
 def contract(graph: WeightedGraph, partition: TerminalPartition) -> InducedMinor:

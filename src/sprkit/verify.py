@@ -60,9 +60,10 @@ steps, never with the recorded ones.  While every earlier step's claims
 equal its replayed ball, this gives the same set and the same doubles as a
 fresh search from the terminal through the cluster and the unclaimed
 vertices.  At the first step whose claims differ, verify reports the
-difference; a claim it did not reproduce has no distance and never seeds a
-later search.  Each step compares its replayed distances with the recorded
-ones as lists, and the largest with the radius.  That replay words every
+difference; a claim it did not reproduce never seeds a later search, and
+has no distance unless it is the stepping terminal, at 0.0 from itself.
+Each step compares its replayed distances with the recorded ones as
+lists, and the largest with the radius.  That replay words every
 violation; the certificate refuses faulty traces, and valid ones whose only
 witness ties (a weight absorbed by a distance, ``fl(d + w) == d``).
 """
@@ -274,7 +275,7 @@ def replay_trace(
             if runs and (replayed != _in_runs(recorded, runs)
                          or max(replayed) > radius * (1 + REL_TOL)):
                 for i in _in_runs(range(len(vertex)), runs):  # the step's events
-                    d = dist.get(pos[i])
+                    d = dist.get(pos[i], 0.0 if vertex[i] == t_j else None)
                     if d is None:
                         continue
                     v = vertex[i]

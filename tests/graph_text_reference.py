@@ -3,16 +3,26 @@
 ``parse_graph_text`` checked four rules line by line and then handed every
 record to ``build``, which checked all nine again and was reported at line
 0.  Both are copied verbatim, except that the parser calls this module's
-``build``.  They are slow and doubled on purpose: the tests require the
-rewrite to accept and refuse the same inputs, to build identical graphs,
-and to name the same line wherever this parser named one.
+``build``, and that ``build`` returns a plain ``Graph`` record in place of
+the package's graph.  They are slow and doubled on purpose: the tests
+require the rewrite to accept and refuse the same inputs, to build graphs
+with the same vertices, edges, terminals and labels, and to name the same
+line wherever this parser named one.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
-from sprkit.graph import GraphError, ParseError, WeightedGraph
+from sprkit.graph import GraphError, ParseError
+
+
+class Graph(NamedTuple):
+    vertices: tuple[int, ...]
+    edges: tuple[tuple[int, int, float], ...]
+    terminals: tuple[int, ...]
+    labels: dict[int, str]
 
 
 def build(
@@ -20,7 +30,7 @@ def build(
     edges,
     terminals,
     labels: dict[int, str] | None = None,
-) -> "WeightedGraph":
+) -> Graph:
     vset = set()
     for v in vertices:
         v = int(v)
@@ -55,7 +65,7 @@ def build(
     for t in terms:
         if t not in vset:
             raise GraphError(f"terminal {t} is not a vertex")
-    return WeightedGraph(
+    return Graph(
         vertices=tuple(sorted(vset)),
         edges=tuple(canon),
         terminals=terms,
@@ -63,7 +73,7 @@ def build(
     )
 
 
-def parse_graph_text(text: str) -> WeightedGraph:
+def parse_graph_text(text: str) -> Graph:
     vertices: list[int] = []
     vset: set[int] = set()
     terminals: list[int] = []

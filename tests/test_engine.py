@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import warnings
 from itertools import accumulate
 
 import numpy as np
@@ -15,6 +17,7 @@ from conftest import (
     star_3,
     trace_with_events,
 )
+import closest_pair_reference
 from paths_reference import shortest_paths
 from sprkit import (
     CoverEvent,
@@ -180,6 +183,42 @@ def test_min_terminal_pair_distance():
         maps[t].distance(u) for t in g.terminals for u in g.terminals if u != t
     )
     assert min_terminal_pair_distance(g) == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def closest_pair_graphs(draw):
+    """A connected graph with k >= 2 and weights up to the largest double,
+    so that some path sums overflow to inf."""
+    top = sys.float_info.max
+    weights = st.one_of(
+        st.floats(0.01, 100.0),
+        st.sampled_from([top, top / 2, top / 3, 5e-324]),
+        st.floats(top / 4, top),
+    )
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(0, v - 1)), v): draw(weights) for v in range(1, n)}
+    for _ in range(draw(st.integers(0, n))):
+        pair = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        edges.setdefault(tuple(sorted(pair)), draw(weights))
+    terminals = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+    return WeightedGraph.build(range(n), [(u, v, w) for (u, v), w in edges.items()], terminals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(closest_pair_graphs())
+def test_min_terminal_pair_distance_matches_the_per_edge_scan(g):
+    def outcome(closest):
+        try:
+            return closest(g), None
+        except GraphError as exc:
+            return None, str(exc)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow to inf is no warning
+        got = outcome(min_terminal_pair_distance)
+    ref = outcome(closest_pair_reference.min_terminal_pair_distance)
+    assert got == ref
+    assert got[0] is None or type(got[0]) is float
 
 
 # --- runs --------------------------------------------------------------------

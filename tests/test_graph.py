@@ -700,6 +700,35 @@ def test_only_the_graph_rules_call_the_graph_constructor():
     assert calls == ["graph._GraphRules.graph"]
 
 
+def test_the_pipeline_never_builds_the_edge_triples():
+    # every stage reads the edge columns; ``edges`` is built only on a read
+    # from outside the pipeline
+    g = random_connected_graph(30, 4, seed=3, extra_edges=20, weight_range=(0.5, 3.0))
+    params = sprkit.SprParams.for_graph(g, seed=1)
+    graphs = [g]
+
+    def untouched():
+        for graph in graphs:
+            assert "edges" not in graph.__dict__
+
+    sub = sprkit.preprocess_subdivide(g, params).graph
+    graphs.append(sub)
+    format_graph_text(sub)
+    untouched()
+    assert sub.n > g.n
+    for graph in graphs:
+        params = sprkit.SprParams.for_graph(graph, seed=1)
+        minor, report, trace = sprkit.run_and_contract(graph, params)
+        trace.to_json(), report.to_json(), format_graph_text(minor.graph)
+        untouched()
+        assert sprkit.verify_trace(graph, trace, params).ok
+        sprkit.check_covering(trace, graph, params)
+        untouched()
+        partition = sprkit.build_interval_partition(graph, *graph.terminals[:2], params)
+        sprkit.reconstruct_ledger(trace, graph, partition, params)
+        untouched()
+
+
 # --- text format ---------------------------------------------------------
 
 
@@ -822,7 +851,7 @@ def graph_texts(draw):
     return _shuffled_text(rnd, WeightedGraph.build(g.vertices, g.edges, terminals))
 
 
-def _same_graph(g: WeightedGraph, h: WeightedGraph) -> bool:
+def _same_graph(g: graph_text_reference.Graph, h: WeightedGraph) -> bool:
     return (g.vertices, g.edges, g.terminals, g.labels) == (
         h.vertices, h.edges, h.terminals, h.labels
     )

@@ -135,7 +135,7 @@ def _mutate(g: WeightedGraph, trace: RunTrace, kind: str, data) -> RunTrace:
             covers[i] = ev._replace(dist=math.nextafter(ev.dist, toward))
         elif kind == "terminal":
             # another cluster's terminal; for the event's own terminal see
-            # test_verify_gives_no_distance_to_a_claim_of_its_own_terminal
+            # test_verify_words_a_claim_of_its_own_terminal_as_the_reference_does
             others = [t for t in g.terminals if t != ev.terminal]
             covers[i] = ev._replace(vertex=data.draw(st.sampled_from(others)))
         else:
@@ -165,22 +165,19 @@ def test_verify_matches_reference_on_mutated_traces(g, seed, kind, data):
         assert got.violations[:cut] == ref.violations[:cut]
 
 
-def test_verify_gives_no_distance_to_a_claim_of_its_own_terminal():
-    # a claim the replay did not reproduce has no distance (see the module
-    # docstring of sprkit.verify); the from-terminal reference settles the
-    # stepping terminal at 0.0 and words one more fault for it
+def test_verify_words_a_claim_of_its_own_terminal_as_the_reference_does():
+    # the stepping terminal is at 0.0 from itself, so its claim is worded as
+    # a distance mismatch, as the from-terminal reference words it
     g = WeightedGraph.build([0, 1, 2], [(0, 1, 1.0), (0, 2, 1.0)], [0, 1])
     params, trace = _engine_run(g, 0)
     [ev] = trace.cover_events
     trace = trace_with_events(trace, cover_events=[ev._replace(vertex=ev.terminal)])
     ref, _ = reference_verify_trace(g, trace, params)
-    assert verify_trace(g, trace, params).violations == (
+    assert verify_trace(g, trace, params) == ref
+    assert ref.violations == (
         "terminal 0 appears in a cover event",
         "vertex 2 never covered",
         "step (9,1) claims [0] but ball replay gives [2]",
-    )
-    assert ref.violations == (
-        *verify_trace(g, trace, params).violations,
         "recorded distance 1.0 for vertex 0 differs from replayed 0.0",
     )
 
