@@ -403,10 +403,7 @@ def min_terminal_pair_distance(graph: WeightedGraph) -> float:
     # by vertex position; label -1 = not reached yet
     dist = [math.inf] * graph.n
     label = [-1] * graph.n
-    heap: list[tuple[float, int, int]] = [
-        (0.0, index[t], idx) for idx, t in enumerate(graph.terminals)
-    ]
-    heap.sort()
+    heap = sorted((0.0, index[t], j) for j, t in enumerate(graph.terminals))
     while heap:
         d, p, src = heappop(heap)
         if label[p] >= 0:

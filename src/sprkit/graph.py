@@ -204,10 +204,12 @@ class WeightedGraph:
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, float], ...]]:
         """The rows of ``_index_adjacency`` keyed by id, as ``(neighbour id,
-        weight)``.  No reader in the package; kept only while the benchmark
-        (``perfbench/workloads.py``) warms it."""
-        ids = self.vertices
-        return {v: tuple((ids[q], w) for q, w in row) for v, row in zip(ids, self._index_adjacency)}
+        weight)``: the rows themselves when the ids are 0..n-1.  No reader
+        in the package; kept only while ``perfbench/workloads.py`` warms it."""
+        ids, rows = self.vertices, self._index_adjacency
+        if not ids or ids[-1] == len(ids) - 1:  # sorted, distinct, nonnegative
+            return dict(zip(ids, rows))
+        return {v: tuple((ids[q], w) for q, w in row) for v, row in zip(ids, rows)}
 
     @cached_property
     def index(self) -> dict[int, int]:

@@ -626,6 +626,21 @@ def test_csr_arrays_equal_the_generator_build(g):
     assert_same_arrays(g._chains.csr, generator_csr_arrays(reduced))
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(kernel_graphs(), chain_graphs()), st.randoms(use_true_random=False))
+def test_adjacency_equals_the_edge_build(g, rnd):
+    # the id-keyed rows, against the rows built edge by edge and sorted, on
+    # the graph (ids 0..n-1, the position rows themselves) and on a subgraph
+    # that keeps some ids with gaps between them
+    keep = {g.terminals[0], *rnd.sample(g.vertices, rnd.randint(0, g.n))}
+    for h in (g, induced_subgraph(g, keep)):
+        adj = {v: [] for v in h.vertices}
+        for u, v, w in h.edges:
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+        assert h.adjacency == {v: tuple(sorted(row)) for v, row in adj.items()}
+
+
 def test_minor_csr_arrays_equal_the_generator_build():
     # the minor's graph folds nothing and takes its CSR arrays straight from
     # its edge columns, without building the position rows
