@@ -614,31 +614,18 @@ def assert_same_arrays(got, expected):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(kernel_graphs(), chain_graphs()))
 def test_csr_arrays_equal_the_generator_build(g):
-    # the rows and CSR arrays sorted from the edge columns, against the rows
-    # built edge by edge; and the reduced rows of the chain table, rebuilt
-    # from its position map
+    # the rows, their id-keyed view and the CSR arrays sorted from the edge
+    # columns, against the rows built edge by edge; and the reduced rows of
+    # the chain table, rebuilt from its position map
     adj = edge_rows(g)
     assert g._index_adjacency == adj
+    ids = g.vertices
+    assert g.adjacency == {ids[p]: tuple((ids[q], w) for q, w in row) for p, row in enumerate(adj)}
     assert_same_arrays(g._csr(), generator_csr_arrays(adj))
     compact = g._chains.compact.tolist()
     reduced = [[(compact[q], w) for q, w in row if compact[q] >= 0]
                for p, row in enumerate(adj) if compact[p] >= 0]
     assert_same_arrays(g._chains.csr, generator_csr_arrays(reduced))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.one_of(kernel_graphs(), chain_graphs()), st.randoms(use_true_random=False))
-def test_adjacency_equals_the_edge_build(g, rnd):
-    # the id-keyed rows, against the rows built edge by edge and sorted, on
-    # the graph (ids 0..n-1, the position rows themselves) and on a subgraph
-    # that keeps some ids with gaps between them
-    keep = {g.terminals[0], *rnd.sample(g.vertices, rnd.randint(0, g.n))}
-    for h in (g, induced_subgraph(g, keep)):
-        adj = {v: [] for v in h.vertices}
-        for u, v, w in h.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        assert h.adjacency == {v: tuple(sorted(row)) for v, row in adj.items()}
 
 
 def test_minor_csr_arrays_equal_the_generator_build():
