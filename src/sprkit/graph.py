@@ -110,7 +110,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, merge
 from itertools import repeat
 
 import numpy as np
@@ -945,82 +945,79 @@ def subdivide_edges(graph: WeightedGraph, threshold: float) -> SubdivideResult:
 # ---------------------------------------------------------------------------
 
 _RECORDS = {"v": "v <id> [label]", "t": "t <id>", "e": "e <u> <v> <weight>"}
-_TAGS = {tag: code for code, tag in enumerate(_RECORDS)}
 
 
 def parse_graph_text(text: str) -> WeightedGraph:
     """The graph of ``text``, its records checked by ``_GraphRules``: a
     fault raises ``ParseError`` with the number of the first line that
     breaks a rule, and only a text without terminals is refused at line 0.
-    Lines are those of ``str.splitlines``."""
-    try:
-        graph = _parse_records(text)
-    except ValueError:
-        graph = None  # a token that does not convert
-    if graph is None:
-        rules = _GraphRules()
-        for line_no, raw in enumerate(_lines(text), start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            tag = parts[0]
-            try:
-                if tag == "e" and len(parts) == 4:
-                    rules.edge(*parts[1:])
-                elif tag == "v" and len(parts) in (2, 3):
-                    rules.vertex(parts[1])
-                elif tag == "t" and len(parts) == 2:
-                    rules.terminal(parts[1])
-                elif tag in _RECORDS:
-                    raise ValueError(f"expected '{_RECORDS[tag]}'")
-                else:
-                    raise ValueError(f"unknown record type {tag!r}")
-            except ValueError as exc:
-                raise ParseError(line_no, str(exc)) from None
+    Lines are those of ``str.splitlines``.
+
+    One pass splits each line once, converts its tokens by ``int`` and
+    ``float``, and appends them to the columns ``_GraphRules.graph`` checks,
+    with the record's line; it stops at the first record it cannot read.
+    On a fault the rules walk the records read, in line order, and name the
+    first that breaks one; if none does, the unread record is the fault.
+    """
+    vertices, u, v, weight, terminals, labels = [], [], [], [], [], {}
+    vertex_at, edge_at, terminal_at = [], [], []
+    unread = None
+    for line_no, raw in enumerate(_lines(text), start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        tag, size = parts[0], len(parts)
         try:
-            rules.finish()
+            # every token of the record converts before any column grows
+            if tag == "e" and size == 4:
+                a, b, w = int(parts[1]), int(parts[2]), float(parts[3])
+                u.append(a)
+                v.append(b)
+                weight.append(w)
+                edge_at.append(line_no)
+            elif tag == "v" and (size == 2 or size == 3):
+                a = int(parts[1])
+                vertices.append(a)
+                vertex_at.append(line_no)
+                if size == 3:
+                    labels[a] = parts[2]
+            elif tag == "t" and size == 2:
+                terminals.append(int(parts[1]))
+                terminal_at.append(line_no)
+            elif tag in _RECORDS:
+                raise ValueError(f"expected '{_RECORDS[tag]}'")
+            else:
+                raise ValueError(f"unknown record type {tag!r}")
+        except ValueError as exc:
+            unread = ParseError(line_no, str(exc))
+            break
+    if unread is None:
+        graph = _GraphRules.graph(vertices, u, v, weight, terminals, labels,
+                                  order=(vertex_at, edge_at, terminal_at))
+        if graph is not None:
+            return graph
+    rules = _GraphRules()
+    for line_no, check, record in merge(
+        zip(vertex_at, repeat(rules.vertex), zip(vertices)),
+        zip(edge_at, repeat(rules.edge), zip(u, v, weight)),
+        zip(terminal_at, repeat(rules.terminal), zip(terminals)),
+    ):
+        try:
+            check(*record)
         except GraphError as exc:
-            raise ParseError(0, str(exc)) from None
-    return graph
+            raise ParseError(line_no, str(exc)) from None
+    if unread is not None:
+        raise unread
+    try:
+        rules.finish()
+    except GraphError as exc:
+        raise ParseError(0, str(exc)) from None
 
 
 def _lines(text: str) -> list[str]:
     """The lines of ``text`` without their comments."""
     lines = text.splitlines()
     return [raw.partition("#")[0] for raw in lines] if "#" in text else lines
-
-
-def _parse_records(text: str) -> WeightedGraph | None:
-    """The graph of ``text`` by ``_GraphRules.graph``, each token converted
-    by ``int`` or ``float``; None if a record has an unknown type or the
-    wrong number of tokens, or a rule fails.
-
-    The tokens of all lines are one flat list, and the records are found by
-    each line's token count, so no per-line list outlives its line.  Only
-    the converted columns outlive the tokens.
-    """
-    lines = _lines(text)
-    sizes = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-    tokens = " ".join(lines).split()
-    del lines
-    line = np.flatnonzero(sizes)  # the records' lines, from 0
-    start = (sizes.cumsum() - sizes)[line]
-    tag = np.fromiter(map(_TAGS.get, map(tokens.__getitem__, start.tolist()), repeat(-1)),
-                      np.intp, start.size)
-    v, t, e = (tag == _TAGS["v"], tag == _TAGS["t"], tag == _TAGS["e"])
-    size = sizes[line]
-    if not ((tag >= 0).all() and ((size[v] == 2) | (size[v] == 3)).all()
-            and (size[t] == 2).all() and (size[e] == 4).all()):
-        return None
-
-    def column(rows, offset, convert=int):
-        return list(map(convert, map(tokens.__getitem__, (start[rows] + offset).tolist())))
-
-    labelled = v & (size == 3)
-    labels = dict(zip(column(labelled, 1), column(labelled, 2, str)))
-    columns = column(v, 1), column(e, 1), column(e, 2), column(e, 3, float), column(t, 1)
-    del tokens
-    return _GraphRules.graph(*columns, labels, order=(line[v], line[e], line[t]))
 
 
 def format_graph_text(graph: WeightedGraph) -> str:

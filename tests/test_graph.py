@@ -945,6 +945,20 @@ def test_parse_matches_reference_on_one_token_mutations(text, data):
         "v 0\nt 0\nv\n",
         "v 0\nv 1\nt 0\ne 0 1\n",
         "v 0\nt\n",
+        # a rule fault before a token that does not convert, and before an
+        # unknown record type
+        "v 0\nv 0\nt 0\ne 0 x 1.0\n",
+        "v 0\nt 1\nq 5\n",
+        # a token that does not convert, worded before the undeclared end
+        "v 0\nt 0\ne 5 x 1.0\n",
+        # an edge before its vertex, then a short record
+        "v 0\ne 0 1 1.0\nv 1\nt 0\nv\n",
+        # the other line breaks of str.splitlines, and a fault after them
+        "v 0\x0bv 1\x0ct 0\x85e 0 2 2.0\n",
+        "v 0\x1dv 1\x1et 0\u2029e 0 2 2.0\n",
+        # an id int reads from other digits (an Arabic-Indic 3), and one it refuses
+        "v \u0663\nt 3\n",
+        "v 1.0\nt 1\n",
     ],
 )
 def test_parse_matches_reference_on_pinned_texts(text):
