@@ -14,7 +14,10 @@ and ``verify_trace`` of its trace, three times.  The traced unit warms
 every terminal row and the covering check reads them, so a second child
 per size runs the untraced unit
 (``workloads.compress_unit``, which keeps only the terminal block) once and
-records its peak RSS as ``run_peak_rss_mb``.  One more child builds the
+records its peak RSS as ``run_peak_rss_mb``.  A third child per size
+calls only ``parse_graph_text`` on the size's text, which its own child
+makes, and records its peak RSS as ``parse_peak_rss_mb``: the imports, the
+text and the parse.  One more child builds the
 ``analyze-pair`` graph and one trace (run seed 0) with that workload's
 set-up, then verifies the trace, checks its covering and replays its
 charging ledger, the workload's unit, three times.  Each layer is timed in
@@ -139,6 +142,20 @@ def run_size(n: int, k: int) -> dict:
 
     state = {"texts": [sparse_graph_text(n, k, GRAPH_SEED)], "seeds": [RUN_SEED]}
     workloads.compress_unit(state, 0)
+    return {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+
+
+def parse_size(n: int, k: int) -> dict:
+    """``parse_graph_text`` alone on the size's text, in this process: its
+    peak RSS.  A child of this process makes the text, so the generator's
+    peak stays out of the figure."""
+    text = subprocess.run(
+        [sys.executable, __file__, "--child", "text", str(n), str(k)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    from sprkit import parse_graph_text
+
+    parse_graph_text(text)
     return {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
@@ -325,6 +342,13 @@ def main() -> int:
             result = time_pair()
         elif what == "run":
             result = run_size(int(n), int(k))
+        elif what == "parse":
+            result = parse_size(int(n), int(k))
+        elif what == "text":
+            from inputs import sparse_graph_text
+
+            sys.stdout.write(sparse_graph_text(int(n), int(k), GRAPH_SEED))
+            return 0
         elif what == "shapes":
             result = time_shapes()
         elif what == "setup":
@@ -346,10 +370,13 @@ def main() -> int:
         results.append(child(src, "size", str(n), str(k)))
         untraced = child(src, "run", str(n), str(k))
         results[-1]["run_peak_rss_mb"] = untraced["peak_rss_mb"]
+        parsed = child(src, "parse", str(n), str(k))
+        results[-1]["parse_peak_rss_mb"] = parsed["peak_rss_mb"]
         results[-1].update(child(src, "setup", str(n), str(k)))
         layers = results[-1]["layers_s"]
         print("  " + "  ".join(f"{name}={s:.3f}" for name, s in layers.items())
-              + f"  run_peak_rss_mb={untraced['peak_rss_mb']:.1f}", file=sys.stderr, flush=True)
+              + f"  run_peak_rss_mb={untraced['peak_rss_mb']:.1f}"
+              + f"  parse_peak_rss_mb={parsed['peak_rss_mb']:.1f}", file=sys.stderr, flush=True)
         print("  set-up: " + "  ".join(f"{name}={s:.3f}"
                                        for name, s in results[-1]["setup_s"].items()),
               file=sys.stderr, flush=True)

@@ -444,10 +444,8 @@ class CostBoundResult:
         return {**asdict(self), "ci95": list(self.ci95)}
 
 
-def cost_bound_check(
-    ledgers: list[DetourLedger], factor: float = COST_BOUND_FACTOR
-) -> CostBoundResult:
-    """Rate of final cost >= factor * d(t, t') across runs of one pair.
+def cost_bound_check(ledgers: list[DetourLedger]) -> CostBoundResult:
+    """Rate of final cost >= COST_BOUND_FACTOR * d(t, t') across runs of one pair.
 
     Also checks the structural identity that the external lengths of the
     intervals cover every path edge at least once and at most twice.
@@ -464,7 +462,7 @@ def cost_bound_check(
         ):
             raise GraphError("ledgers mix different terminal pairs or graphs")
     delta = part.total_length
-    exceed = sum(1 for led in ledgers if led.cost >= factor * delta)
+    exceed = sum(1 for led in ledgers if led.cost >= COST_BOUND_FACTOR * delta)
     n = len(ledgers)
     rate = exceed / n
     half = 1.96 * math.sqrt(max(rate * (1 - rate), 1e-12) / n)

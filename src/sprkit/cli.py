@@ -26,6 +26,7 @@ from .charging import (
 )
 from .covering import check_covering, summarize_covering
 from .engine import (
+    DEFAULT_DELTA,
     RoundsGuardError,
     RunTrace,
     SprParams,
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="cluster a graph and write trace/minor/report")
     p.add_argument("--graph", required=True)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--subdivide", action="store_true")
     p.add_argument("--max-rounds", type=int, dest="max_rounds")
     p.add_argument("--out", required=True)
@@ -352,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=12)
     p.add_argument("--seeds", type=int, default=0,
                    help="also compare this many seeded runs against the floor")
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 

@@ -58,7 +58,8 @@ from .minor import (
 # Fixed coefficients of the clustered-growth schedule.  Only delta is
 # tunable (``SprParams`` validates k and delta alone); these are module
 # constants that the params, the round guard and the covering check read
-# as they stand.
+# as they stand.  ``DEFAULT_DELTA`` is delta wherever none is given.
+DEFAULT_DELTA = 0.05
 EARLY_FACTOR = 1.0 / 3.0          # early-coverage round threshold coefficient
 INTERVAL_FACTOR = EARLY_FACTOR / 10.0  # path-interval sizing coefficient
 DEADLINE_FACTOR = 4.0             # late-coverage deadline coefficient
@@ -102,7 +103,7 @@ class SprParams:
     """
 
     k: int
-    delta: float = 0.05
+    delta: float = DEFAULT_DELTA
     seed: int = 0
     max_rounds: int | None = None
 
@@ -138,7 +139,7 @@ class SprParams:
     @staticmethod
     def for_graph(
         graph: WeightedGraph,
-        delta: float = 0.05,
+        delta: float = DEFAULT_DELTA,
         seed: int = 0,
         max_rounds: int | None = None,
     ) -> "SprParams":
@@ -452,11 +453,6 @@ def run_spr(
     """
     if params.k != graph.k:
         raise GraphError(f"params bound to k={params.k}, graph has k={graph.k}")
-    index = graph.index
-    for t in graph.terminals:
-        if t not in index:
-            raise GraphError(f"terminal {t} missing from graph")
-
     if graph.k == 1:
         return _run_single_terminal(graph, params)
 
@@ -464,7 +460,7 @@ def run_spr(
         raise GraphError("clustering requires a connected graph")
 
     k = graph.k
-    terminals, vertices = graph.terminals, graph.vertices
+    terminals, vertices, index = graph.terminals, graph.vertices, graph.index
     adj = graph._index_adjacency
     # 1-based cluster index by vertex position, 0 = unclaimed
     owner = [0] * graph.n

@@ -20,6 +20,7 @@ import numpy as np
 
 from .covering import check_covering, summarize_covering
 from .engine import (
+    DEFAULT_DELTA,
     SprParams,
     check_delta,
     check_max_rounds,
@@ -44,15 +45,15 @@ CSV_COLUMNS = (
 )
 
 
-# the spec's optional fields: default, the Python types a JSON value of the
-# right kind decodes to, and that kind
+# the spec's optional fields, defaulted as in ``ExperimentSpec``: the Python
+# types a JSON value of the right kind decodes to, and that kind
 _SPEC_FIELDS = {
-    "seeds_per_config": (10, (int,), "an integer"),
-    "base_seed": (0, (int,), "an integer"),
-    "delta": (0.05, (int, float), "a number"),
-    "subdivide": (False, (bool,), "a boolean"),
-    "max_rounds": (None, (int, type(None)), "an integer or null"),
-    "analyze": (False, (bool,), "a boolean"),
+    "seeds_per_config": ((int,), "an integer"),
+    "base_seed": ((int,), "an integer"),
+    "delta": ((int, float), "a number"),
+    "subdivide": ((bool,), "a boolean"),
+    "max_rounds": ((int, type(None)), "an integer or null"),
+    "analyze": ((bool,), "a boolean"),
 }
 
 
@@ -66,7 +67,7 @@ class ExperimentSpec:
     configs: tuple[dict, ...]
     seeds_per_config: int = 10
     base_seed: int = 0
-    delta: float = 0.05
+    delta: float = DEFAULT_DELTA
     subdivide: bool = False
     max_rounds: int | None = None
     analyze: bool = False
@@ -115,8 +116,9 @@ class ExperimentSpec:
         if not isinstance(configs, list) or not all(isinstance(c, dict) for c in configs):
             raise GraphError("experiment spec: 'configs' must be a list of objects")
         fields = {}
-        for name, (default, types, kind) in _SPEC_FIELDS.items():
-            value = doc.get(name, default)
+        for name, (types, kind) in _SPEC_FIELDS.items():
+            # a dataclass field's default is also its class attribute
+            value = doc.get(name, getattr(ExperimentSpec, name))
             # the exact type: a JSON boolean is no integer, a float no count
             if type(value) not in types:
                 raise GraphError(f"experiment spec: '{name}' must be {kind}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .engine import SprParams, run_and_contract
+from .engine import DEFAULT_DELTA, SprParams, run_and_contract
 from .graph import GraphError, WeightedGraph
 from .minor import InvalidPartitionError, TerminalPartition, contract, distortion
 
@@ -80,7 +80,7 @@ def compare_to_spr(
     graph: WeightedGraph,
     oracle: OracleResult,
     seeds,
-    delta: float = 0.05,
+    delta: float = DEFAULT_DELTA,
 ) -> list[ComparisonRow]:
     """Clustered-run distortion against the exhaustive floor ``oracle``,
     which ``best_partition`` found for ``graph``, per seed."""
