@@ -31,12 +31,20 @@ median of three.  At each size a further child times the set-up that
 `sprkit run` does around the kernel (``time_setup``): the parse, the
 position rows, the chain table, the connectivity check, the nearest
 column, ``contract`` and the minor's build, each on a fresh graph, median
-of three, under ``setup_s``.  The run also records the machine, the host speed
-from the benchmark's calibration kernel (``perfbench/calibrate.py``) before
-and after the sizes, and the wall time of the checkout's tier-1 tests.
+of ``SETUP_REPEATS``, under ``setup_s``.  Another child times ``run_spr``
+alone on the random-terminal grids of ``ENGINE_GRIDS`` (the first is the
+``sweep-warm`` graph), median of three, each on a fresh graph whose
+position rows, connectivity and nearest column are built before the clock
+starts, and counts the frontier pushes and pops of one more run.  The run
+also records the machine, the host speed from the benchmark's calibration
+kernel (``perfbench/calibrate.py``) before and after the sizes, and the
+wall time of the checkout's tier-1 tests.
 
 ``--src`` names the ``src`` directory of the checkout to time, so the same
-script times a parent commit; the tier-1 tests are those beside it.  The
+script times a parent commit; the tier-1 tests are those beside it.  Every
+child imports the package and perfbench through symlinks of fixed names in
+one temporary directory, so its ``PYTHONPATH`` has the same length whatever
+the checkout's path: the peak RSS of a child moves with that length.  The
 counts read the trace's columns (``radius_round``, ``cover_vertex``), so a
 checkout whose ``RunTrace`` holds per-event records is timed with that
 checkout's own copy of this script.  Each run replaces the entry ``--label``
@@ -57,6 +65,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 from importlib import metadata
@@ -68,6 +77,7 @@ SIZES = ((2000, 16), (20000, 64), (50000, 256))
 GRAPH_SEED = 0
 RUN_SEED = 0
 REPEATS = 3
+SETUP_REPEATS = 7
 CALIBRATION_RUNS = 15
 # trees and stars whose terminals are their leaves (many columns, few sweeps
 # each), and a thin strip with few terminals and no chains to fold (one sweep
@@ -78,6 +88,10 @@ SHAPES = (
     ("grid_graph(20000, 2, 'random', k=2, seed=1)", "grid_graph", (20000, 2, "random"),
      {"k": 2, "seed": 1}),
 )
+# (width, height, k) of the random-terminal unit grids whose run_spr is timed
+# alone: the sweep-warm graph, where a cluster reaches most vertices along
+# two equal paths, and a larger one
+ENGINE_GRIDS = ((100, 100, 16), (300, 300, 64))
 
 
 def time_size(n: int, k: int) -> dict:
@@ -161,7 +175,7 @@ def parse_size(n: int, k: int) -> dict:
 
 def time_setup(n: int, k: int) -> dict:
     """The set-up layers of `sprkit run` at one size, in this process: wall
-    seconds, median of ``REPEATS``, each repeat on a fresh graph parsed from
+    seconds, median of ``SETUP_REPEATS``, each repeat on a fresh graph parsed from
     the size's text.  The rows, chain table, connectivity and nearest column
     are timed in the order the run builds them; ``contract`` gets the
     terminal block of the first graph, so it times the partition check, the
@@ -184,7 +198,7 @@ def time_setup(n: int, k: int) -> dict:
         seconds.setdefault(name, []).append(time.perf_counter() - start)
         return result
 
-    for _ in range(REPEATS):
+    for _ in range(SETUP_REPEATS):
         graph = timed("parse_graph_text", lambda: parse_graph_text(text))
         for attr in ("_index_adjacency", "_chains", "_connected", "_nearest_row"):
             timed(attr, lambda: getattr(graph, attr))
@@ -193,6 +207,56 @@ def time_setup(n: int, k: int) -> dict:
         timed("minor.build",
               lambda: InducedMinor(minor.terminal_ids, minor.edges).graph._chains)
     return {"setup_s": {name: statistics.median(v) for name, v in seconds.items()}}
+
+
+def time_engine() -> dict:
+    """``run_spr`` alone on each grid of ``ENGINE_GRIDS``, in this process:
+    wall seconds, median of ``REPEATS`` fresh graphs with the rows,
+    connectivity and nearest column it reads built before timing, and the
+    frontier pushes and pops of one more run, counted through the engine
+    module's ``heappush`` and ``heappop``."""
+    import heapq
+
+    from sprkit import SprParams, engine, run_spr
+    from sprkit.generators import grid_graph
+
+    def graph_and_params(width, height, k):
+        graph = grid_graph(width, height, "random", k=k, seed=GRAPH_SEED)
+        graph._index_adjacency, graph.is_connected(), graph._nearest_row
+        return graph, SprParams.for_graph(graph, seed=RUN_SEED)
+
+    out = {}
+    for width, height, k in ENGINE_GRIDS:
+        runs = []
+        for _ in range(REPEATS):
+            graph, params = graph_and_params(width, height, k)
+            start = time.perf_counter()
+            run_spr(graph, params)
+            runs.append(time.perf_counter() - start)
+        counts = {"pushes": 0, "pops": 0}
+
+        def push(heap, entry):
+            counts["pushes"] += 1
+            heapq.heappush(heap, entry)
+
+        def pop(heap):
+            counts["pops"] += 1
+            return heapq.heappop(heap)
+
+        graph, params = graph_and_params(width, height, k)
+        engine.heappush, engine.heappop = push, pop
+        try:
+            _, trace = run_spr(graph, params)
+        finally:
+            engine.heappush, engine.heappop = heapq.heappush, heapq.heappop
+        out[f"grid_graph({width}, {height}, 'random', k={k}, seed={GRAPH_SEED})"] = {
+            "n": graph.n,
+            "k": k,
+            "run_spr_s": statistics.median(runs),
+            "claims": len(trace.cover_vertex),
+            **counts,
+        }
+    return out
 
 
 def time_pair() -> dict:
@@ -258,9 +322,11 @@ def host_speed() -> dict:
     return {"kernel_s": median, "speed": calibrate.REFERENCE_SECONDS / median}
 
 
-def child(src: Path, *args: str) -> dict:
-    """Run this script's ``--child`` mode against ``src``; return its JSON."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(PERFBENCH)])}
+def child(links: Path, *args: str) -> dict:
+    """Run this script's ``--child`` mode against the ``src`` and
+    ``perfbench`` links in ``links``; return its JSON."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(links / "src"), str(links / "perfbench")])}
     out = subprocess.run(
         [sys.executable, __file__, "--child", *args], env=env, capture_output=True, text=True,
     )
@@ -326,6 +392,49 @@ def source_digest(src: Path) -> str:
     return h.hexdigest()
 
 
+def measure(links: Path) -> dict:
+    """Every child against the checkout that ``links`` points to, in turn."""
+    speed_before = child(links, "speed", "0", "0")
+    results = []
+    for n, k in SIZES:
+        print(f"bench: n={n} k={k}, {REPEATS} repeats", file=sys.stderr, flush=True)
+        results.append(child(links, "size", str(n), str(k)))
+        untraced = child(links, "run", str(n), str(k))
+        results[-1]["run_peak_rss_mb"] = untraced["peak_rss_mb"]
+        parsed = child(links, "parse", str(n), str(k))
+        results[-1]["parse_peak_rss_mb"] = parsed["peak_rss_mb"]
+        results[-1].update(child(links, "setup", str(n), str(k)))
+        layers = results[-1]["layers_s"]
+        print("  " + "  ".join(f"{name}={s:.3f}" for name, s in layers.items())
+              + f"  run_peak_rss_mb={untraced['peak_rss_mb']:.1f}"
+              + f"  parse_peak_rss_mb={parsed['peak_rss_mb']:.1f}", file=sys.stderr, flush=True)
+        print("  set-up: " + "  ".join(f"{name}={s:.3f}"
+                                       for name, s in results[-1]["setup_s"].items()),
+              file=sys.stderr, flush=True)
+    print(f"bench: analyze-pair, {REPEATS} repeats", file=sys.stderr, flush=True)
+    pair = child(links, "pair", "0", "0")
+    print("  " + "  ".join(f"{name}={s:.3f}" for name, s in pair["layers_s"].items()),
+          file=sys.stderr, flush=True)
+    print(f"bench: kernel shapes, {REPEATS} repeats", file=sys.stderr, flush=True)
+    shapes = child(links, "shapes", "0", "0")
+    for name, shape in shapes.items():
+        print(f"  {name}: rows={shape['terminal_distance_maps_s']:.3f}"
+              f"  nearest={shape['_nearest_row_s']:.3f}", file=sys.stderr, flush=True)
+    print(f"bench: run_spr on grids, {REPEATS} repeats", file=sys.stderr, flush=True)
+    engine = child(links, "engine", "0", "0")
+    for name, grid in engine.items():
+        print(f"  {name}: run_spr={grid['run_spr_s']:.4f}  pushes={grid['pushes']}"
+              f"  pops={grid['pops']}", file=sys.stderr, flush=True)
+    speed_after = child(links, "speed", "0", "0")
+    return {
+        "host_speed": {"before": speed_before, "after": speed_after},
+        "sizes": results,
+        "analyze_pair": pair,
+        "shapes": shapes,
+        "engine": engine,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="BENCH file to update")
@@ -353,6 +462,8 @@ def main() -> int:
             result = time_shapes()
         elif what == "setup":
             result = time_setup(int(n), int(k))
+        elif what == "engine":
+            result = time_engine()
         else:
             result = time_size(int(n), int(k))
         print(json.dumps(result))
@@ -363,41 +474,16 @@ def main() -> int:
     src = args.src.resolve()
     if not (src / "sprkit" / "__init__.py").exists():
         parser.error(f"{src} holds no sprkit package")
-    speed_before = child(src, "speed", "0", "0")
-    results = []
-    for n, k in SIZES:
-        print(f"bench: n={n} k={k}, {REPEATS} repeats", file=sys.stderr, flush=True)
-        results.append(child(src, "size", str(n), str(k)))
-        untraced = child(src, "run", str(n), str(k))
-        results[-1]["run_peak_rss_mb"] = untraced["peak_rss_mb"]
-        parsed = child(src, "parse", str(n), str(k))
-        results[-1]["parse_peak_rss_mb"] = parsed["peak_rss_mb"]
-        results[-1].update(child(src, "setup", str(n), str(k)))
-        layers = results[-1]["layers_s"]
-        print("  " + "  ".join(f"{name}={s:.3f}" for name, s in layers.items())
-              + f"  run_peak_rss_mb={untraced['peak_rss_mb']:.1f}"
-              + f"  parse_peak_rss_mb={parsed['peak_rss_mb']:.1f}", file=sys.stderr, flush=True)
-        print("  set-up: " + "  ".join(f"{name}={s:.3f}"
-                                       for name, s in results[-1]["setup_s"].items()),
-              file=sys.stderr, flush=True)
-    print(f"bench: analyze-pair, {REPEATS} repeats", file=sys.stderr, flush=True)
-    pair = child(src, "pair", "0", "0")
-    print("  " + "  ".join(f"{name}={s:.3f}" for name, s in pair["layers_s"].items()),
-          file=sys.stderr, flush=True)
-    print(f"bench: kernel shapes, {REPEATS} repeats", file=sys.stderr, flush=True)
-    shapes = child(src, "shapes", "0", "0")
-    for name, shape in shapes.items():
-        print(f"  {name}: rows={shape['terminal_distance_maps_s']:.3f}"
-              f"  nearest={shape['_nearest_row_s']:.3f}", file=sys.stderr, flush=True)
-    speed_after = child(src, "speed", "0", "0")
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        links = Path(tmp)
+        (links / "src").symlink_to(src)
+        (links / "perfbench").symlink_to(PERFBENCH)
+        measured = measure(links)
     run = {
         "git_commit": git_commit(src),
         "source_sha256": source_digest(src),
-        "host_speed": {"before": speed_before, "after": speed_after},
+        **measured,
         "tier1": tier1(src),
-        "sizes": results,
-        "analyze_pair": pair,
-        "shapes": shapes,
     }
 
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}

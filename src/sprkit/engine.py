@@ -14,7 +14,7 @@ Ids appear only at the edges: each cover event names ``graph.vertices[p]``,
 and the partition dict is built once at the end.  A step pops entries while
 the smallest distance is within the radius, skips positions already claimed
 (lazy deletion), claims the rest at the popped distance and pushes
-(d + w, neighbour) for every unclaimed neighbour.  This equals a fresh
+(d + w, neighbour) for their unclaimed neighbours.  This equals a fresh
 region-restricted search from t_j at every step: once v joins cluster j its
 shortest path through the allowed region lies inside cluster j, and every
 later region (cluster j plus the unclaimed vertices) still contains that
@@ -22,6 +22,17 @@ path, so v's distance never changes.  Its float value does not change
 either, because fl(a + w) is monotone in a.  Ties pop in vertex-id order, as
 they would in the fresh search: ``vertices`` is sorted, so position order is
 id order, and equal distances pop by position exactly as they would by id.
+
+Cluster j pushes (d + w, q) only when another cluster made the last push of
+q from a claim, or j made it at a larger distance (``pusher[q]`` and
+``best[q]``, by position).  This is exact.  A skipped entry is dominated by
+(best[q], q), best[q] <= d + w, which is still in j's frontier: it leaves
+only when q is claimed, and nothing pushes a claimed position again.  So
+q's first pop, and every claim with its distance, are unchanged; only
+stale pops go, and ties are identical tuples.  On a unit grid a cluster
+reaches most vertices along two equal paths, so this halves the heap work.
+A step whose smallest frontier distance exceeds its new radius returns
+before any bookkeeping.
 
 Determinism: a run is a pure function of (graph, params).  The stream of
 uniform draws comes from a counter-based Philox generator keyed by
@@ -475,6 +486,10 @@ def run_spr(
         frontier = [(w, q) for q, w in adj[index[t]] if not owner[q]]
         heapify(frontier)
         frontiers.append(frontier)
+    # by position, the cluster of the last push made while claiming, and
+    # that push's distance
+    pusher = [0] * graph.n
+    best = [0.0] * graph.n
 
     rng = run_rng(params.seed)
     base_mean = params.base_mean
@@ -495,6 +510,8 @@ def run_spr(
             radii[j - 1] += q
             radius = radii[j - 1]
             frontier = frontiers[j - 1]
+            if not frontier or frontier[0][0] > radius:
+                continue
             before = len(cover_vertex)
             while frontier and frontier[0][0] <= radius:
                 d, p = heappop(frontier)
@@ -505,7 +522,12 @@ def run_spr(
                 cover_dist.append(d)
                 for q, w in adj[p]:
                     if not owner[q]:
-                        heappush(frontier, (d + w, q))
+                        dq = d + w
+                        # an entry (best[q], q) with best[q] <= dq is still
+                        # in this frontier when j made the last push of q
+                        if pusher[q] != j or dq < best[q]:
+                            pusher[q], best[q] = j, dq
+                            heappush(frontier, (dq, q))
             claimed = len(cover_vertex) - before
             if claimed:
                 uncovered -= claimed

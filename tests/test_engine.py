@@ -1,3 +1,4 @@
+import heapq
 import json
 import math
 import sys
@@ -6,7 +7,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -18,6 +19,9 @@ from conftest import (
     trace_with_events,
 )
 import closest_pair_reference
+import engine_reference
+import sprkit.engine
+from engine_reference import reference_run_spr
 from paths_reference import shortest_paths
 from sprkit import (
     CoverEvent,
@@ -35,6 +39,7 @@ from sprkit import (
     sample_exponential,
     verify_trace,
 )
+from sprkit.generators import grid_graph
 from sprkit.graph import GraphError, WeightedGraph, subdivide_edges
 from sprkit.minor import TerminalPartition, validate_partition
 
@@ -390,6 +395,81 @@ def test_run_commutes_with_increasing_relabeling(g, seed, data):
     assert list(part2.assignment.items()) == [
         (relabel[v], j) for v, j in part.assignment.items()
     ]
+
+
+@st.composite
+def _tied_graphs(draw):
+    """Random graphs, grids, stars and paths with 2-8 terminals and weights
+    in {1, 2, 3} (unit on grids), so one cluster often reaches a vertex
+    along two paths of equal length."""
+    family = draw(st.sampled_from(["random", "grid", "star", "path"]))
+    k = draw(st.integers(2, 8))
+    if family == "grid":
+        width, height = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+        return grid_graph(width, height, "random", k=min(k, width * height),
+                          seed=draw(st.integers(0, 2**16)))
+    n = draw(st.integers(k, 30))
+    weight = st.integers(1, 3).map(float)
+    if family == "star":
+        edges = {(0, v): draw(weight) for v in range(1, n)}
+    elif family == "path":
+        edges = {(v - 1, v): draw(weight) for v in range(1, n)}
+    else:
+        edges = {(draw(st.integers(0, v - 1)), v): draw(weight) for v in range(1, n)}
+        for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=2 * n)):
+            if u != v:
+                edges.setdefault((min(u, v), max(u, v)), draw(weight))
+    terminals = draw(st.permutations(range(n)))[:k]
+    return WeightedGraph.build(range(n), [(u, v, w) for (u, v), w in edges.items()], terminals)
+
+
+def _run_outcome(run, g, params):
+    try:
+        part, trace = run(g, params)
+    except RoundsGuardError as exc:
+        return "guard", exc.guard, exc.partial_trace.to_json()
+    return "done", part.assignment, trace.to_json()
+
+
+# terminal 0 reaches 3 first through 1 at distance 4, then through 2 at 3: a
+# push at a smaller distance must not be suppressed
+_SHORTER_SECOND_PUSH = WeightedGraph.build(
+    range(6), [(0, 1, 1.0), (0, 2, 2.0), (1, 3, 3.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 50.0)],
+    [0, 5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_graphs(), st.integers(0, 2**32), st.one_of(st.none(), st.integers(0, 4)))
+@example(_SHORTER_SECOND_PUSH, 0, None)
+def test_run_matches_the_reference_loop(g, seed, max_rounds):
+    params = SprParams.for_graph(g, seed=seed, max_rounds=max_rounds)
+    assert _run_outcome(run_spr, g, params) == _run_outcome(reference_run_spr, g, params)
+
+
+def test_run_pushes_a_position_again_only_at_a_smaller_distance(monkeypatch):
+    g = grid_graph(12, 12, "random", k=4)
+    params = SprParams.for_graph(g)
+
+    def pushes(module, run):
+        log = []
+
+        def push(heap, entry):
+            log.append((id(heap), entry))
+            heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(module, "heappush", push)
+        run(g, params)
+        return log
+
+    ref = pushes(engine_reference, reference_run_spr)
+    new = pushes(sprkit.engine, run_spr)
+    assert len(new) < len(ref)
+    # a cluster's frontier stays alive for the whole run, so its id names it
+    last = {}
+    for heap, (d, q) in new:
+        assert d < last.get((heap, q), math.inf)
+        last[heap, q] = d
 
 
 def test_verify_subdivided_run():
