@@ -44,7 +44,8 @@ wall time of the checkout's tier-1 tests.
 script times a parent commit; the tier-1 tests are those beside it.  Every
 child imports the package and perfbench through symlinks of fixed names in
 one temporary directory, so its ``PYTHONPATH`` has the same length whatever
-the checkout's path: the peak RSS of a child moves with that length.  The
+the checkout's path: one tree's ``run_peak_rss_mb`` at 50k/256 has read
+about 8 MB apart under two paths of different lengths.  The
 counts read the trace's columns (``radius_round``, ``cover_vertex``), so a
 checkout whose ``RunTrace`` holds per-event records is timed with that
 checkout's own copy of this script.  Each run replaces the entry ``--label``
@@ -175,8 +176,8 @@ def parse_size(n: int, k: int) -> dict:
 
 def time_setup(n: int, k: int) -> dict:
     """The set-up layers of `sprkit run` at one size, in this process: wall
-    seconds, median of ``SETUP_REPEATS``, each repeat on a fresh graph parsed from
-    the size's text.  The rows, chain table, connectivity and nearest column
+    seconds, median of ``SETUP_REPEATS``, each repeat on a fresh graph parsed
+    from the size's text.  The rows, chain table, connectivity and nearest column
     are timed in the order the run builds them; ``contract`` gets the
     terminal block of the first graph, so it times the partition check, the
     crossing scan and the minor's build; ``minor.build`` is
